@@ -21,11 +21,12 @@ from .dataset import (
     load_manifest,
     load_record,
     plan_folds,
+    read_samples,
     save_record,
     synthesize_dataset,
     write_bonn_dataset,
 )
-from .ensemble import VoteRecord, majority_vote, predict_instance, predict_window
+from .ensemble import VoteRecord, classify, majority_vote, predict_instance
 from .evaluation import (
     BATTERY_CASES,
     BatteryReport,
@@ -51,6 +52,7 @@ from .network import (
     forward,
     init_parameters,
     model_config,
+    parameter_shapes,
 )
 from .training import (
     AdamState,
@@ -66,15 +68,13 @@ from .windowing import (
     SCHEME_2,
     SchemeSpec,
     TestInstance,
-    Window,
+    WindowSet,
     augment_training,
     count_windows,
-    dump_windows,
     get_scheme,
     normalize,
     segment_signal,
     segment_testing,
-    windows_to_arrays,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import ModelConfig, NetworkParameters
+from .network import ModelConfig, NetworkParameters, parameter_shapes
 
 CHECKPOINT_VERSION = "p1dcnn-v1"
 
@@ -60,25 +60,6 @@ def save_checkpoint(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    c_in = 1
-    for i, (k, rf) in enumerate(
-        zip(config.kernel_counts, config.receptive_fields), start=1
-    ):
-        shapes[f"conv{i}.weight"] = (k, c_in, rf)
-        shapes[f"conv{i}.bias"] = (k,)
-        c_in = k
-    shapes["fc1.weight"] = (config.flatten_width, config.fc1_width)
-    shapes["fc1.bias"] = (config.fc1_width,)
-    shapes["fc2.weight"] = (config.fc1_width, config.num_classes)
-    shapes["fc2.bias"] = (config.num_classes,)
-    for i, k in enumerate(config.kernel_counts, start=1):
-        shapes[f"bn{i}.running_mean"] = (k,)
-        shapes[f"bn{i}.running_var"] = (k,)
-    return shapes
-
-
 def _parse_config(entries: dict[str, list[str]]) -> ModelConfig:
     missing = [key for key in _CONFIG_KEYS if key not in entries]
     if missing:
@@ -117,7 +98,7 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
         config_entries[parts[1]] = parts[2:]
         pos += 1
     config = _parse_config(config_entries)
-    expected = _expected_shapes(config)
+    expected = parameter_shapes(config)
 
     tensors: dict[str, np.ndarray] = {}
     while pos < len(lines):
@@ -170,14 +151,4 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
     if missing:
         raise CheckpointError(f"{path}: missing tensors {missing}")
 
-    params = NetworkParameters(
-        conv_weights=[tensors[f"conv{i}.weight"] for i in (1, 2, 3)],
-        conv_biases=[tensors[f"conv{i}.bias"] for i in (1, 2, 3)],
-        fc1_weight=tensors["fc1.weight"],
-        fc1_bias=tensors["fc1.bias"],
-        fc2_weight=tensors["fc2.weight"],
-        fc2_bias=tensors["fc2.bias"],
-        bn_running_mean=[tensors[f"bn{i}.running_mean"] for i in (1, 2, 3)],
-        bn_running_var=[tensors[f"bn{i}.running_var"] for i in (1, 2, 3)],
-    )
-    return params, config
+    return NetworkParameters.from_named(tensors), config

@@ -5,9 +5,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
@@ -17,10 +16,11 @@ from .dataset import (
     ids_by_set,
     load_bonn_root,
     plan_folds,
+    read_samples,
     synthesize_dataset,
     write_bonn_dataset,
 )
-from .ensemble import VoteRecord, majority_vote, write_vote_log
+from .ensemble import classify, write_vote_log
 from .evaluation import (
     BATTERY_CASES,
     emit_battery,
@@ -29,7 +29,7 @@ from .evaluation import (
     run_battery,
     run_cv,
 )
-from .network import MODEL_GRID, MODEL_NAMES, count_parameters, forward, model_config
+from .network import MODEL_GRID, MODEL_NAMES, count_parameters, model_config
 from .training import TrainingConfig, train, write_history_csv
 from .windowing import augment_training, get_scheme, segment_signal
 
@@ -81,12 +81,10 @@ def cmd_params(args: argparse.Namespace) -> int:
     print(f"{'model':<6}{'family':<13}{'fc1':>4}{'dropout':>9}{'params(2)':>11}{'params(3)':>11}")
     for name in names:
         variant = MODEL_GRID[name.upper()]
-        two = count_parameters(model_config(name, 2))
-        three = count_parameters(model_config(name, 3))
-        family = "pyramid" if variant.kernel_counts[0] > variant.kernel_counts[2] else "traditional"
+        two, three = model_config(name, 2), model_config(name, 3)
         print(
-            f"{variant.name:<6}{family:<13}{variant.fc1_width:>4}"
-            f"{variant.dropout_rate:>9}{two:>11}{three:>11}"
+            f"{variant.name:<6}{two.family:<13}{variant.fc1_width:>4}"
+            f"{variant.dropout_rate:>9}{count_parameters(two):>11}{count_parameters(three):>11}"
         )
     return 0
 
@@ -120,15 +118,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     config = _model_config(args, case.num_classes)
     training = _training_config(args)
-    windows = augment_training(records, case, scheme)
-    params, history = train(config, windows, training)
+    training_set = augment_training(records, case, scheme)
+    params, history = train(config, training_set, training)
     out = Path(args.out)
     stem = _artifact_stem("train", args, case.name)
     ckpt = out / f"{stem}.ckpt"
     hist = out / f"{stem}_history.csv"
     save_checkpoint(params, config, ckpt)
     write_history_csv(history, hist)
-    print(f"trained on {len(windows)} windows; checkpoint {ckpt}, history {hist}")
+    print(f"trained on {len(training_set)} windows; checkpoint {ckpt}, history {hist}")
     return 0
 
 
@@ -192,22 +190,6 @@ def cmd_battery(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_signal(path: Path) -> np.ndarray:
-    if not path.is_file():
-        raise FileNotFoundError(f"input signal not found: {path}")
-    values = []
-    with path.open("r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
-    return np.array(values, dtype=np.float64)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     params, config = load_checkpoint(args.checkpoint)
     scheme = get_scheme(args.scheme)
@@ -217,27 +199,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"checkpoint has {config.num_classes} classes but case "
             f"{case.name} has {case.num_classes}"
         )
-    samples = _read_signal(Path(args.input))
+    samples = read_samples(args.input)
     stem = Path(args.input).stem
     vote_records = []
+    # one instance per pass, as predict_instance does: on a few windows, small
+    # batches run faster than one batch of the whole record
     for sub_index, windows in enumerate(segment_signal(samples, scheme)):
-        probs, _ = forward(config, params, np.stack(windows), training=False)
-        votes = [int(v) for v in probs.argmax(axis=1)]
-        final, tie_broken = majority_vote(votes, probs)
-        vote_records.append(
-            VoteRecord(
-                votes=tuple(votes),
-                probabilities=probs,
-                final=final,
-                tie_broken=tie_broken,
-                origin=(stem, sub_index),
-            )
-        )
-        label = case.group_letters(final) if case is not None else str(final)
+        (record,) = classify(params, config, windows[None])
+        record = replace(record, origin=(stem, sub_index))
+        vote_records.append(record)
+        label = case.group_letters(record.final) if case is not None else str(record.final)
         votes_text = ",".join(
-            case.group_letters(v) if case is not None else str(v) for v in votes
+            case.group_letters(v) if case is not None else str(v) for v in record.votes
         )
-        tie = " (tie broken)" if tie_broken else ""
+        tie = " (tie broken)" if record.tie_broken else ""
         print(f"instance {sub_index}: votes [{votes_text}] -> {label}{tie}")
     if args.out:
         log_path = Path(args.out) / f"predict_{stem}_votes.csv"

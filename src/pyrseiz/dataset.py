@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,21 +52,15 @@ class EegRecord:
         return int(self.samples.size)
 
 
-def load_record(
-    path: str | Path,
-    set_label: str,
-    index: int,
-    expected_length: int = BONN_RECORD_LENGTH,
-) -> EegRecord:
-    """Parse one Bonn-format record file: plain text, one sample per line.
+def read_samples(path: str | Path) -> np.ndarray:
+    """Parse a sample file: plain text, one sample per line, blank lines skipped.
 
-    Records whose sample count differs from ``expected_length`` are rejected,
-    never truncated or padded: the window arithmetic downstream assumes the
-    exact length.
+    A non-numeric or non-finite (nan, inf) sample raises with its
+    ``path:line``; nothing downstream can classify such a signal.
     """
     path = Path(path)
     if not path.is_file():
-        raise FileNotFoundError(f"record file not found: {path}")
+        raise FileNotFoundError(f"sample file not found: {path}")
     values: list[float] = []
     with path.open("r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -73,17 +68,34 @@ def load_record(
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric sample {text!r}"
-                ) from None
-    if len(values) != expected_length:
+                raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite sample {text!r}")
+            values.append(value)
+    return np.array(values, dtype=np.float64)
+
+
+def load_record(
+    path: str | Path,
+    set_label: str,
+    index: int,
+    expected_length: int = BONN_RECORD_LENGTH,
+) -> EegRecord:
+    """Parse one Bonn-format record file (see ``read_samples``).
+
+    Records whose sample count differs from ``expected_length`` are rejected,
+    never truncated or padded: the window arithmetic downstream assumes the
+    exact length.
+    """
+    samples = read_samples(path)
+    if samples.size != expected_length:
         raise ValueError(
             f"{path}: wrong length, expected {expected_length} samples, "
-            f"found {len(values)}"
+            f"found {samples.size}"
         )
-    return EegRecord(set_label=set_label, index=index, samples=np.array(values))
+    return EegRecord(set_label=set_label, index=index, samples=samples)
 
 
 def save_record(record: EegRecord, path: str | Path) -> None:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .network import ModelConfig, NetworkParameters, forward
-from .windowing import SchemeSpec, TestInstance, Window
+from .windowing import SchemeSpec, TestInstance
 
 
 @dataclass(frozen=True)
@@ -21,20 +21,6 @@ class VoteRecord:
     final: int
     tie_broken: bool
     origin: tuple[str, int] | None = None
-
-
-def predict_window(
-    params: NetworkParameters, config: ModelConfig, window: Window | np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Classify one normalized window in inference mode.
-
-    Returns (argmax class, probability vector); argmax ties resolve to the
-    lowest class index.
-    """
-    values = window.values if isinstance(window, Window) else np.asarray(window)
-    probs, _ = forward(config, params, values, training=False)
-    probs = probs[0]
-    return int(probs.argmax()), probs
 
 
 def majority_vote(
@@ -67,6 +53,51 @@ def majority_vote(
     return winners[0], True
 
 
+def classify(
+    params: NetworkParameters | Sequence[NetworkParameters],
+    config: ModelConfig,
+    windows: np.ndarray,
+) -> list[VoteRecord]:
+    """Classify every expert window of each test instance and fuse by majority vote.
+
+    ``windows`` is (n_instances, width, input_length). With one parameter
+    set every expert is the same model and one inference pass covers all
+    windows; a sequence of ``width`` parameter sets runs independently
+    trained experts, expert j on window j of every instance. Window votes
+    are argmax classes (ties to the lowest index). The records carry no
+    origin.
+    """
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected (instances, width, window) windows, got shape {x.shape}")
+    n, width, length = x.shape
+    if isinstance(params, NetworkParameters):
+        probs, _ = forward(config, params, x.reshape(n * width, length), training=False)
+        probs = probs.reshape(n, width, -1)
+    else:
+        experts = list(params)
+        if len(experts) != width:
+            raise ValueError(
+                f"got {len(experts)} expert parameter sets for {width} windows per instance"
+            )
+        probs = np.stack(
+            [forward(config, p, x[:, j], training=False)[0] for j, p in enumerate(experts)],
+            axis=1,
+        )
+    records = []
+    for votes, instance_probs in zip(probs.argmax(axis=2).tolist(), probs):
+        final, tie_broken = majority_vote(votes, instance_probs)
+        records.append(
+            VoteRecord(
+                votes=tuple(votes),
+                probabilities=instance_probs,
+                final=final,
+                tie_broken=tie_broken,
+            )
+        )
+    return records
+
+
 def predict_instance(
     params: NetworkParameters | Sequence[NetworkParameters],
     config: ModelConfig,
@@ -85,27 +116,8 @@ def predict_instance(
             f"instance has {len(instance.windows)} windows, scheme {scheme.id} "
             f"expects {width}"
         )
-    stacked = np.stack([w.values for w in instance.windows])
-    if isinstance(params, NetworkParameters):
-        probs, _ = forward(config, params, stacked, training=False)
-    else:
-        experts = list(params)
-        if len(experts) != width:
-            raise ValueError(
-                f"got {len(experts)} expert parameter sets, scheme expects {width}"
-            )
-        probs = np.stack(
-            [forward(config, p, stacked[i], training=False)[0][0] for i, p in enumerate(experts)]
-        )
-    votes = tuple(int(v) for v in probs.argmax(axis=1))
-    final, tie_broken = majority_vote(votes, probs)
-    return VoteRecord(
-        votes=votes,
-        probabilities=probs,
-        final=final,
-        tie_broken=tie_broken,
-        origin=instance.origin,
-    )
+    (record,) = classify(params, config, instance.windows[None])
+    return replace(record, origin=instance.origin)
 
 
 def write_vote_log(records: Iterable[VoteRecord], path: str | Path) -> None:

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import EegRecord, ExperimentCase, FoldPlan, define_case, ids_by_set, plan_folds
-from .ensemble import majority_vote
-from .network import ModelConfig, NetworkParameters, forward
+from .ensemble import classify
+from .network import ModelConfig, NetworkParameters
 from .training import TrainingConfig, train
 from .windowing import SchemeSpec, augment_training, segment_testing
 
@@ -245,7 +245,6 @@ def _run_fold(args: tuple) -> FoldResult:
         by_set,
         positive_class,
         keep_params,
-        record_level,
     ) = args
     train_records: list[EegRecord] = []
     test_records: list[EegRecord] = []
@@ -262,55 +261,30 @@ def _run_fold(args: tuple) -> FoldResult:
         test_records.extend(records[i] for i in sorted(test_ids))
         train_records.extend(records[i] for i in sorted(train_ids))
 
-    windows = augment_training(train_records, case, scheme)
+    training_set = augment_training(train_records, case, scheme)
     fold_config = replace(training_config, seed=training_config.seed + fold)
-    params, _ = train(model_config, windows, fold_config)
+    params, _ = train(model_config, training_set, fold_config)
 
-    instances = []
-    for record in test_records:
-        instances.extend(segment_testing(record, case, scheme))
-    width = scheme.ensemble_width
-    stacked = np.stack([w.values for inst in instances for w in inst.windows])
-    labels = np.array([inst.label for inst in instances], dtype=np.int64)
-    probs, _ = forward(model_config, params, stacked, training=False)
-    window_votes = probs.argmax(axis=1)
-    window_correct = int((window_votes == np.repeat(labels, width)).sum())
-
-    ties = 0
-    finals: list[int] = []
-    mean_probs: list[np.ndarray] = []
-    for i, inst in enumerate(instances):
-        block = slice(i * width, (i + 1) * width)
-        final, tie_broken = majority_vote(window_votes[block].tolist(), probs[block])
-        ties += int(tie_broken)
-        finals.append(final)
-        mean_probs.append(probs[block].mean(axis=0))
+    instances = [
+        instance for record in test_records for instance in segment_testing(record, case, scheme)
+    ]
+    votes = classify(params, model_config, np.stack([inst.windows for inst in instances]))
     cm = np.zeros((case.num_classes, case.num_classes), dtype=np.int64)
-    if record_level:
-        # exploratory unit: fuse each record's instance decisions once more
-        by_record: dict[str, list[int]] = {}
-        for idx, inst in enumerate(instances):
-            by_record.setdefault(inst.origin[0], []).append(idx)
-        for idxs in by_record.values():
-            final, tie_broken = majority_vote(
-                [finals[j] for j in idxs], np.stack([mean_probs[j] for j in idxs])
-            )
-            ties += int(tie_broken)
-            cm[instances[idxs[0]].label, final] += 1
-    else:
-        for inst, final in zip(instances, finals):
-            cm[inst.label, final] += 1
+    window_correct = 0
+    for inst, vote in zip(instances, votes):
+        cm[inst.label, vote.final] += 1
+        window_correct += vote.votes.count(inst.label)
     values = compute_metrics(cm, positive_class)
     return FoldResult(
         fold=fold + 1,
-        acc=window_correct / (len(instances) * width),
+        acc=window_correct / (len(instances) * scheme.ensemble_width),
         acc_v=values.acc,
         sen=values.sen,
         spe=values.spe,
         precision=values.precision,
         f_m=values.f_m,
         g_m=values.g_m,
-        ties=ties,
+        ties=sum(vote.tie_broken for vote in votes),
         confusion=cm,
         undefined=values.undefined,
         params=params if keep_params else None,
@@ -328,7 +302,6 @@ def run_cv(
     keep_params: bool = False,
     positive_class: int | None = None,
     model_name: str | None = None,
-    record_level: bool = False,
 ) -> MetricsReport:
     """Train and score one model per fold; report per-fold and mean metrics.
 
@@ -336,10 +309,6 @@ def run_cv(
     (acc_v) and the confusion matrix count 1024-sample test instances, four
     per record. Fold f tests on fold_plan's group f of every set; the other
     groups train. Fold training seeds are training_config.seed + fold.
-
-    ``record_level=True`` switches the acc_v/confusion unit to whole records
-    by fusing each record's four instance decisions with the same vote rule
-    (exploratory; off by default).
     """
     start = time.perf_counter()
     if model_config.num_classes != case.num_classes:
@@ -372,7 +341,6 @@ def run_cv(
             by_set,
             positive_class,
             keep_params,
-            record_level,
         )
         for fold in range(fold_plan.k)
     ]

@@ -160,6 +160,20 @@ class NetworkParameters:
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return self.named_learnables() + self.named_buffers()
 
+    @classmethod
+    def from_named(cls, tensors: dict[str, np.ndarray]) -> "NetworkParameters":
+        """Inverse of ``named_tensors``: assemble parameters from tensors by name."""
+        return cls(
+            conv_weights=[tensors[f"conv{i}.weight"] for i in (1, 2, 3)],
+            conv_biases=[tensors[f"conv{i}.bias"] for i in (1, 2, 3)],
+            fc1_weight=tensors["fc1.weight"],
+            fc1_bias=tensors["fc1.bias"],
+            fc2_weight=tensors["fc2.weight"],
+            fc2_bias=tensors["fc2.bias"],
+            bn_running_mean=[tensors[f"bn{i}.running_mean"] for i in (1, 2, 3)],
+            bn_running_var=[tensors[f"bn{i}.running_var"] for i in (1, 2, 3)],
+        )
+
     def copy(self) -> "NetworkParameters":
         return NetworkParameters(
             conv_weights=[w.copy() for w in self.conv_weights],
@@ -287,45 +301,54 @@ def backward(
     return grads
 
 
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor a config implies, by name, in ``named_tensors`` order.
+
+    Conv weights are (K, C_in, Rf), dense weights (F_in, F_out); the batch-norm
+    running statistics (``bn*``) come last.
+    """
+    shapes: dict[str, tuple[int, ...]] = {}
+    c_in = 1
+    for i, (k, rf) in enumerate(zip(config.kernel_counts, config.receptive_fields), start=1):
+        shapes[f"conv{i}.weight"] = (k, c_in, rf)
+        shapes[f"conv{i}.bias"] = (k,)
+        c_in = k
+    shapes["fc1.weight"] = (config.flatten_width, config.fc1_width)
+    shapes["fc1.bias"] = (config.fc1_width,)
+    shapes["fc2.weight"] = (config.fc1_width, config.num_classes)
+    shapes["fc2.bias"] = (config.num_classes,)
+    for i, k in enumerate(config.kernel_counts, start=1):
+        shapes[f"bn{i}.running_mean"] = (k,)
+        shapes[f"bn{i}.running_var"] = (k,)
+    return shapes
+
+
 def count_parameters(config: ModelConfig) -> int:
     """Learnable tensor count: conv kernels+biases plus dense weights+biases.
 
     Batch-norm running statistics are buffers and are excluded.
     """
-    total = 0
-    c_in = 1
-    for k, rf in zip(config.kernel_counts, config.receptive_fields):
-        total += k * c_in * rf + k
-        c_in = k
-    total += config.flatten_width * config.fc1_width + config.fc1_width
-    total += config.fc1_width * config.num_classes + config.num_classes
-    return total
+    return sum(
+        int(np.prod(shape))
+        for name, shape in parameter_shapes(config).items()
+        if not name.startswith("bn")
+    )
 
 
 def init_parameters(config: ModelConfig, seed: int) -> NetworkParameters:
-    """He-style init: N(0, sqrt(2/fan_in)) weights, zero biases, (0, 1) BN stats."""
+    """He-style init: N(0, sqrt(2/fan_in)) weights, zero biases, (0, 1) BN stats.
+
+    Weights are drawn in ``parameter_shapes`` order: conv1..conv3, fc1, fc2.
+    """
     rng = np.random.default_rng(seed)
-    conv_weights, conv_biases, bn_mean, bn_var = [], [], [], []
-    c_in = 1
-    for k, rf in zip(config.kernel_counts, config.receptive_fields):
-        fan_in = c_in * rf
-        conv_weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(k, c_in, rf)))
-        conv_biases.append(np.zeros(k))
-        bn_mean.append(np.zeros(k))
-        bn_var.append(np.ones(k))
-        c_in = k
-    flat = config.flatten_width
-    fc1_weight = rng.normal(0.0, np.sqrt(2.0 / flat), size=(flat, config.fc1_width))
-    fc2_weight = rng.normal(
-        0.0, np.sqrt(2.0 / config.fc1_width), size=(config.fc1_width, config.num_classes)
-    )
-    return NetworkParameters(
-        conv_weights=conv_weights,
-        conv_biases=conv_biases,
-        fc1_weight=fc1_weight,
-        fc1_bias=np.zeros(config.fc1_width),
-        fc2_weight=fc2_weight,
-        fc2_bias=np.zeros(config.num_classes),
-        bn_running_mean=bn_mean,
-        bn_running_var=bn_var,
-    )
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config).items():
+        if name.endswith(".weight"):
+            # conv (K, C_in, Rf) fans in over C_in * Rf; dense (F_in, F_out) over F_in
+            fan_in = int(np.prod(shape[1:])) if name.startswith("conv") else shape[0]
+            tensors[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        elif name.endswith(".running_var"):
+            tensors[name] = np.ones(shape)
+        else:
+            tensors[name] = np.zeros(shape)
+    return NetworkParameters.from_named(tensors)

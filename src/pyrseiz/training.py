@@ -10,7 +10,7 @@ import numpy as np
 
 from . import layers
 from .network import ModelConfig, NetworkParameters, backward, forward, init_parameters
-from .windowing import Window, windows_to_arrays
+from .windowing import WindowSet
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class EpochStats:
 
 def train(
     model_config: ModelConfig,
-    windows: Sequence[Window],
+    windows: WindowSet,
     config: TrainingConfig,
 ) -> tuple[NetworkParameters, list[EpochStats]]:
     """Train a freshly initialized network on pre-normalized windows.
@@ -108,7 +108,9 @@ def train(
     the shuffle and dropout generators derive from config.seed (dropout_seed
     overrides the dropout stream only). Input windows are never mutated.
     """
-    X, y = windows_to_arrays(windows)
+    X, y = windows.values, windows.labels
+    if y.size == 0:
+        raise ValueError("empty training window set")
     if X.shape[1] != model_config.input_length:
         raise ValueError(
             f"windows have length {X.shape[1]}, model expects {model_config.input_length}"

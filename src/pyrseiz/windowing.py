@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import EegRecord, ExperimentCase
 
@@ -31,13 +31,15 @@ def count_windows(signal_length: int, window: int, stride: int) -> int:
 def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Zero-mean, unit-variance scaling with population std and an eps guard.
 
-    Constant inputs map to all zeros rather than dividing by zero.
+    Each window along the last axis is scaled by its own statistics, so a
+    stack of windows normalizes exactly as its windows would one by one.
+    Constant windows map to all zeros rather than dividing by zero.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot normalize an empty sequence")
-    std = float(x.std())
-    return (x - x.mean()) / max(std, NORM_EPS)
+    std = x.std(axis=-1, keepdims=True)
+    return (x - x.mean(axis=-1, keepdims=True)) / np.maximum(std, NORM_EPS)
 
 
 @dataclass(frozen=True)
@@ -81,66 +83,93 @@ def get_scheme(scheme_id: int) -> SchemeSpec:
 
 
 @dataclass(frozen=True)
-class Window:
-    """One normalized window with its class label and provenance."""
+class WindowSet:
+    """Normalized training windows stacked row-wise, with labels and provenance.
+
+    Row i of ``values`` (n, window) has class ``labels[i]`` and was cut from
+    ``origins[i]`` = (record id, sample offset). ``len()`` is the window count.
+    """
 
     values: np.ndarray
-    label: int
-    origin: tuple[str, int]  # (record id, sample offset)
+    labels: np.ndarray
+    origins: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("window values must be a nonempty 1-D sequence")
-        values.setflags(write=False)
+        values = np.asarray(self.values, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        n = labels.size
+        if values.ndim != 2 or labels.ndim != 1 or not values.shape[0] == n == len(self.origins):
+            raise ValueError(
+                f"expected (n, window) values with n labels and n origins, got "
+                f"values {values.shape}, labels {labels.shape}, {len(self.origins)} origins"
+            )
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "origins", tuple(self.origins))
+
+    def __len__(self) -> int:
+        return int(self.labels.size)
 
 
 @dataclass(frozen=True)
 class TestInstance:
-    """One 1024-sample test sub-signal split into the scheme's expert windows."""
+    """One 1024-sample test sub-signal as its scheme's expert windows.
 
-    windows: tuple[Window, ...]
+    ``windows`` is (width, window), one normalized row per expert.
+    """
+
+    windows: np.ndarray
     label: int
     origin: tuple[str, int]  # (record id, sub-signal index)
 
     def __post_init__(self) -> None:
-        if not self.windows:
-            raise ValueError("a test instance needs at least one window")
-        if any(w.label != self.label for w in self.windows):
-            raise ValueError("all windows of an instance must share its label")
+        windows = np.asarray(self.windows, dtype=np.float64)
+        if windows.ndim != 2 or windows.shape[0] == 0:
+            raise ValueError(
+                f"a test instance needs a (width, window) array with at least one "
+                f"window, got shape {windows.shape}"
+            )
+        object.__setattr__(self, "windows", windows)
+
+
+def _class_of(record: EegRecord, case: ExperimentCase) -> int:
+    if record.set_label not in case.class_of_set:
+        raise ValueError(
+            f"record {record.record_id} has set {record.set_label}, "
+            f"which case {case.name} does not map"
+        )
+    return case.class_of_set[record.set_label]
 
 
 def augment_training(
     records: Iterable[EegRecord], case: ExperimentCase, scheme: SchemeSpec
-) -> list[Window]:
+) -> WindowSet:
     """Slide the training window over each record; every window is one instance.
 
     Windows start at offsets 0, stride, 2*stride, ... and are normalized
     independently with their own statistics. Labels come from the case map.
     """
-    out: list[Window] = []
-    for record in records:
-        if record.set_label not in case.class_of_set:
-            raise ValueError(
-                f"record {record.record_id} has set {record.set_label}, "
-                f"which case {case.name} does not map"
-            )
-        label = case.class_of_set[record.set_label]
-        n = count_windows(len(record), scheme.window, scheme.train_stride)
-        for j in range(n):
-            offset = j * scheme.train_stride
-            values = normalize(record.samples[offset : offset + scheme.window])
-            out.append(Window(values=values, label=label, origin=(record.record_id, offset)))
-    return out
+    records = list(records)
+    labels = np.array([_class_of(record, case) for record in records], dtype=np.int64)
+    counts = [count_windows(len(record), scheme.window, scheme.train_stride) for record in records]
+    values = np.empty((sum(counts), scheme.window))
+    origins: list[tuple[str, int]] = []
+    start = 0
+    for record, n in zip(records, counts):
+        views = sliding_window_view(record.samples, scheme.window)[:: scheme.train_stride]
+        values[start : start + n] = normalize(views)
+        origins.extend((record.record_id, j * scheme.train_stride) for j in range(n))
+        start += n
+    return WindowSet(values=values, labels=np.repeat(labels, counts), origins=tuple(origins))
 
 
-def segment_signal(samples: np.ndarray, scheme: SchemeSpec) -> list[list[np.ndarray]]:
+def segment_signal(samples: np.ndarray, scheme: SchemeSpec) -> np.ndarray:
     """Cut a signal into 1024-sample sub-signals, each into expert windows.
 
-    Sub-signals start at offsets 0, 1024, 2048, ...; trailing samples that do
-    not fill a sub-signal are discarded (a 4097-sample record yields 4).
-    Every window is normalized independently.
+    Returns (n_sub, width, window). Sub-signals start at offsets 0, 1024,
+    2048, ...; trailing samples that do not fill a sub-signal are discarded
+    (a 4097-sample record yields 4). Expert j of a sub-signal starts
+    j * test_window_stride into it. Every window is normalized independently.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n_sub = samples.size // scheme.test_instance_length
@@ -149,57 +178,17 @@ def segment_signal(samples: np.ndarray, scheme: SchemeSpec) -> list[list[np.ndar
             f"signal of {samples.size} samples is shorter than one "
             f"test instance ({scheme.test_instance_length})"
         )
-    width = scheme.ensemble_width
-    instances = []
-    for k in range(n_sub):
-        base = k * scheme.test_instance_length
-        windows = []
-        for j in range(width):
-            start = base + j * scheme.test_window_stride
-            windows.append(normalize(samples[start : start + scheme.window]))
-        instances.append(windows)
-    return instances
+    subsignals = samples[: n_sub * scheme.test_instance_length].reshape(n_sub, -1)
+    views = sliding_window_view(subsignals, scheme.window, axis=1)
+    return normalize(views[:, :: scheme.test_window_stride])
 
 
 def segment_testing(
     record: EegRecord, case: ExperimentCase, scheme: SchemeSpec
 ) -> list[TestInstance]:
     """Two-stage test segmentation of one record into labeled TestInstances."""
-    if record.set_label not in case.class_of_set:
-        raise ValueError(
-            f"record {record.record_id} has set {record.set_label}, "
-            f"which case {case.name} does not map"
-        )
-    label = case.class_of_set[record.set_label]
-    instances = []
-    for k, raw_windows in enumerate(segment_signal(record.samples, scheme)):
-        base = k * scheme.test_instance_length
-        windows = tuple(
-            Window(
-                values=w,
-                label=label,
-                origin=(record.record_id, base + j * scheme.test_window_stride),
-            )
-            for j, w in enumerate(raw_windows)
-        )
-        instances.append(TestInstance(windows=windows, label=label, origin=(record.record_id, k)))
-    return instances
-
-
-def windows_to_arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into (X, y) arrays for training."""
-    if not windows:
-        raise ValueError("empty window collection")
-    X = np.stack([w.values for w in windows])
-    y = np.array([w.label for w in windows], dtype=np.int64)
-    return X, y
-
-
-def dump_windows(windows: Iterable[Window], path: str | Path) -> None:
-    """Debug dump: one window per line, comma-separated values."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for window in windows:
-            fh.write(",".join(format(v, ".17g") for v in window.values))
-            fh.write("\n")
+    label = _class_of(record, case)
+    return [
+        TestInstance(windows=windows, label=label, origin=(record.record_id, k))
+        for k, windows in enumerate(segment_signal(record.samples, scheme))
+    ]

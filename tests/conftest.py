@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pyrseiz import BandSpec, ModelConfig, Window, synthesize_dataset
+from pyrseiz import BandSpec, ModelConfig, WindowSet, synthesize_dataset
 
 
 @pytest.fixture
@@ -21,12 +21,12 @@ def tiny_config():
 @pytest.fixture
 def toy_windows():
     """Linearly separable two-class windows: constant +1 vs constant -1."""
-    windows = []
-    for i in range(24):
-        sign = 1.0 if i % 2 == 0 else -1.0
-        values = np.full(64, sign)
-        windows.append(Window(values=values, label=int(sign < 0), origin=(f"T{i:03d}", 0)))
-    return windows
+    signs = np.where(np.arange(24) % 2 == 0, 1.0, -1.0)
+    return WindowSet(
+        values=np.repeat(signs[:, None], 64, axis=1),
+        labels=(signs < 0).astype(np.int64),
+        origins=tuple((f"T{i:03d}", 0) for i in range(24)),
+    )
 
 
 @pytest.fixture(scope="session")

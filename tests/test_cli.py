@@ -204,6 +204,16 @@ class TestPredict:
         assert rc == 1
         assert "classes" in capsys.readouterr().err
 
+    def test_non_finite_input_rejected(self, trained, capsys, tmp_path):
+        ckpt, _ = trained
+        bad = tmp_path / "all_nan.txt"
+        bad.write_text("nan\n" * 4097)
+        rc = main(["predict", "--checkpoint", str(ckpt), "--input", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "instance" not in captured.out
+        assert f"{bad}:1: non-finite sample 'nan'" in captured.err
+
     def test_missing_checkpoint(self, capsys, tmp_path):
         rc = main(
             ["predict", "--checkpoint", str(tmp_path / "no.ckpt"), "--input", "x.txt"]

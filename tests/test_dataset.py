@@ -58,6 +58,13 @@ class TestLoadRecord:
         with pytest.raises(ValueError, match="non-numeric"):
             load_record(path, "A", 1, expected_length=3)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_sample_rejected(self, tmp_path, token):
+        path = tmp_path / "A001.txt"
+        _write_lines(path, [1, 2, token, 4])
+        with pytest.raises(ValueError, match=rf"A001.txt:3: non-finite sample '{token}'"):
+            load_record(path, "A", 1, expected_length=4)
+
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "A001.txt"
         path.write_bytes(b"1\r\n2\r\n3\r\n")

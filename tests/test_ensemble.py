@@ -12,11 +12,11 @@ from pyrseiz import (
     SchemeSpec,
     TestInstance as SignalInstance,
     TrainingConfig,
-    Window,
+    WindowSet,
+    classify,
     forward,
     majority_vote,
     predict_instance,
-    predict_window,
     train,
 )
 from pyrseiz.ensemble import write_vote_log
@@ -124,60 +124,69 @@ def trained_toy():
     )
     rng = np.random.default_rng(5)
     t = np.arange(512)
-    windows = []
+    rows = []
     for i in range(40):
-        label = i % 2
-        cycles = 4.0 if label == 0 else 40.0
+        cycles = 4.0 if i % 2 == 0 else 40.0
         values = np.sin(2 * np.pi * cycles * t / 512 + rng.uniform(0, 2 * np.pi))
         values += 0.05 * rng.standard_normal(512)
-        windows.append(Window(values=values, label=label, origin=(f"W{i:03d}", 0)))
+        rows.append(values)
+    windows = WindowSet(
+        values=np.stack(rows),
+        labels=np.arange(40) % 2,
+        origins=tuple((f"W{i:03d}", 0) for i in range(40)),
+    )
     params, _ = train(cfg, windows, TrainingConfig(epochs=4, batch_size=16, seed=0))
     return cfg, params, windows
 
 
-class TestPredictWindow:
+class TestClassify:
     def test_returns_argmax_of_probabilities(self, trained_toy):
         cfg, params, windows = trained_toy
-        label, probs = predict_window(params, cfg, windows[0])
-        assert label == int(probs.argmax())
-        assert abs(probs.sum() - 1.0) < 1e-9
+        records = classify(params, cfg, windows.values[:6].reshape(2, 3, 512))
+        assert len(records) == 2
+        for record in records:
+            assert record.probabilities.shape == (3, 2)
+            assert record.votes == tuple(int(v) for v in record.probabilities.argmax(axis=1))
+            assert np.allclose(record.probabilities.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+            assert record.origin is None
 
     def test_zero_parameters_uniform_and_lowest_index(self, trained_toy):
         cfg, params, windows = trained_toy
         zeroed = params.copy()
         for _, tensor in zeroed.named_learnables():
             tensor[...] = 0.0
-        label, probs = predict_window(zeroed, cfg, windows[0])
-        assert np.allclose(probs, 0.5)
-        assert label == 0  # argmax ties resolve to the lowest class index
+        (record,) = classify(zeroed, cfg, windows.values[None, :3])
+        assert np.allclose(record.probabilities, 0.5)
+        assert record.votes == (0, 0, 0)  # argmax ties resolve to the lowest class index
+        assert (record.final, record.tie_broken) == (0, False)
 
     def test_independent_of_batch_composition(self, trained_toy):
         """Running-stat inference: batch neighbors change nothing beyond BLAS ulps."""
         cfg, params, windows = trained_toy
-        stacked = np.stack([w.values for w in windows[:6]])
+        stacked = windows.values[:6]
         batch_probs, _ = forward(cfg, params, stacked, training=False)
         for i in (0, 3, 5):
-            _, solo = predict_window(params, cfg, windows[i])
-            assert np.allclose(solo, batch_probs[i], rtol=0.0, atol=1e-12)
+            (solo,) = classify(params, cfg, stacked[i][None, None])
+            assert np.allclose(solo.probabilities[0], batch_probs[i], rtol=0.0, atol=1e-12)
+        grouped = classify(params, cfg, stacked.reshape(2, 3, 512))
+        fused = np.concatenate([record.probabilities for record in grouped])
+        assert np.allclose(fused, batch_probs, rtol=0.0, atol=1e-12)
         # identical calls are bitwise identical
         again, _ = forward(cfg, params, stacked, training=False)
         assert np.array_equal(batch_probs, again)
 
 
-def _instance_from(windows, label, n):
-    ws = tuple(
-        Window(values=w.values, label=label, origin=(f"R001", i)) for i, w in enumerate(windows[:n])
-    )
-    return SignalInstance(windows=ws, label=label, origin=("R001", 0))
+def _instance_from(rows, label, n):
+    return SignalInstance(windows=rows[:n], label=label, origin=("R001", 0))
 
 
 class TestPredictInstance:
     def test_unanimous_agreement(self, trained_toy):
         """When every window votes alike, the fused decision is that vote."""
         cfg, params, windows = trained_toy
-        preds = [predict_window(params, cfg, w)[0] for w in windows]
-        majority_class = max(set(preds), key=preds.count)
-        chosen = [w for w, p in zip(windows, preds) if p == majority_class][:3]
+        preds = np.array([r.votes[0] for r in classify(params, cfg, windows.values[:, None])])
+        majority_class = int(np.bincount(preds).argmax())
+        chosen = windows.values[preds == majority_class][:3]
         assert len(chosen) == 3
         instance = _instance_from(chosen, majority_class, 3)
         record = predict_instance(params, cfg, instance, SCHEME_1)
@@ -187,14 +196,15 @@ class TestPredictInstance:
 
     def test_scheme2_records_five_votes(self, trained_toy):
         cfg, params, windows = trained_toy
-        instance = _instance_from([w for w in windows if w.label == 1], 1, 5)
+        instance = _instance_from(windows.values[windows.labels == 1], 1, 5)
         record = predict_instance(params, cfg, instance, SCHEME_2)
         assert len(record.votes) == 5
         assert record.probabilities.shape == (5, 2)
+        assert record.origin == ("R001", 0)
 
     def test_width_mismatch_rejected(self, trained_toy):
         cfg, params, windows = trained_toy
-        instance = _instance_from(windows, windows[0].label, 3)
+        instance = _instance_from(windows.values, int(windows.labels[0]), 3)
         with pytest.raises(ValueError, match="expects 5"):
             predict_instance(params, cfg, instance, SCHEME_2)
 
@@ -202,29 +212,29 @@ class TestPredictInstance:
         cfg, params, windows = trained_toy
         solo_scheme = SchemeSpec(id=1, train_stride=64, test_window_stride=513)
         assert solo_scheme.ensemble_width == 1
-        instance = _instance_from(windows, windows[0].label, 1)
+        instance = _instance_from(windows.values, int(windows.labels[0]), 1)
         record = predict_instance(params, cfg, instance, solo_scheme)
-        label, _ = predict_window(params, cfg, instance.windows[0])
-        assert record.final == label and record.tie_broken is False
+        probs, _ = forward(cfg, params, instance.windows[0], training=False)
+        assert record.final == int(probs[0].argmax()) and record.tie_broken is False
 
     def test_independently_trained_experts(self, trained_toy):
         cfg, params, windows = trained_toy
         experts = [params, params.copy(), params.copy()]
-        instance = _instance_from(windows, windows[0].label, 3)
+        instance = _instance_from(windows.values, int(windows.labels[0]), 3)
         record = predict_instance(experts, cfg, instance, SCHEME_1)
         same = predict_instance(params, cfg, instance, SCHEME_1)
         assert record.votes == same.votes  # identical copies vote identically
 
     def test_expert_count_mismatch_rejected(self, trained_toy):
         cfg, params, windows = trained_toy
-        instance = _instance_from(windows, windows[0].label, 3)
+        instance = _instance_from(windows.values, int(windows.labels[0]), 3)
         with pytest.raises(ValueError, match="expert parameter sets"):
             predict_instance([params, params], cfg, instance, SCHEME_1)
 
 
 def test_vote_log_csv(tmp_path, trained_toy):
     cfg, params, windows = trained_toy
-    instance = _instance_from(windows, windows[0].label, 3)
+    instance = _instance_from(windows.values, int(windows.labels[0]), 3)
     record = predict_instance(params, cfg, instance, SCHEME_1)
     path = tmp_path / "votes.csv"
     write_vote_log([record], path)

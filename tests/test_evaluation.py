@@ -206,16 +206,6 @@ class TestRunCv:
         assert all(f.params is not None for f in serial.folds)
         assert report_to_dict(serial) == report_to_dict(parallel)
 
-    def test_record_level_aggregation_unit(self, cv_setup):
-        records, case, plan, training = cv_setup
-        report = run_cv(
-            records, case, SCHEME_1, TINY_MODEL, training, plan, record_level=True
-        )
-        for fold in report.folds:
-            # 2 test records per set x 2 sets, one confusion entry per record
-            assert fold.confusion.sum() == 4
-            assert fold.acc_v == fold.confusion.trace() / fold.confusion.sum()
-
 
 class TestRunBattery:
     def test_sixteen_rows_and_reference_column(self):

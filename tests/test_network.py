@@ -11,6 +11,7 @@ from pyrseiz import (
     forward,
     init_parameters,
     model_config,
+    parameter_shapes,
 )
 from pyrseiz import layers
 
@@ -122,6 +123,13 @@ class TestInitParameters:
         assert not params.fc1_bias.any() and not params.fc2_bias.any()
         assert all(not m.any() for m in params.bn_running_mean)
         assert all(np.all(v == 1.0) for v in params.bn_running_var)
+
+    @pytest.mark.parametrize("name", ["M1", "M8"])
+    def test_parameter_shapes_list_every_tensor_in_order(self, name):
+        cfg = model_config(name, 3)
+        params = init_parameters(cfg, seed=0)
+        named = [(n, t.shape) for n, t in params.named_tensors()]
+        assert named == list(parameter_shapes(cfg).items())
 
     def test_he_scale_on_large_layer(self):
         """Empirical std of a >= 10^4-weight layer within 5% of sqrt(2/fan_in)."""

@@ -6,7 +6,7 @@ from pyrseiz import (
     CheckpointError,
     ModelConfig,
     TrainingConfig,
-    Window,
+    WindowSet,
     adam_step,
     forward,
     init_adam_state,
@@ -17,6 +17,16 @@ from pyrseiz import (
     train,
     write_history_csv,
 )
+
+
+def _take(windows, rows):
+    """The rows of a WindowSet picked by an index array, in that order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return WindowSet(
+        values=windows.values[rows],
+        labels=windows.labels[rows],
+        origins=tuple(windows.origins[i] for i in rows),
+    )
 
 
 class TestTrainingConfig:
@@ -121,28 +131,29 @@ class TestTrain:
         for (_, t), (_, f) in zip(params.named_tensors(), fresh.named_tensors()):
             assert np.array_equal(t, f)
 
-    def test_empty_window_set_rejected(self, tiny_config):
+    def test_empty_window_set_rejected(self, tiny_config, toy_windows):
         with pytest.raises(ValueError, match="empty"):
-            train(tiny_config, [], TrainingConfig(epochs=1))
+            train(tiny_config, _take(toy_windows, []), TrainingConfig(epochs=1))
 
     def test_missing_class_rejected(self, tiny_config, toy_windows):
-        only_class0 = [w for w in toy_windows if w.label == 0]
+        only_class0 = _take(toy_windows, np.flatnonzero(toy_windows.labels == 0))
         with pytest.raises(ValueError, match="no training windows for class"):
             train(tiny_config, only_class0, TrainingConfig(epochs=1))
 
     def test_label_outside_model_classes_rejected(self, tiny_config):
-        windows = [
-            Window(values=np.ones(64), label=0, origin=("T1", 0)),
-            Window(values=-np.ones(64), label=2, origin=("T2", 0)),
-        ]
+        windows = WindowSet(
+            values=np.stack([np.ones(64), -np.ones(64)]),
+            labels=np.array([0, 2]),
+            origins=(("T1", 0), ("T2", 0)),
+        )
         with pytest.raises(ValueError, match="outside the model"):
             train(tiny_config, windows, TrainingConfig(epochs=1))
 
     def test_inputs_never_mutated(self, tiny_config, toy_windows):
-        snapshots = [w.values.copy() for w in toy_windows]
+        values, labels = toy_windows.values.copy(), toy_windows.labels.copy()
         train(tiny_config, toy_windows, TrainingConfig(epochs=2, seed=1))
-        for w, snap in zip(toy_windows, snapshots):
-            assert np.array_equal(w.values, snap)
+        assert np.array_equal(toy_windows.values, values)
+        assert np.array_equal(toy_windows.labels, labels)
 
     def test_dropout_seed_irrelevant_when_rate_zero(self, tiny_config, toy_windows):
         base = TrainingConfig(epochs=2, seed=7, dropout_seed=None)
@@ -167,20 +178,19 @@ class TestTrain:
 
     def test_loss_decreases_over_first_five_steps(self, tiny_config):
         """Fixed-batch loss falls strictly for 5 Adam steps; >= 9 of 10 seeds."""
-        from pyrseiz import backward, layers, windows_to_arrays
+        from pyrseiz import backward, layers
         from pyrseiz.network import forward as net_forward
 
         rng = np.random.default_rng(0)
         t = np.arange(64)
-        windows = []
+        rows = []
         for i in range(32):
-            label = i % 2
-            cycles = 2.0 if label == 0 else 12.0
+            cycles = 2.0 if i % 2 == 0 else 12.0
             phase = rng.uniform(0, 2 * np.pi)
             values = np.sin(2 * np.pi * cycles * t / 64 + phase)
             values += 0.05 * rng.standard_normal(64)
-            windows.append(Window(values=values, label=label, origin=(f"S{i:03d}", 0)))
-        X, y = windows_to_arrays(windows)
+            rows.append(values)
+        X, y = np.stack(rows), np.arange(32) % 2
 
         passed = 0
         for seed in range(10):
@@ -207,7 +217,8 @@ class TestTrain:
             assert np.all(np.isfinite(var)) and np.all(var > 0)
 
     def test_balance_classes_flag_runs(self, tiny_config, toy_windows):
-        skewed = toy_windows + [w for w in toy_windows if w.label == 0]
+        rows = np.arange(len(toy_windows))
+        skewed = _take(toy_windows, np.concatenate([rows, rows[toy_windows.labels == 0]]))
         config = TrainingConfig(epochs=2, seed=0, balance_classes=True)
         _, history = train(tiny_config, skewed, config)
         assert len(history) == 2

@@ -13,14 +13,12 @@ from pyrseiz import (
     augment_training,
     count_windows,
     define_case,
-    dump_windows,
     get_scheme,
     normalize,
     plan_folds,
     segment_signal,
     segment_testing,
     synthesize_dataset,
-    windows_to_arrays,
 )
 
 pytest.importorskip("hypothesis")
@@ -127,8 +125,9 @@ class TestAugmentTraining:
         case = define_case("A-E")
         windows = augment_training(_records_one_class(1), case, SCHEME_1)
         assert len(windows) == 57
-        assert [w.origin[1] for w in windows] == [64 * j for j in range(57)]
-        assert windows[-1].origin[1] == 3584
+        assert windows.values.shape == (57, 512) and windows.labels.shape == (57,)
+        assert [o[1] for o in windows.origins] == [64 * j for j in range(57)]
+        assert windows.origins[-1] == ("A001", 3584)
 
     def test_ninety_records_scheme1(self):
         case = define_case("A-E")
@@ -146,18 +145,39 @@ class TestAugmentTraining:
             augment_training(_records_one_class(1), case, SCHEME_1)
 
     def test_window_content_is_index_exact(self):
+        """Every row, in both schemes, is bitwise the per-window normalize of its slice."""
         case = define_case("A-E")
-        record = _records_one_class(1, seed=7)[0]
-        windows = augment_training([record], case, SCHEME_1)
-        for w in windows[:5] + windows[-3:]:
-            offset = w.origin[1]
-            raw = record.samples[offset : offset + 512]
-            assert np.array_equal(w.values, normalize(raw))
+        records = _records_one_class(2, seed=7)
+        samples = {r.record_id: r.samples for r in records}
+        for scheme in (SCHEME_1, SCHEME_2):
+            windows = augment_training(records, case, scheme)
+            assert len(windows) == 2 * count_windows(4097, 512, scheme.train_stride)
+            for row, (record_id, offset) in zip(windows.values, windows.origins):
+                raw = samples[record_id][offset : offset + 512]
+                assert np.array_equal(row, normalize(raw))
 
     def test_labels_follow_case_map(self):
         case = define_case("A-E")
-        windows = augment_training(_records_one_class(2), case, SCHEME_1)
-        assert all(w.label == 0 for w in windows)
+        records = _records_one_class(2) + [EegRecord("E", 1, np.zeros(4097))]
+        windows = augment_training(records, case, SCHEME_1)
+        assert windows.labels.dtype == np.int64
+        assert windows.labels.tolist() == [0] * 114 + [1] * 57
+
+    def test_no_records_give_an_empty_set(self):
+        windows = augment_training([], define_case("A-E"), SCHEME_1)
+        assert len(windows) == 0 and windows.values.shape == (0, 512)
+
+
+def _expected_windows(samples, scheme):
+    """Loop reference: sub-signal k, expert j starts at 1024 k + j * stride."""
+    n_sub = samples.size // 1024
+    return [
+        [
+            normalize(samples[1024 * k + j * scheme.test_window_stride :][:512])
+            for j in range(scheme.ensemble_width)
+        ]
+        for k in range(n_sub)
+    ]
 
 
 class TestSegmentTesting:
@@ -166,19 +186,25 @@ class TestSegmentTesting:
         record = _records_one_class(1, seed=3)[0]
         instances = segment_testing(record, case, SCHEME_1)
         assert len(instances) == 4
-        assert all(len(inst.windows) == 3 for inst in instances)
+        assert [inst.origin for inst in instances] == [("A001", k) for k in range(4)]
+        assert all(inst.windows.shape == (3, 512) and inst.label == 0 for inst in instances)
+        # experts at offsets 0, 256, 512 into each sub-signal
         for k, inst in enumerate(instances):
-            base = 1024 * k
-            assert [w.origin[1] - base for w in inst.windows] == [0, 256, 512]
+            for j in range(3):
+                raw = record.samples[1024 * k + 256 * j :][:512]
+                assert np.array_equal(inst.windows[j], normalize(raw))
 
     def test_scheme2_layout(self):
         case = define_case("A-E")
         record = _records_one_class(1, seed=3)[0]
         instances = segment_testing(record, case, SCHEME_2)
         assert len(instances) == 4
+        # experts at offsets 0, 128, 256, 384, 512 into each sub-signal
         for k, inst in enumerate(instances):
-            base = 1024 * k
-            assert [w.origin[1] - base for w in inst.windows] == [0, 128, 256, 384, 512]
+            assert inst.windows.shape == (5, 512)
+            for j in range(5):
+                raw = record.samples[1024 * k + 128 * j :][:512]
+                assert np.array_equal(inst.windows[j], normalize(raw))
 
     def test_total_windows_per_record_scheme1(self):
         case = define_case("A-E")
@@ -192,22 +218,29 @@ class TestSegmentTesting:
         record = _records_one_class(1, seed=9)[0]
         instances = segment_testing(record, case, SCHEME_1)
         last = instances[-1].windows[-1]
-        assert last.origin[1] + 512 == 4096
-        raw = record.samples[last.origin[1] : last.origin[1] + 512]
-        assert np.array_equal(last.values, normalize(raw))
+        assert np.array_equal(last, normalize(record.samples[3584:4096]))
+        moved = EegRecord("A", 1, np.concatenate([record.samples[:4096], [1e6]]))
+        again = segment_testing(moved, case, SCHEME_1)
+        assert all(np.array_equal(a.windows, b.windows) for a, b in zip(instances, again))
 
     def test_window_content_matches_slices(self):
+        """Every window of every instance, in both schemes, matches the loop reference."""
         case = define_case("A-E")
         record = _records_one_class(1, seed=11)[0]
-        for inst in segment_testing(record, case, SCHEME_2):
-            for w in inst.windows:
-                raw = record.samples[w.origin[1] : w.origin[1] + 512]
-                assert np.array_equal(w.values, normalize(raw))
+        for scheme in (SCHEME_1, SCHEME_2):
+            instances = segment_testing(record, case, scheme)
+            expected = _expected_windows(record.samples, scheme)
+            assert len(instances) == len(expected)
+            for inst, rows in zip(instances, expected):
+                assert len(inst.windows) == len(rows)
+                for window, row in zip(inst.windows, rows):
+                    assert np.array_equal(window, row)
 
     def test_segment_signal_without_labels(self):
         samples = np.arange(4097, dtype=float)
         instances = segment_signal(samples, SCHEME_1)
-        assert len(instances) == 4 and len(instances[0]) == 3
+        assert instances.shape == (4, 3, 512)
+        assert np.array_equal(instances[1, 2], normalize(samples[1536:2048]))
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter than one"):
@@ -231,20 +264,6 @@ def test_no_train_window_comes_from_a_test_record(seed, k):
             r for r in records if (r.set_label, r.index) not in test_ids
         ]
         windows = augment_training(train_records, case, scheme)
-        train_origin_records = {w.origin[0] for w in windows}
+        train_origin_records = {record_id for record_id, _ in windows.origins}
         test_record_ids = {f"{s}{i:03d}" for s, i in test_ids}
         assert not train_origin_records & test_record_ids
-
-
-def test_windows_to_arrays_and_dump(tmp_path):
-    case = define_case("A-E")
-    record = _records_one_class(1)[0]
-    windows = augment_training([record], case, SCHEME_1)
-    X, y = windows_to_arrays(windows)
-    assert X.shape == (57, 512) and y.shape == (57,)
-    path = tmp_path / "windows.csv"
-    dump_windows(windows[:3], path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    first = np.array([float(v) for v in lines[0].split(",")])
-    assert np.array_equal(first, windows[0].values)
