@@ -11,6 +11,10 @@ import numpy as np
 from .network import ModelConfig, NetworkParameters, forward
 from .windowing import SchemeSpec, TestInstance
 
+# Windows per inference pass. It bounds the activations one pass holds: a
+# fold's whole test set run as one batch set the peak memory of a cv run.
+INFER_BATCH = 256
+
 
 @dataclass(frozen=True)
 class VoteRecord:
@@ -61,29 +65,25 @@ def classify(
     """Classify every expert window of each test instance and fuse by majority vote.
 
     ``windows`` is (n_instances, width, input_length). With one parameter
-    set every expert is the same model and one inference pass covers all
-    windows; a sequence of ``width`` parameter sets runs independently
-    trained experts, expert j on window j of every instance. Window votes
-    are argmax classes (ties to the lowest index). The records carry no
-    origin.
+    set every expert is the same model and inference covers all windows in
+    passes of at most INFER_BATCH; a sequence of ``width`` parameter sets
+    runs independently trained experts, expert j on window j of every
+    instance. Window votes are argmax classes (ties to the lowest index).
+    The records carry no origin.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected (instances, width, window) windows, got shape {x.shape}")
     n, width, length = x.shape
     if isinstance(params, NetworkParameters):
-        probs, _ = forward(config, params, x.reshape(n * width, length), training=False)
-        probs = probs.reshape(n, width, -1)
+        probs = _infer(params, config, x.reshape(n * width, length)).reshape(n, width, -1)
     else:
         experts = list(params)
         if len(experts) != width:
             raise ValueError(
                 f"got {len(experts)} expert parameter sets for {width} windows per instance"
             )
-        probs = np.stack(
-            [forward(config, p, x[:, j], training=False)[0] for j, p in enumerate(experts)],
-            axis=1,
-        )
+        probs = np.stack([_infer(p, config, x[:, j]) for j, p in enumerate(experts)], axis=1)
     records = []
     for votes, instance_probs in zip(probs.argmax(axis=2).tolist(), probs):
         final, tie_broken = majority_vote(votes, instance_probs)
@@ -96,6 +96,15 @@ def classify(
             )
         )
     return records
+
+
+def _infer(params: NetworkParameters, config: ModelConfig, windows: np.ndarray) -> np.ndarray:
+    """Class probabilities of (n, input_length) windows, INFER_BATCH windows per pass."""
+    chunks = [
+        forward(config, params, windows[start : start + INFER_BATCH], training=False)[0]
+        for start in range(0, len(windows), INFER_BATCH)
+    ]
+    return np.concatenate(chunks) if chunks else np.empty((0, config.num_classes))
 
 
 def predict_instance(

@@ -1,7 +1,12 @@
 """Forward/backward primitives: strided 1-D convolution, batch norm, dense, dropout, softmax.
 
-All arrays are float64. Convolution is valid (no padding) cross-correlation;
-batch normalization carries no learnable scale/shift, only running statistics.
+All arrays are float64. Conv-stack activations are channel-last, (batch,
+length, channels), so a batch is a C-contiguous (batch*length, channels)
+matrix: convolution is one im2col copy plus one GEMM, and batch-norm
+statistics are reductions over that matrix's rows. Convolution is valid (no
+padding) cross-correlation; batch normalization carries no learnable
+scale/shift, only running statistics. Functions taking ``out`` write their
+result there (C-contiguous buffers a caller reuses) and allocate without it.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -26,62 +32,135 @@ def conv_output_length(signal_length: int, receptive_field: int, stride: int) ->
     return (signal_length - receptive_field) // stride + 1
 
 
-def _unfold(x: np.ndarray, receptive_field: int, stride: int) -> np.ndarray:
-    """Gather sliding patches: (B, C, L) -> (B, m, C, Rf)."""
-    batch, channels, length = x.shape
+def _view(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reshape that must not copy, so writes through it land in ``a``."""
+    if not a.flags.c_contiguous:
+        raise ValueError("output buffers must be C-contiguous")
+    return a.reshape(shape)
+
+
+def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
+    """(K, C, Rf) kernels as a (K, Rf*C) matrix in im2col's patch order."""
+    k, c, rf = weights.shape
+    return weights.transpose(0, 2, 1).reshape(k, rf * c)
+
+
+def _channel_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of an (n, C) matrix, as one matrix-vector product."""
+    return np.ones(rows.shape[0]) @ rows
+
+
+def im2col(
+    x: np.ndarray, receptive_field: int, stride: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sliding patches of a channel-last batch: (B, L, C) -> (B, m, Rf*C).
+
+    Row j of sample b is x[b, j*stride : j*stride + Rf, :] flattened, so on a
+    C-contiguous input every patch is one contiguous Rf*C block and the unfold
+    is a single copy of a strided view. ``out`` must be C-contiguous.
+    """
+    batch, length, channels = x.shape
     m = conv_output_length(length, receptive_field, stride)
-    cols = np.empty((batch, m, channels, receptive_field), dtype=x.dtype)
-    stop = stride * (m - 1) + 1
-    for e in range(receptive_field):
-        cols[:, :, :, e] = x[:, :, e : e + stop : stride].transpose(0, 2, 1)
-    return cols
+    if out is None:
+        out = np.empty((batch, m, receptive_field * channels))
+    sb, sl, sc = x.strides
+    patches = as_strided(
+        x, (batch, m, receptive_field, channels), (sb, stride * sl, sl, sc), writeable=False
+    )
+    np.copyto(_view(out, patches.shape), patches)
+    return out
 
 
 def conv1d_forward(
-    x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    stride: int,
+    cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Valid strided cross-correlation.
+    """Valid strided cross-correlation of a channel-last batch.
 
-    x: (B, C, L), weights: (K, C, Rf), bias: (K,) -> (B, K, m) where
-    out[b, k, j] = bias[k] + sum_{c,e} weights[k, c, e] * x[b, c, j*stride + e].
+    x: (B, L, C), weights: (K, C, Rf), bias: (K,) -> (B, m, K) where
+    out[b, j, k] = bias[k] + sum_{c,e} weights[k, c, e] * x[b, j*stride + e, c].
+    The patches are unfolded into ``cols`` (B, m, Rf*C), which a training
+    pass keeps for conv1d_backward, and the (B*m, K) GEMM result is written
+    into ``out``; fresh arrays are used for whichever is not given.
     """
     k, c, rf = weights.shape
-    if x.ndim != 3 or x.shape[1] != c:
+    if x.ndim != 3 or x.shape[2] != c:
         raise ValueError(
             f"input shape {x.shape} does not match kernel channels {c}"
         )
     if bias.shape != (k,):
         raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
-    cols = _unfold(x, rf, stride)
+    cols = im2col(x, rf, stride, out=cols)
     batch, m = cols.shape[0], cols.shape[1]
-    out = cols.reshape(batch * m, c * rf) @ weights.reshape(k, c * rf).T
-    return out.reshape(batch, m, k).transpose(0, 2, 1) + bias[None, :, None]
+    if out is None:
+        out = np.empty((batch, m, k))
+    np.matmul(
+        cols.reshape(batch * m, rf * c), _kernel_matrix(weights).T,
+        out=_view(out, (batch * m, k)),
+    )
+    out += bias
+    return out
 
 
 def conv1d_backward(
-    x: np.ndarray, weights: np.ndarray, stride: int, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cols: np.ndarray,
+    weights: np.ndarray,
+    stride: int,
+    grad_out: np.ndarray,
+    grad_x: np.ndarray | None = None,
+    grad_cols: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
-    grad_out: (B, K, m) -> (grad_x, grad_weights, grad_bias).
+    ``cols`` are the (B, m, Rf*C) patches the forward pass unfolded and
+    grad_out is (B, m, K); returns (grad_x, grad_weights, grad_bias). The
+    input gradient is written into ``grad_x``, a (B, L, C) array; without
+    one it is skipped and None is returned in its place, as for a first
+    layer whose input is data. ``grad_cols`` (B, m, Rf*C) is the scratch
+    space of that scatter; a fresh array is used when it is not given.
     """
     k, c, rf = weights.shape
-    batch = x.shape[0]
-    m = conv_output_length(x.shape[2], rf, stride)
-    if grad_out.shape != (batch, k, m):
+    batch, m, width = cols.shape
+    if width != rf * c:
+        raise ValueError(
+            f"columns of width {width} do not match kernels of shape {weights.shape}"
+        )
+    if grad_out.shape != (batch, m, k):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output "
-            f"({batch}, {k}, {m})"
+            f"({batch}, {m}, {k})"
         )
-    cols = _unfold(x, rf, stride)
-    g = grad_out.transpose(0, 2, 1).reshape(batch * m, k)
-    grad_bias = grad_out.sum(axis=(0, 2))
-    grad_weights = (g.T @ cols.reshape(batch * m, c * rf)).reshape(k, c, rf)
-    grad_cols = (g @ weights.reshape(k, c * rf)).reshape(batch, m, c, rf)
-    grad_x = np.zeros_like(x)
-    stop = stride * (m - 1) + 1
-    for e in range(rf):
-        grad_x[:, :, e : e + stop : stride] += grad_cols[:, :, :, e].transpose(0, 2, 1)
+    g = grad_out.reshape(batch * m, k)
+    grad_bias = _channel_sums(g)
+    grad_weights = np.ascontiguousarray(
+        (g.T @ cols.reshape(batch * m, width)).reshape(k, rf, c).transpose(0, 2, 1)
+    )
+    if grad_x is None:
+        return None, grad_weights, grad_bias
+    if (
+        grad_x.ndim != 3
+        or (grad_x.shape[0], grad_x.shape[2]) != (batch, c)
+        or conv_output_length(grad_x.shape[1], rf, stride) != m
+    ):
+        raise ValueError(f"grad_x shape {grad_x.shape} does not match the columns")
+    if grad_cols is None:
+        grad_cols = np.empty_like(cols)
+    np.matmul(g, _kernel_matrix(weights), out=_view(grad_cols, (batch * m, width)))
+    # col2im: window j's Rf*C block adds onto the contiguous run of grad_x
+    # starting at position j*stride; windows ceil(Rf/stride) apart do not
+    # overlap, so each such group is one add over whole blocks
+    grad_x.fill(0.0)
+    flat = _view(grad_x, (batch, grad_x.shape[1] * c))
+    runs = as_strided(
+        flat, (batch, m, width), (flat.strides[0], stride * c * flat.itemsize, flat.itemsize)
+    )
+    group = -(-rf // stride)
+    for first in range(group):
+        runs[:, first::group] += grad_cols[:, first::group]
     return grad_x, grad_weights, grad_bias
 
 
@@ -95,23 +174,30 @@ class BatchNormCache:
 
 
 def batchnorm_train(
-    x: np.ndarray, eps: float = BN_EPS
+    x: np.ndarray, eps: float = BN_EPS, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, BatchNormCache, np.ndarray, np.ndarray]:
-    """Normalize (B, C, L) by the batch's per-channel mean/variance.
+    """Normalize channel-last (B, L, C) by the batch's per-channel mean/variance.
 
-    Statistics pool over batch and positions; variance is population (/N).
-    Returns (y, cache, batch_mean, batch_var).
+    Statistics pool over batch and positions, as reductions over the rows of
+    the (B*L, C) matrix; variance is population (/N). ``out`` may be ``x``
+    itself. Returns (y, cache, batch_mean, batch_var).
     """
     if x.ndim != 3:
-        raise ValueError(f"expected a (batch, channels, length) array, got {x.shape}")
+        raise ValueError(f"expected a (batch, length, channels) array, got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("batch must be nonempty")
-    mean = x.mean(axis=(0, 2))
-    var = x.var(axis=(0, 2))
+    channels = x.shape[2]
+    rows = x.reshape(-1, channels)
+    count = rows.shape[0]
+    if out is None:
+        out = np.empty_like(x)
+    centered = _view(out, rows.shape)
+    mean = _channel_sums(rows) / count
+    np.subtract(rows, mean, out=centered)
+    var = np.einsum("ij,ij->j", centered, centered) / count
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    cache = BatchNormCache(x_hat=x_hat, inv_std=inv_std, count=x.shape[0] * x.shape[2])
-    return x_hat, cache, mean, var
+    centered *= inv_std
+    return out, BatchNormCache(x_hat=out, inv_std=inv_std, count=count), mean, var
 
 
 def batchnorm_infer(
@@ -119,24 +205,50 @@ def batchnorm_infer(
     running_mean: np.ndarray | None,
     running_var: np.ndarray | None,
     eps: float = BN_EPS,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Normalize by running statistics (inference path)."""
+    """Normalize channel-last x by running statistics (inference path).
+
+    ``out`` may be ``x`` itself.
+    """
     if running_mean is None or running_var is None:
         raise ValueError("batch-norm running statistics are uninitialized")
     rv = np.asarray(running_var, dtype=np.float64)
     if not np.all(np.isfinite(rv)) or np.any(rv <= 0.0):
         raise ValueError("batch-norm running variances must be finite and positive")
-    return (x - np.asarray(running_mean)[None, :, None]) / np.sqrt(rv + eps)[None, :, None]
+    y = np.subtract(x, np.asarray(running_mean), out=out)
+    return np.divide(y, np.sqrt(rv + eps), out=y)
 
 
-def batchnorm_backward(cache: BatchNormCache, grad_out: np.ndarray) -> np.ndarray:
-    """Backprop through the standardization, including the stats' dependence on x."""
+def batchnorm_backward(
+    cache: BatchNormCache,
+    grad_out: np.ndarray,
+    relu: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Backprop through the standardization, including the stats' dependence on x.
+
+    With ``relu`` the gradient arrives at relu(y) instead of y, and the ReLU
+    mask (y > 0) is applied here: the fused BN+ReLU backward. ``out`` may be
+    ``grad_out`` itself.
+    """
+    channels = cache.x_hat.shape[-1]
+    x_hat = cache.x_hat.reshape(-1, channels)
+    g = grad_out.reshape(-1, channels)
+    if out is None:
+        out = np.empty_like(grad_out)
+    res = _view(out, g.shape)
+    if relu:
+        np.multiply(g, x_hat > 0.0, out=res)
+    else:
+        np.copyto(res, g)
     n = cache.count
-    sum_g = grad_out.sum(axis=(0, 2))
-    sum_gx = (grad_out * cache.x_hat).sum(axis=(0, 2))
-    return (cache.inv_std[None, :, None] / n) * (
-        n * grad_out - sum_g[None, :, None] - cache.x_hat * sum_gx[None, :, None]
-    )
+    mean_g = _channel_sums(res) / n
+    mean_gx = np.einsum("ij,ij->j", res, x_hat) / n
+    res -= mean_g
+    res -= x_hat * mean_gx
+    res *= cache.inv_std
+    return out
 
 
 def update_running_stat(
@@ -146,8 +258,8 @@ def update_running_stat(
     return momentum * running + (1.0 - momentum) * batch_value
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

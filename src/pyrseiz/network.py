@@ -7,6 +7,7 @@ No pooling; downsampling comes from the convolution strides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,19 +188,59 @@ class NetworkParameters:
         )
 
 
+class Workspace:
+    """Activation and gradient buffers for one batch size, reused pass to pass.
+
+    Every array is C-contiguous and channel-last. ``forward`` and
+    ``backward`` write into the buffers with ``out=``, so a trace made with a
+    workspace is valid only until the next pass that uses the same
+    workspace. Buffers only training needs are allocated on first use.
+    """
+
+    def __init__(self, config: ModelConfig, batch: int) -> None:
+        self.config = config
+        self.batch = batch
+        self.cols: list[np.ndarray] = []  # im2col patches, kept for backward
+        self.normalized: list[np.ndarray] = []  # conv output, batch-normalized in place
+        self.act: list[np.ndarray] = []  # ReLU outputs
+        in_channels = (1,) + config.kernel_counts[:2]
+        for m, k, c, rf in zip(
+            config.conv_lengths(), config.kernel_counts, in_channels, config.receptive_fields
+        ):
+            self.cols.append(np.empty((batch, m, rf * c)))
+            self.normalized.append(np.empty((batch, m, k)))
+            self.act.append(np.empty((batch, m, k)))
+        self.flat = np.empty((batch, config.flatten_width))
+
+    @cached_property
+    def windows(self) -> np.ndarray:
+        """Where a training loop gathers its (batch, input_length) batch."""
+        return np.empty((self.batch, self.config.input_length))
+
+    @cached_property
+    def grad_act(self) -> list[np.ndarray]:
+        """Loss gradient at each conv layer's ReLU output; allocated by the first backward."""
+        return [np.empty_like(a) for a in self.act]
+
+    @cached_property
+    def grad_cols(self) -> list[np.ndarray | None]:
+        """Scatter space of each conv input gradient; conv1's input is data and has none."""
+        return [None] + [np.empty_like(c) for c in self.cols[1:]]
+
+
 @dataclass
 class ForwardTrace:
     """Intermediates cached by a training-mode forward pass for backprop."""
 
-    conv_inputs: list[np.ndarray]
-    bn_caches: list[layers.BatchNormCache]
-    relu_inputs: list[np.ndarray]  # batch-norm outputs feeding each conv ReLU
+    conv_cols: list[np.ndarray]  # im2col patches of each conv input
+    bn_caches: list[layers.BatchNormCache]  # x_hat: the batch-norm outputs feeding each ReLU
     fc1_input: np.ndarray  # flattened conv stack output
     fc1_pre: np.ndarray  # FC1 pre-activation
     dropout_mask: np.ndarray | None
     fc2_input: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
+    workspace: Workspace
 
 
 def forward(
@@ -208,13 +249,17 @@ def forward(
     windows: np.ndarray,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace | None]:
     """Run a window batch through the network; returns (probs, trace).
 
     ``windows`` is (B, input_length) or a single window. The trace is None at
     inference. Training mode normalizes by batch statistics and updates the
     running statistics in ``params``; inference normalizes by running
-    statistics and applies no dropout.
+    statistics and applies no dropout. Activations are written into
+    ``workspace``; without one, training makes a fresh workspace and
+    inference allocates as it goes. The returned probabilities are always a
+    fresh array.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim == 1:
@@ -223,17 +268,24 @@ def forward(
         raise ValueError(
             f"expected windows of length {config.input_length}, got shape {x.shape}"
         )
-    h = x[:, None, :]
-    conv_inputs: list[np.ndarray] = []
+    batch = x.shape[0]
+    ws = Workspace(config, batch) if workspace is None and training else workspace
+    if ws is not None and (ws.config != config or ws.batch != batch):
+        raise ValueError(
+            f"workspace for {ws.batch} windows does not fit a batch of {batch} "
+            "under this config"
+        )
+    # without a workspace (inference) each layer allocates arrays that die with it
+    buffers = zip(ws.cols, ws.normalized, ws.act) if ws is not None else [(None,) * 3] * 3
+    h = x[:, :, None]  # (B, L, 1): channel-last from the first layer
     bn_caches: list[layers.BatchNormCache] = []
-    relu_inputs: list[np.ndarray] = []
-    for i in range(3):
-        conv_inputs.append(h)
-        h = layers.conv1d_forward(
-            h, params.conv_weights[i], params.conv_biases[i], config.strides[i]
+    for i, (cols, normalized, act) in enumerate(buffers):
+        z = layers.conv1d_forward(
+            h, params.conv_weights[i], params.conv_biases[i], config.strides[i],
+            cols=cols, out=normalized,
         )
         if training:
-            h, cache, mean, var = layers.batchnorm_train(h)
+            z, cache, mean, var = layers.batchnorm_train(z, out=z)
             params.bn_running_mean[i] = layers.update_running_stat(
                 params.bn_running_mean[i], mean
             )
@@ -242,12 +294,13 @@ def forward(
             )
             bn_caches.append(cache)
         else:
-            h = layers.batchnorm_infer(
-                h, params.bn_running_mean[i], params.bn_running_var[i]
+            layers.batchnorm_infer(
+                z, params.bn_running_mean[i], params.bn_running_var[i], out=z
             )
-        relu_inputs.append(h)
-        h = layers.relu(h)
-    flat = h.reshape(h.shape[0], -1)
+        h = layers.relu(z, out=z if act is None else act)  # inference keeps no x_hat
+    # flatten in (kernel, position) order, the order fc1.weight's rows are stored in
+    flat = ws.flat if ws is not None else np.empty((batch, config.flatten_width))
+    np.copyto(flat.reshape(batch, h.shape[2], h.shape[1]), h.transpose(0, 2, 1))
     fc1_pre = layers.dense_forward(flat, params.fc1_weight, params.fc1_bias)
     hidden = layers.relu(fc1_pre)
     dropped, mask = layers.dropout_forward(
@@ -258,15 +311,15 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        conv_inputs=conv_inputs,
+        conv_cols=ws.cols,
         bn_caches=bn_caches,
-        relu_inputs=relu_inputs,
         fc1_input=flat,
         fc1_pre=fc1_pre,
         dropout_mask=mask,
         fc2_input=dropped,
         logits=logits,
         probs=probs,
+        workspace=ws,
     )
     return probs, trace
 
@@ -280,8 +333,10 @@ def backward(
     """Gradients of a scalar loss w.r.t. every learnable tensor.
 
     ``grad_logits`` is the loss gradient at the FC2 output (already scaled by
-    any batch averaging).
+    any batch averaging). Conv-stack gradients are written into the trace's
+    workspace; the returned gradients are fresh arrays.
     """
+    ws = trace.workspace
     grads: dict[str, np.ndarray] = {}
     d, g_w, g_b = layers.dense_backward(trace.fc2_input, params.fc2_weight, grad_logits)
     grads["fc2.weight"], grads["fc2.bias"] = g_w, g_b
@@ -289,13 +344,13 @@ def backward(
     d = layers.relu_backward(trace.fc1_pre, d)
     d, g_w, g_b = layers.dense_backward(trace.fc1_input, params.fc1_weight, d)
     grads["fc1.weight"], grads["fc1.bias"] = g_w, g_b
-    batch = trace.fc1_input.shape[0]
-    d = d.reshape(batch, config.kernel_counts[2], config.conv_lengths()[2])
+    g = ws.grad_act[2]
+    np.copyto(g, d.reshape(g.shape[0], g.shape[2], g.shape[1]).transpose(0, 2, 1))
     for i in (2, 1, 0):
-        d = layers.relu_backward(trace.relu_inputs[i], d)
-        d = layers.batchnorm_backward(trace.bn_caches[i], d)
-        d, g_w, g_b = layers.conv1d_backward(
-            trace.conv_inputs[i], params.conv_weights[i], config.strides[i], d
+        g = layers.batchnorm_backward(trace.bn_caches[i], g, relu=True, out=g)
+        g, g_w, g_b = layers.conv1d_backward(
+            trace.conv_cols[i], params.conv_weights[i], config.strides[i], g,
+            grad_x=ws.grad_act[i - 1] if i else None, grad_cols=ws.grad_cols[i],
         )
         grads[f"conv{i + 1}.weight"], grads[f"conv{i + 1}.bias"] = g_w, g_b
     return grads

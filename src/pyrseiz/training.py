@@ -9,7 +9,14 @@ from typing import Sequence
 import numpy as np
 
 from . import layers
-from .network import ModelConfig, NetworkParameters, backward, forward, init_parameters
+from .network import (
+    ModelConfig,
+    NetworkParameters,
+    Workspace,
+    backward,
+    forward,
+    init_parameters,
+)
 from .windowing import WindowSet
 
 
@@ -107,6 +114,10 @@ def train(
     mode, backprop, Adam step. Deterministic for fixed (config, windows);
     the shuffle and dropout generators derive from config.seed (dropout_seed
     overrides the dropout stream only). Input windows are never mutated.
+    One workspace per batch size met (the full batch and the last, partial
+    one) holds the activations, so batches reuse their buffers. A non-finite
+    loss or gradient raises ValueError naming the epoch and batch, before the
+    Adam step that would spread it into the parameters.
     """
     X, y = windows.values, windows.labels
     if y.size == 0:
@@ -139,22 +150,35 @@ def train(
         class_weights = y.size / (model_config.num_classes * counts.astype(np.float64))
 
     history: list[EpochStats] = []
+    workspaces: dict[int, Workspace] = {}
     n = y.size
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
         total_loss = 0.0
         correct = 0
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
-            xb, yb = X[idx], y[idx]
+            if idx.size not in workspaces:
+                workspaces[idx.size] = Workspace(model_config, idx.size)
+            ws = workspaces[idx.size]
+            xb, yb = np.take(X, idx, axis=0, out=ws.windows), y[idx]
             probs, trace = forward(
-                model_config, params, xb, training=True, dropout_rng=dropout_rng
+                model_config, params, xb, training=True, dropout_rng=dropout_rng,
+                workspace=ws,
             )
             losses, _, grad_logits = layers.softmax_cross_entropy(trace.logits, yb)
             if class_weights is not None:
                 losses = losses * class_weights[yb]
                 grad_logits = grad_logits * class_weights[yb][:, None]
             grads = backward(model_config, params, trace, grad_logits / idx.size)
+            finite = np.isfinite(losses).all() and all(
+                np.isfinite(g).all() for g in grads.values()
+            )
+            if not finite:
+                raise ValueError(
+                    f"training diverged at epoch {epoch + 1}, batch {batch}: "
+                    "non-finite loss or gradient"
+                )
             adam_step(params, grads, state, config)
             total_loss += float(losses.sum())
             correct += int((probs.argmax(axis=1) == yb).sum())

@@ -16,7 +16,7 @@ KINK_MARGIN = 1e-3
 
 
 def _min_relu_distance(trace) -> float:
-    extremes = [float(np.min(np.abs(t))) for t in trace.relu_inputs]
+    extremes = [float(np.min(np.abs(c.x_hat))) for c in trace.bn_caches]
     extremes.append(float(np.min(np.abs(trace.fc1_pre))))
     return min(extremes)
 

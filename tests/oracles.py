@@ -116,3 +116,98 @@ def adam_scalar_reference(grad_fn, theta, lr, beta1, beta2, eps, steps):
         v_hat = v / (1 - beta2**t)
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
     return theta
+
+
+def _unfold_channels_first(x, rf, stride):
+    """Per-tap gather of sliding patches: (B, C, L) -> (B, m, C, Rf)."""
+    batch, channels, length = x.shape
+    m = (length - rf) // stride + 1
+    cols = np.empty((batch, m, channels, rf))
+    stop = stride * (m - 1) + 1
+    for e in range(rf):
+        cols[:, :, :, e] = x[:, :, e : e + stop : stride].transpose(0, 2, 1)
+    return cols
+
+
+def forward_reference(config, params, windows, training=False, dropout_rng=None):
+    """The network's forward pass on (batch, channels, length) activations.
+
+    Convolution is a per-tap unfold plus one GEMM, batch norm pools over axes
+    (0, 2), and the flatten reads (kernel, position) order, so it checks the
+    channel-last implementation against an independent layout. Training mode
+    updates ``params``' running statistics (momentum 0.9, eps 1e-5) and draws
+    the dropout mask from ``dropout_rng``. Returns (probs, trace dict).
+    """
+    h = np.asarray(windows, dtype=np.float64)[:, None, :]
+    trace = {"inputs": [], "x_hat": [], "inv_std": []}
+    for i in range(3):
+        w, stride = params.conv_weights[i], config.strides[i]
+        k, c, rf = w.shape
+        trace["inputs"].append(h)
+        cols = _unfold_channels_first(h, rf, stride)
+        batch, m = cols.shape[:2]
+        z = (cols.reshape(batch * m, c * rf) @ w.reshape(k, c * rf).T).reshape(batch, m, k)
+        z = z.transpose(0, 2, 1) + params.conv_biases[i][None, :, None]
+        if training:
+            mean, var = z.mean(axis=(0, 2)), z.var(axis=(0, 2))
+            inv_std = 1.0 / np.sqrt(var + 1e-5)
+            z = (z - mean[None, :, None]) * inv_std[None, :, None]
+            params.bn_running_mean[i] = 0.9 * params.bn_running_mean[i] + (1.0 - 0.9) * mean
+            params.bn_running_var[i] = 0.9 * params.bn_running_var[i] + (1.0 - 0.9) * var
+            trace["x_hat"].append(z)
+            trace["inv_std"].append(inv_std)
+        else:
+            scale = np.sqrt(params.bn_running_var[i] + 1e-5)
+            z = (z - params.bn_running_mean[i][None, :, None]) / scale[None, :, None]
+        h = np.maximum(z, 0.0)
+    trace["flat"] = flat = h.reshape(h.shape[0], -1)
+    trace["fc1_pre"] = fc1_pre = flat @ params.fc1_weight + params.fc1_bias
+    hidden = np.maximum(fc1_pre, 0.0)
+    trace["mask"] = None
+    if training and config.dropout_rate > 0.0:
+        mask = (dropout_rng.random(hidden.shape) >= config.dropout_rate).astype(np.float64)
+        hidden = hidden * mask / (1.0 - config.dropout_rate)
+        trace["mask"] = mask
+    trace["fc2_input"] = hidden
+    trace["logits"] = logits = hidden @ params.fc2_weight + params.fc2_bias
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True), trace
+
+
+def backward_reference(config, params, trace, grad_logits):
+    """Gradients of every learnable tensor through ``forward_reference``'s trace."""
+    grads = {
+        "fc2.weight": trace["fc2_input"].T @ grad_logits,
+        "fc2.bias": grad_logits.sum(axis=0),
+    }
+    d = grad_logits @ params.fc2_weight.T
+    if trace["mask"] is not None:
+        d = d * trace["mask"] / (1.0 - config.dropout_rate)
+    d = d * (trace["fc1_pre"] > 0)
+    grads["fc1.weight"] = trace["flat"].T @ d
+    grads["fc1.bias"] = d.sum(axis=0)
+    d = d @ params.fc1_weight.T
+    d = d.reshape(d.shape[0], config.kernel_counts[2], -1)
+    for i in (2, 1, 0):
+        x_hat, inv_std = trace["x_hat"][i], trace["inv_std"][i]
+        d = d * (x_hat > 0)
+        n = d.shape[0] * d.shape[2]
+        sum_g = d.sum(axis=(0, 2))
+        sum_gx = (d * x_hat).sum(axis=(0, 2))
+        d = (inv_std[None, :, None] / n) * (
+            n * d - sum_g[None, :, None] - x_hat * sum_gx[None, :, None]
+        )
+        x, w, stride = trace["inputs"][i], params.conv_weights[i], config.strides[i]
+        k, c, rf = w.shape
+        cols = _unfold_channels_first(x, rf, stride)
+        batch, m = cols.shape[:2]
+        g = d.transpose(0, 2, 1).reshape(batch * m, k)
+        grads[f"conv{i + 1}.bias"] = d.sum(axis=(0, 2))
+        grads[f"conv{i + 1}.weight"] = (g.T @ cols.reshape(batch * m, c * rf)).reshape(k, c, rf)
+        grad_cols = (g @ w.reshape(k, c * rf)).reshape(batch, m, c, rf)
+        d = np.zeros_like(x)
+        stop = stride * (m - 1) + 1
+        for e in range(rf):
+            d[:, :, e : e + stop : stride] += grad_cols[:, :, :, e].transpose(0, 2, 1)
+    return grads

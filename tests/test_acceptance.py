@@ -145,20 +145,21 @@ def test_criterion_3_gradient_correctness():
     with criterion("C3 gradient-correctness"):
         start = time.perf_counter()
 
-        # isolated layers at 1e-6
+        # isolated layers at 1e-6, on channel-last (batch, length, channels) arrays
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 2, 9))
+        x = rng.standard_normal((2, 2, 9)).transpose(0, 2, 1).copy()
         w = rng.standard_normal((3, 2, 3))
         b = rng.standard_normal(3)
-        readout = rng.standard_normal((2, 3, 4))
+        readout = rng.standard_normal((2, 3, 4)).transpose(0, 2, 1).copy()
         conv_loss = lambda: float((layers.conv1d_forward(x, w, b, 2) * readout).sum())
-        gx, gw, gb = layers.conv1d_backward(x, w, 2, readout)
+        cols = layers.im2col(x, 3, 2)
+        gx, gw, gb = layers.conv1d_backward(cols, w, 2, readout, grad_x=np.empty_like(x))
         assert max_relative_error(gx, central_difference(conv_loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(conv_loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(conv_loss, b)) < 1e-6
 
-        xb = rng.standard_normal((4, 3, 7))
-        rb = rng.standard_normal((4, 3, 7))
+        xb = rng.standard_normal((4, 3, 7)).transpose(0, 2, 1).copy()
+        rb = rng.standard_normal((4, 3, 7)).transpose(0, 2, 1).copy()
         _, cache, _, _ = layers.batchnorm_train(xb)
         def bn_loss():
             y, _, _, _ = layers.batchnorm_train(xb)

@@ -15,11 +15,13 @@ from pyrseiz import (
     WindowSet,
     classify,
     forward,
+    init_parameters,
     majority_vote,
+    model_config,
     predict_instance,
     train,
 )
-from pyrseiz.ensemble import write_vote_log
+from pyrseiz.ensemble import INFER_BATCH, write_vote_log
 
 
 class TestMajorityVote:
@@ -174,6 +176,29 @@ class TestClassify:
         # identical calls are bitwise identical
         again, _ = forward(cfg, params, stacked, training=False)
         assert np.array_equal(batch_probs, again)
+
+
+    @pytest.mark.parametrize("name", ["M4", "M5"])
+    def test_chunked_inference_matches_one_batch(self, name):
+        """1,000 windows run in passes of INFER_BATCH give the probabilities
+        of one 1,000-window batch."""
+        cfg = model_config(name, 2)
+        params = init_parameters(cfg, seed=4)
+        windows = np.random.default_rng(4).standard_normal((200, 5, 512))
+        records = classify(params, cfg, windows)
+        one_batch, _ = forward(cfg, params, windows.reshape(1000, 512), training=False)
+        chunked = np.concatenate([r.probabilities for r in records])
+        assert 1000 > INFER_BATCH
+        assert np.allclose(chunked, one_batch, rtol=0.0, atol=1e-12)
+
+    def test_records_are_never_overwritten(self, trained_toy):
+        cfg, params, windows = trained_toy
+        first = classify(params, cfg, windows.values[:6].reshape(2, 3, 512))
+        kept = [r.probabilities.copy() for r in first]
+        classify(params, cfg, windows.values[6:12].reshape(2, 3, 512))
+        classify([params, params, params], cfg, windows.values[12:18].reshape(2, 3, 512))
+        for record, probs in zip(first, kept):
+            assert np.array_equal(record.probabilities, probs)
 
 
 def _instance_from(rows, label, n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference, max_relative_error
+from oracles import backward_reference, central_difference, forward_reference, max_relative_error
 from pyrseiz import (
     MODEL_GRID,
     MODEL_NAMES,
@@ -14,6 +14,7 @@ from pyrseiz import (
     parameter_shapes,
 )
 from pyrseiz import layers
+from pyrseiz.network import Workspace
 
 EXPECTED_COUNTS = {
     ("traditional", 20, 2): 21366,
@@ -219,3 +220,111 @@ class TestEndToEndGradients:
                     lambda: _mean_loss_and_trace(cfg, params, x, y)[0], tensor
                 )
                 assert max_relative_error(grads[name], fd) < 1e-4, name
+
+
+def _perturbed(cfg, seed):
+    """Initialized parameters with nonzero biases and informative running stats."""
+    rng = np.random.default_rng(seed)
+    params = init_parameters(cfg, seed=seed)
+    for _, tensor in params.named_learnables():
+        tensor += rng.normal(0.0, 0.1, size=tensor.shape)
+    for mean, var in zip(params.bn_running_mean, params.bn_running_var):
+        mean += rng.normal(0.0, 0.5, size=mean.shape)
+        var *= rng.uniform(0.5, 2.0, size=var.shape)
+    return params
+
+
+class TestChannelLastLayout:
+    @pytest.mark.parametrize("name", ["M4", "M5"])
+    def test_matches_channels_first_reference(self, name):
+        """Probabilities within 1e-12, weight gradients within 1e-12 of their
+        largest entry, conv-bias gradients (round-off under batch norm) within
+        1e-12, running statistics within 1e-12."""
+        cfg = model_config(name, 3)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((32, 512))
+        y = rng.integers(0, 3, size=32)
+        params = _perturbed(cfg, seed=6)
+        reference = params.copy()
+
+        probs, _ = forward(cfg, params, x, training=False)
+        ref_probs, _ = forward_reference(cfg, reference, x, training=False)
+        assert np.max(np.abs(probs - ref_probs)) <= 1e-12
+
+        probs, trace = forward(
+            cfg, params, x, training=True, dropout_rng=np.random.default_rng(7)
+        )
+        ref_probs, ref_trace = forward_reference(
+            cfg, reference, x, training=True, dropout_rng=np.random.default_rng(7)
+        )
+        assert np.max(np.abs(probs - ref_probs)) <= 1e-12
+        for (_, a), (_, b) in zip(params.named_buffers(), reference.named_buffers()):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+        _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
+        grads = backward(cfg, params, trace, grad_logits / y.size)
+        _, _, ref_grad_logits = layers.softmax_cross_entropy(ref_trace["logits"], y)
+        ref_grads = backward_reference(cfg, reference, ref_trace, ref_grad_logits / y.size)
+        assert grads.keys() == ref_grads.keys()
+        for key, ref in ref_grads.items():
+            err = np.max(np.abs(grads[key] - ref))
+            if key.startswith("conv") and key.endswith(".bias"):
+                assert err <= 1e-12, key
+            else:
+                assert err <= 1e-12 * np.max(np.abs(ref)), key
+
+    def test_trace_activations_are_channel_last_and_contiguous(self, tiny_config):
+        cfg = tiny_config
+        params = init_parameters(cfg, seed=0)
+        _, trace = forward(cfg, params, np.random.default_rng(0).standard_normal((5, 64)),
+                           training=True)
+        in_channels = (1,) + cfg.kernel_counts[:2]
+        for i, m in enumerate(cfg.conv_lengths()):
+            k, rf = cfg.kernel_counts[i], cfg.receptive_fields[i]
+            assert trace.conv_cols[i].shape == (5, m, rf * in_channels[i])
+            assert trace.bn_caches[i].x_hat.shape == (5, m, k)
+            assert trace.conv_cols[i].flags.c_contiguous
+            assert trace.bn_caches[i].x_hat.flags.c_contiguous
+        for name in ("fc1_input", "fc1_pre", "fc2_input", "logits", "probs"):
+            assert getattr(trace, name).flags.c_contiguous, name
+        ws = trace.workspace
+        for buffers in (ws.cols, ws.normalized, ws.act):
+            assert all(b.flags.c_contiguous for b in buffers)
+
+    def test_reused_workspace_matches_fresh_arrays(self, tiny_config):
+        """Two passes through one workspace give what fresh buffers give."""
+        cfg = tiny_config
+        rng = np.random.default_rng(1)
+        x1, x2 = rng.standard_normal((2, 4, 64))
+        y = np.array([0, 1, 1, 0])
+        ws = Workspace(cfg, 4)
+        results = []
+        for workspace in (ws, None):
+            params = init_parameters(cfg, seed=1)
+            step = []
+            for x in (x1, x2):
+                probs, trace = forward(cfg, params, x, training=True, workspace=workspace)
+                _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
+                step.append((probs, backward(cfg, params, trace, grad_logits)))
+            results.append(step)
+        for (p_ws, g_ws), (p_fresh, g_fresh) in zip(*results):
+            assert np.array_equal(p_ws, p_fresh)
+            for key in g_fresh:
+                assert np.array_equal(g_ws[key], g_fresh[key]), key
+
+    def test_workspace_must_fit_the_batch(self, tiny_config):
+        params = init_parameters(tiny_config, seed=0)
+        with pytest.raises(ValueError, match="workspace for 4 windows"):
+            forward(tiny_config, params, np.zeros((3, 64)), training=True,
+                    workspace=Workspace(tiny_config, 4))
+
+    def test_inference_results_are_never_overwritten(self, tiny_config):
+        """Probabilities one inference call returns survive later calls."""
+        rng = np.random.default_rng(2)
+        params = _perturbed(tiny_config, seed=2)
+        first, _ = forward(tiny_config, params, rng.standard_normal((6, 64)))
+        kept = first.copy()
+        for _ in range(3):
+            forward(tiny_config, params, rng.standard_normal((6, 64)))
+            forward(tiny_config, params, rng.standard_normal((6, 64)), training=True)
+        assert np.array_equal(first, kept)

@@ -209,6 +209,44 @@ class TestTrain:
                 passed += 1
         assert passed >= 9
 
+    @pytest.mark.parametrize("batch_size", [7, 50])
+    def test_partial_and_oversized_batches_are_repeatable(
+        self, tiny_config, toy_windows, batch_size
+    ):
+        """24 windows in batches of 7 (a partial last batch) or of 50 (one
+        batch larger than the set): the reused buffers leave no trace between
+        runs."""
+        config = TrainingConfig(epochs=3, batch_size=batch_size, seed=3)
+        params_a, hist_a = train(tiny_config, toy_windows, config)
+        params_b, hist_b = train(tiny_config, toy_windows, config)
+        for (_, ta), (_, tb) in zip(params_a.named_tensors(), params_b.named_tensors()):
+            assert np.array_equal(ta, tb)
+        assert hist_a == hist_b
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_window_stops_training_before_the_update(
+        self, tiny_config, toy_windows, monkeypatch
+    ):
+        """An inf in window 10 breaks batch 2 of epoch 1 (batches of 8, no
+        shuffle); the Adam step never sees a non-finite gradient."""
+        import pyrseiz.training as training
+
+        values = toy_windows.values.copy()
+        values[10, 5] = np.inf
+        bad = WindowSet(values=values, labels=toy_windows.labels, origins=toy_windows.origins)
+        steps = []
+
+        def checked_step(params, grads, state, config):
+            assert all(np.isfinite(g).all() for g in grads.values())
+            steps.append(state.t)
+            return adam_step(params, grads, state, config)
+
+        monkeypatch.setattr(training, "adam_step", checked_step)
+        config = TrainingConfig(epochs=2, batch_size=8, seed=0, shuffle=False)
+        with pytest.raises(ValueError, match="epoch 1, batch 2: non-finite loss or gradient"):
+            train(tiny_config, bad, config)
+        assert steps == [0]
+
     def test_bn_stats_finite_and_positive_after_training(self, tiny_config, toy_windows):
         params, _ = train(tiny_config, toy_windows, TrainingConfig(epochs=3, seed=2))
         for mean in params.bn_running_mean:
