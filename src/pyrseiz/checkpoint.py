@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .network import ModelConfig, NetworkParameters, parameter_shapes
+from .network import ModelConfig, NetworkParameters
 
 CHECKPOINT_VERSION = "p1dcnn-v1"
 
@@ -53,7 +51,7 @@ def save_checkpoint(
     lines.append(f"config dropout_rate {format(config.dropout_rate, '.17g')}")
     lines.append(f"config num_classes {config.num_classes}")
     lines.append(f"config input_length {config.input_length}")
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.tensors.items():
         lines.append(f"tensor {name} " + " ".join(str(d) for d in tensor.shape))
         lines.append(" ".join(format(v, ".17g") for v in tensor.ravel()))
     lines.append("end")
@@ -98,9 +96,9 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
         config_entries[parts[1]] = parts[2:]
         pos += 1
     config = _parse_config(config_entries)
-    expected = parameter_shapes(config)
+    params = NetworkParameters(config)  # zeros until each tensor is read into its view
 
-    tensors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     while pos < len(lines):
         line = lines[pos].strip()
         if line == "end":
@@ -112,19 +110,20 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
         if len(parts) < 3:
             raise CheckpointError(f"{path}: malformed tensor header {line!r}")
         name = parts[1]
-        if name not in expected:
+        tensor = params.tensors.get(name)
+        if tensor is None:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if name in tensors:
+        if name in seen:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         try:
             shape = tuple(int(d) for d in parts[2:])
         except ValueError:
             raise CheckpointError(f"{path}: non-integer dimension in {line!r}") from None
-        if shape != expected[name]:
+        if shape != tensor.shape:
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {shape}, config implies {expected[name]}"
+                f"{path}: tensor {name} has shape {shape}, config implies {tensor.shape}"
             )
-        count = int(np.prod(shape))
+        count = tensor.size
         pos += 1
         values: list[float] = []
         while len(values) < count:
@@ -142,13 +141,13 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
             raise CheckpointError(
                 f"{path}: tensor {name} has {len(values)} values, expected {count}"
             )
-        tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
+        tensor.reshape(-1)[:] = values
+        seen.add(name)
     else:
         raise CheckpointError(f"{path}: truncated, missing 'end' marker")
     if any(lines[p].strip() for p in range(pos, len(lines))):
         raise CheckpointError(f"{path}: trailing content after 'end' marker")
-    missing = sorted(set(expected) - set(tensors))
+    missing = sorted(set(params.tensors) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {missing}")
-
-    return NetworkParameters.from_named(tensors), config
+    return params, config

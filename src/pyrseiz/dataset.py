@@ -24,7 +24,8 @@ class EegRecord:
     """One single-channel EEG signal plus its set label and record index.
 
     Immutable after construction; the sample array is copied and marked
-    read-only so records can be shared across parallel workers.
+    read-only so records can be shared across parallel workers. A nan or inf
+    sample raises ValueError.
     """
 
     set_label: str
@@ -41,6 +42,8 @@ class EegRecord:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a nonempty 1-D sequence")
+        if not np.isfinite(samples).all():
+            raise ValueError(f"record {self.record_id} has a non-finite (nan or inf) sample")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 

@@ -243,7 +243,6 @@ def _run_fold(args: tuple) -> FoldResult:
         training_config,
         fold_plan,
         by_set,
-        positive_class,
         keep_params,
     ) = args
     train_records: list[EegRecord] = []
@@ -274,7 +273,7 @@ def _run_fold(args: tuple) -> FoldResult:
     for inst, vote in zip(instances, votes):
         cm[inst.label, vote.final] += 1
         window_correct += vote.votes.count(inst.label)
-    values = compute_metrics(cm, positive_class)
+    values = compute_metrics(cm)
     return FoldResult(
         fold=fold + 1,
         acc=window_correct / (len(instances) * scheme.ensemble_width),
@@ -300,7 +299,6 @@ def run_cv(
     fold_plan: FoldPlan,
     jobs: int = 1,
     keep_params: bool = False,
-    positive_class: int | None = None,
     model_name: str | None = None,
 ) -> MetricsReport:
     """Train and score one model per fold; report per-fold and mean metrics.
@@ -339,7 +337,6 @@ def run_cv(
             training_config,
             fold_plan,
             by_set,
-            positive_class,
             keep_params,
         )
         for fold in range(fold_plan.k)

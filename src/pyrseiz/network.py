@@ -6,8 +6,9 @@ No pooling; downsampling comes from the convolution strides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,69 +124,69 @@ def model_config(
     )
 
 
-@dataclass
-class NetworkParameters:
-    """Learnable weights/biases plus batch-norm running statistics.
+@lru_cache(maxsize=64)
+def _layout(config: ModelConfig) -> tuple[tuple[tuple[str, slice, tuple[int, ...]], ...], int, int]:
+    """Where each tensor lives in the flat vector: ((name, slice, shape), ...)
+    in ``parameter_shapes`` order, the learnable length and the total length."""
+    slices = []
+    start = learnable = 0
+    for name, shape in parameter_shapes(config).items():
+        stop = start + math.prod(shape)
+        slices.append((name, slice(start, stop), shape))
+        if not name.startswith("bn"):
+            learnable = stop
+        start = stop
+    return tuple(slices), learnable, start
 
-    Conv weights are (K, C_in, Rf); dense weights are (F_in, F_out) so the
-    forward pass is x @ W + b. Running statistics are buffers, not learnable.
+
+def _views(template: str) -> property:
+    return property(lambda self: tuple(self.tensors[template.format(i)] for i in (1, 2, 3)))
+
+
+def _view(name: str) -> property:
+    return property(lambda self: self.tensors[name])
+
+
+class NetworkParameters:
+    """Every tensor of one network, stored as named views into one flat vector.
+
+    ``flat`` is a float64 vector in ``parameter_shapes`` order: the learnable
+    tensors fill its leading ``learnable`` slice, the batch-norm running
+    statistics (buffers) follow. ``tensors`` maps each name to its reshaped
+    view. Conv weights are (K, C_in, Rf); dense weights are (F_in, F_out) so
+    the forward pass is x @ W + b. The per-layer accessors are read-only
+    views: write into them, never rebind them.
     """
 
-    conv_weights: list[np.ndarray]
-    conv_biases: list[np.ndarray]
-    fc1_weight: np.ndarray
-    fc1_bias: np.ndarray
-    fc2_weight: np.ndarray
-    fc2_bias: np.ndarray
-    bn_running_mean: list[np.ndarray]
-    bn_running_var: list[np.ndarray]
+    conv_weights = _views("conv{}.weight")
+    conv_biases = _views("conv{}.bias")
+    bn_running_mean = _views("bn{}.running_mean")
+    bn_running_var = _views("bn{}.running_var")
+    fc1_weight = _view("fc1.weight")
+    fc1_bias = _view("fc1.bias")
+    fc2_weight = _view("fc2.weight")
+    fc2_bias = _view("fc2.bias")
 
-    def named_learnables(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        for i, (w, b) in enumerate(zip(self.conv_weights, self.conv_biases), start=1):
-            out.append((f"conv{i}.weight", w))
-            out.append((f"conv{i}.bias", b))
-        out.append(("fc1.weight", self.fc1_weight))
-        out.append(("fc1.bias", self.fc1_bias))
-        out.append(("fc2.weight", self.fc2_weight))
-        out.append(("fc2.bias", self.fc2_bias))
-        return out
-
-    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = []
-        for i, (m, v) in enumerate(zip(self.bn_running_mean, self.bn_running_var), start=1):
-            out.append((f"bn{i}.running_mean", m))
-            out.append((f"bn{i}.running_var", v))
-        return out
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return self.named_learnables() + self.named_buffers()
-
-    @classmethod
-    def from_named(cls, tensors: dict[str, np.ndarray]) -> "NetworkParameters":
-        """Inverse of ``named_tensors``: assemble parameters from tensors by name."""
-        return cls(
-            conv_weights=[tensors[f"conv{i}.weight"] for i in (1, 2, 3)],
-            conv_biases=[tensors[f"conv{i}.bias"] for i in (1, 2, 3)],
-            fc1_weight=tensors["fc1.weight"],
-            fc1_bias=tensors["fc1.bias"],
-            fc2_weight=tensors["fc2.weight"],
-            fc2_bias=tensors["fc2.bias"],
-            bn_running_mean=[tensors[f"bn{i}.running_mean"] for i in (1, 2, 3)],
-            bn_running_var=[tensors[f"bn{i}.running_var"] for i in (1, 2, 3)],
-        )
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None) -> None:
+        slices, learnable, size = _layout(config)
+        if flat is None:
+            flat = np.zeros(size)
+        elif not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError(
+                f"flat parameters must be a float64 vector of {size} values, got "
+                f"{getattr(flat, 'dtype', type(flat).__name__)} {np.shape(flat)}"
+            )
+        self.config = config
+        self.flat = flat
+        self.learnable = flat[:learnable]
+        self.tensors = {name: flat[where].reshape(shape) for name, where, shape in slices}
 
     def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            conv_weights=[w.copy() for w in self.conv_weights],
-            conv_biases=[b.copy() for b in self.conv_biases],
-            fc1_weight=self.fc1_weight.copy(),
-            fc1_bias=self.fc1_bias.copy(),
-            fc2_weight=self.fc2_weight.copy(),
-            fc2_bias=self.fc2_bias.copy(),
-            bn_running_mean=[m.copy() for m in self.bn_running_mean],
-            bn_running_var=[v.copy() for v in self.bn_running_var],
-        )
+        return NetworkParameters(self.config, self.flat.copy())
+
+    def __reduce__(self):
+        # rebuild the views on unpickling; a default pickle would detach them from flat
+        return NetworkParameters, (self.config, self.flat)
 
 
 class Workspace:
@@ -255,7 +256,7 @@ def forward(
 
     ``windows`` is (B, input_length) or a single window. The trace is None at
     inference. Training mode normalizes by batch statistics and updates the
-    running statistics in ``params``; inference normalizes by running
+    running statistics in place in ``params``; inference normalizes by running
     statistics and applies no dropout. Activations are written into
     ``workspace``; without one, training makes a fresh workspace and
     inference allocates as it goes. The returned probabilities are always a
@@ -279,24 +280,19 @@ def forward(
     buffers = zip(ws.cols, ws.normalized, ws.act) if ws is not None else [(None,) * 3] * 3
     h = x[:, :, None]  # (B, L, 1): channel-last from the first layer
     bn_caches: list[layers.BatchNormCache] = []
+    weights, biases = params.conv_weights, params.conv_biases
+    running_mean, running_var = params.bn_running_mean, params.bn_running_var
     for i, (cols, normalized, act) in enumerate(buffers):
         z = layers.conv1d_forward(
-            h, params.conv_weights[i], params.conv_biases[i], config.strides[i],
-            cols=cols, out=normalized,
+            h, weights[i], biases[i], config.strides[i], cols=cols, out=normalized
         )
         if training:
             z, cache, mean, var = layers.batchnorm_train(z, out=z)
-            params.bn_running_mean[i] = layers.update_running_stat(
-                params.bn_running_mean[i], mean
-            )
-            params.bn_running_var[i] = layers.update_running_stat(
-                params.bn_running_var[i], var
-            )
+            running_mean[i][...] = layers.update_running_stat(running_mean[i], mean)
+            running_var[i][...] = layers.update_running_stat(running_var[i], var)
             bn_caches.append(cache)
         else:
-            layers.batchnorm_infer(
-                z, params.bn_running_mean[i], params.bn_running_var[i], out=z
-            )
+            layers.batchnorm_infer(z, running_mean[i], running_var[i], out=z)
         h = layers.relu(z, out=z if act is None else act)  # inference keeps no x_hat
     # flatten in (kernel, position) order, the order fc1.weight's rows are stored in
     flat = ws.flat if ws is not None else np.empty((batch, config.flatten_width))
@@ -329,38 +325,42 @@ def backward(
     params: NetworkParameters,
     trace: ForwardTrace,
     grad_logits: np.ndarray,
-) -> dict[str, np.ndarray]:
+) -> NetworkParameters:
     """Gradients of a scalar loss w.r.t. every learnable tensor.
 
     ``grad_logits`` is the loss gradient at the FC2 output (already scaled by
     any batch averaging). Conv-stack gradients are written into the trace's
-    workspace; the returned gradients are fresh arrays.
+    workspace; the result is a fresh ``NetworkParameters`` laid out like
+    ``params``, whose batch-norm buffer slots stay zero.
     """
     ws = trace.workspace
-    grads: dict[str, np.ndarray] = {}
-    d, g_w, g_b = layers.dense_backward(trace.fc2_input, params.fc2_weight, grad_logits)
-    grads["fc2.weight"], grads["fc2.bias"] = g_w, g_b
+    grads = NetworkParameters(config)
+    d, grads.fc2_weight[...], grads.fc2_bias[...] = layers.dense_backward(
+        trace.fc2_input, params.fc2_weight, grad_logits
+    )
     d = layers.dropout_backward(trace.dropout_mask, config.dropout_rate, d)
     d = layers.relu_backward(trace.fc1_pre, d)
-    d, g_w, g_b = layers.dense_backward(trace.fc1_input, params.fc1_weight, d)
-    grads["fc1.weight"], grads["fc1.bias"] = g_w, g_b
+    d, grads.fc1_weight[...], grads.fc1_bias[...] = layers.dense_backward(
+        trace.fc1_input, params.fc1_weight, d
+    )
     g = ws.grad_act[2]
     np.copyto(g, d.reshape(g.shape[0], g.shape[2], g.shape[1]).transpose(0, 2, 1))
     for i in (2, 1, 0):
         g = layers.batchnorm_backward(trace.bn_caches[i], g, relu=True, out=g)
-        g, g_w, g_b = layers.conv1d_backward(
+        g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
             trace.conv_cols[i], params.conv_weights[i], config.strides[i], g,
             grad_x=ws.grad_act[i - 1] if i else None, grad_cols=ws.grad_cols[i],
         )
-        grads[f"conv{i + 1}.weight"], grads[f"conv{i + 1}.bias"] = g_w, g_b
     return grads
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor a config implies, by name, in ``named_tensors`` order.
+    """Shape of every tensor a config implies, by name, in storage order.
 
-    Conv weights are (K, C_in, Rf), dense weights (F_in, F_out); the batch-norm
-    running statistics (``bn*``) come last.
+    The one table of a network's tensors: ``NetworkParameters`` lays its flat
+    vector out in this order and checkpoints write it. Conv weights are
+    (K, C_in, Rf), dense weights (F_in, F_out); the batch-norm running
+    statistics (``bn*``) come last.
     """
     shapes: dict[str, tuple[int, ...]] = {}
     c_in = 1
@@ -383,11 +383,7 @@ def count_parameters(config: ModelConfig) -> int:
 
     Batch-norm running statistics are buffers and are excluded.
     """
-    return sum(
-        int(np.prod(shape))
-        for name, shape in parameter_shapes(config).items()
-        if not name.startswith("bn")
-    )
+    return _layout(config)[1]
 
 
 def init_parameters(config: ModelConfig, seed: int) -> NetworkParameters:
@@ -396,14 +392,12 @@ def init_parameters(config: ModelConfig, seed: int) -> NetworkParameters:
     Weights are drawn in ``parameter_shapes`` order: conv1..conv3, fc1, fc2.
     """
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
+    params = NetworkParameters(config)
+    for name, tensor in params.tensors.items():
         if name.endswith(".weight"):
             # conv (K, C_in, Rf) fans in over C_in * Rf; dense (F_in, F_out) over F_in
-            fan_in = int(np.prod(shape[1:])) if name.startswith("conv") else shape[0]
-            tensors[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+            fan_in = tensor[0].size if name.startswith("conv") else len(tensor)
+            tensor[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=tensor.shape)
         elif name.endswith(".running_var"):
-            tensors[name] = np.ones(shape)
-        else:
-            tensors[name] = np.zeros(shape)
-    return NetworkParameters.from_named(tensors)
+            tensor.fill(1.0)
+    return params

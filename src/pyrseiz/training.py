@@ -32,7 +32,6 @@ class TrainingConfig:
     epochs: int = 50
     seed: int = 0
     shuffle: bool = True
-    dropout_seed: int | None = None
     balance_classes: bool = False
 
     def __post_init__(self) -> None:
@@ -50,49 +49,39 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators per learnable tensor plus step count."""
+    """First/second-moment accumulators over the learnable vector plus step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam_state(params: NetworkParameters) -> AdamState:
-    m = {name: np.zeros_like(tensor) for name, tensor in params.named_learnables()}
-    v = {name: np.zeros_like(tensor) for name, tensor in params.named_learnables()}
-    return AdamState(m=m, v=v)
+    return AdamState(m=np.zeros_like(params.learnable), v=np.zeros_like(params.learnable))
 
 
 def adam_step(
     params: NetworkParameters,
-    grads: dict[str, np.ndarray],
+    grads: NetworkParameters,
     state: AdamState,
     config: TrainingConfig,
 ) -> tuple[NetworkParameters, AdamState]:
-    """One Adam update over every learnable tensor (updates in place).
+    """One Adam update of the whole learnable vector, in place.
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2; bias-corrected m_hat/v_hat;
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
     """
+    if grads.config != params.config:
+        raise ValueError("gradient was built for another model config than the parameters")
     state.t += 1
     bias1 = 1.0 - config.beta1 ** state.t
     bias2 = 1.0 - config.beta2 ** state.t
-    for name, tensor in params.named_learnables():
-        try:
-            g = grads[name]
-        except KeyError:
-            raise ValueError(f"missing gradient for {name}") from None
-        if g.shape != tensor.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match {name} shape {tensor.shape}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        tensor -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    g, m, v = grads.learnable, state.m, state.v
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (g * g)
+    params.learnable -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
     return params, state
 
 
@@ -112,8 +101,8 @@ def train(
 
     Per epoch: shuffle with a seeded generator, batch, forward in training
     mode, backprop, Adam step. Deterministic for fixed (config, windows);
-    the shuffle and dropout generators derive from config.seed (dropout_seed
-    overrides the dropout stream only). Input windows are never mutated.
+    the shuffle and dropout generators derive from config.seed. Input
+    windows are never mutated.
     One workspace per batch size met (the full batch and the last, partial
     one) holds the activations, so batches reuse their buffers. A non-finite
     loss or gradient raises ValueError naming the epoch and batch, before the
@@ -141,9 +130,8 @@ def train(
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(1,))
     )
-    dropout_entropy = config.seed if config.dropout_seed is None else config.dropout_seed
     dropout_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=dropout_entropy, spawn_key=(2,))
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(2,))
     )
     class_weights = None
     if config.balance_classes:
@@ -171,10 +159,7 @@ def train(
                 losses = losses * class_weights[yb]
                 grad_logits = grad_logits * class_weights[yb][:, None]
             grads = backward(model_config, params, trace, grad_logits / idx.size)
-            finite = np.isfinite(losses).all() and all(
-                np.isfinite(g).all() for g in grads.values()
-            )
-            if not finite:
+            if not (np.isfinite(losses).all() and np.isfinite(grads.learnable).all()):
                 raise ValueError(
                     f"training diverged at epoch {epoch + 1}, batch {batch}: "
                     "non-finite loss or gradient"

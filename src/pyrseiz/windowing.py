@@ -33,11 +33,14 @@ def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
     Each window along the last axis is scaled by its own statistics, so a
     stack of windows normalizes exactly as its windows would one by one.
-    Constant windows map to all zeros rather than dividing by zero.
+    Constant windows map to all zeros rather than dividing by zero; a nan or
+    inf sample raises ValueError.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot normalize an empty sequence")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot normalize a non-finite (nan or inf) sample")
     std = x.std(axis=-1, keepdims=True)
     return (x - x.mean(axis=-1, keepdims=True)) / np.maximum(std, NORM_EPS)
 

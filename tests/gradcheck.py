@@ -25,8 +25,7 @@ def draw_generic_scenario(cfg, rng, batch_size=3, max_tries=50):
     """Random params/batch/labels with all ReLU inputs clear of the kink."""
     for _ in range(max_tries):
         params = init_parameters(cfg, seed=int(rng.integers(0, 2**31)))
-        for _, tensor in params.named_learnables():
-            tensor += rng.normal(0.0, 0.1, size=tensor.shape)
+        params.learnable += rng.normal(0.0, 0.1, size=params.learnable.shape)
         batch = rng.standard_normal((batch_size, cfg.input_length))
         labels = rng.integers(0, cfg.num_classes, size=batch_size)
         _, trace = forward(cfg, params, batch, training=True)

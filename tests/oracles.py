@@ -118,6 +118,19 @@ def adam_scalar_reference(grad_fn, theta, lr, beta1, beta2, eps, steps):
     return theta
 
 
+def adam_per_tensor_reference(tensors, grads, m, v, t, lr, beta1, beta2, eps):
+    """Step ``t`` of Adam tensor by tensor over dicts of arrays, all updated in place."""
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for name, tensor in tensors.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        tensor -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+
+
 def _unfold_channels_first(x, rf, stride):
     """Per-tap gather of sliding patches: (B, C, L) -> (B, m, C, Rf)."""
     batch, channels, length = x.shape
@@ -152,8 +165,8 @@ def forward_reference(config, params, windows, training=False, dropout_rng=None)
             mean, var = z.mean(axis=(0, 2)), z.var(axis=(0, 2))
             inv_std = 1.0 / np.sqrt(var + 1e-5)
             z = (z - mean[None, :, None]) * inv_std[None, :, None]
-            params.bn_running_mean[i] = 0.9 * params.bn_running_mean[i] + (1.0 - 0.9) * mean
-            params.bn_running_var[i] = 0.9 * params.bn_running_var[i] + (1.0 - 0.9) * var
+            params.bn_running_mean[i][...] = 0.9 * params.bn_running_mean[i] + (1.0 - 0.9) * mean
+            params.bn_running_var[i][...] = 0.9 * params.bn_running_var[i] + (1.0 - 0.9) * var
             trace["x_hat"].append(z)
             trace["inv_std"].append(inv_std)
         else:

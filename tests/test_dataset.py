@@ -100,6 +100,13 @@ class TestEegRecord:
     def test_record_id(self):
         assert EegRecord("E", 3, np.zeros(8)).record_id == "E003"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.zeros(10)
+        samples[4] = bad
+        with pytest.raises(ValueError, match="record A001 has a non-finite"):
+            EegRecord("A", 1, samples)
+
 
 class TestDefineCase:
     def test_three_class_case(self):

@@ -155,8 +155,7 @@ class TestClassify:
     def test_zero_parameters_uniform_and_lowest_index(self, trained_toy):
         cfg, params, windows = trained_toy
         zeroed = params.copy()
-        for _, tensor in zeroed.named_learnables():
-            tensor[...] = 0.0
+        zeroed.learnable[:] = 0.0
         (record,) = classify(zeroed, cfg, windows.values[None, :3])
         assert np.allclose(record.probabilities, 0.5)
         assert record.votes == (0, 0, 0)  # argmax ties resolve to the lowest class index

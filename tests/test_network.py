@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pyrseiz import (
     MODEL_GRID,
     MODEL_NAMES,
     ModelConfig,
+    NetworkParameters,
     backward,
     count_parameters,
     forward,
@@ -111,12 +114,66 @@ class TestCountParameters:
         assert count_parameters(a) == count_parameters(b)
 
 
+class TestNetworkParameters:
+    def test_tensors_are_consecutive_views_of_flat(self, tiny_config):
+        params = NetworkParameters(tiny_config)
+        assert params.flat.shape == (sum(t.size for t in params.tensors.values()),)
+        assert params.learnable.size == count_parameters(tiny_config)
+        offset = 0
+        for tensor in params.tensors.values():
+            assert np.shares_memory(tensor, params.flat[offset : offset + tensor.size])
+            offset += tensor.size
+        params.fc2_bias[1] = 3.0
+        assert params.learnable[-1] == 3.0
+        params.bn_running_var[2][0] = 5.0
+        assert params.flat[-2] == 5.0
+
+    def test_accessors_cannot_be_rebound(self, tiny_config):
+        params = init_parameters(tiny_config, seed=0)
+        with pytest.raises(TypeError):
+            params.bn_running_mean[0] = np.ones(4)
+        with pytest.raises(AttributeError):
+            params.fc1_weight = np.zeros((8, 5))
+        assert np.shares_memory(params.bn_running_mean[0], params.flat)
+
+    def test_flat_of_wrong_shape_or_dtype_rejected(self, tiny_config):
+        size = NetworkParameters(tiny_config).flat.size
+        for bad in (np.zeros(size - 1), np.zeros((1, size)), np.zeros(size, dtype=np.float32),
+                    [0.0] * size):
+            with pytest.raises(ValueError, match=f"float64 vector of {size} values"):
+                NetworkParameters(tiny_config, bad)
+
+    def test_flat_is_adopted_not_copied(self, tiny_config):
+        flat = np.arange(NetworkParameters(tiny_config).flat.size, dtype=np.float64)
+        params = NetworkParameters(tiny_config, flat)
+        assert params.flat is flat
+        assert params.conv_weights[0][0, 0, 1] == 1.0
+
+    def test_copy_is_independent(self, tiny_config):
+        params = init_parameters(tiny_config, seed=1)
+        twin = params.copy()
+        assert np.array_equal(twin.flat, params.flat) and twin.config == params.config
+        twin.fc1_weight[...] = 0.0
+        assert params.fc1_weight.any()
+
+    def test_pickle_keeps_views_on_flat(self, tiny_config):
+        params = init_parameters(tiny_config, seed=2)
+        restored = pickle.loads(pickle.dumps(params))
+        assert restored.config == tiny_config
+        assert np.array_equal(restored.flat, params.flat)
+        for tensor in (*restored.tensors.values(), restored.learnable,
+                       *restored.conv_weights, *restored.bn_running_var, restored.fc2_bias):
+            assert np.shares_memory(tensor, restored.flat)
+        restored.fc1_bias[...] = 7.0
+        assert np.all(restored.tensors["fc1.bias"] == 7.0)
+        assert not np.shares_memory(restored.flat, params.flat)
+
+
 class TestInitParameters:
     def test_deterministic(self, tiny_config):
         a = init_parameters(tiny_config, seed=3)
         b = init_parameters(tiny_config, seed=3)
-        for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_biases_zero_and_bn_stats(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)
@@ -129,7 +186,7 @@ class TestInitParameters:
     def test_parameter_shapes_list_every_tensor_in_order(self, name):
         cfg = model_config(name, 3)
         params = init_parameters(cfg, seed=0)
-        named = [(n, t.shape) for n, t in params.named_tensors()]
+        named = [(n, t.shape) for n, t in params.tensors.items()]
         assert named == list(parameter_shapes(cfg).items())
 
     def test_he_scale_on_large_layer(self):
@@ -145,8 +202,7 @@ class TestInitParameters:
 class TestForward:
     def test_zero_parameters_give_uniform_probs(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)
-        for _, tensor in params.named_learnables():
-            tensor[...] = 0.0
+        params.learnable[:] = 0.0
         x = np.random.default_rng(0).standard_normal((4, 64))
         probs, trace = forward(tiny_config, params, x, training=True)
         assert np.allclose(probs, 1.0 / tiny_config.num_classes)
@@ -215,19 +271,19 @@ class TestEndToEndGradients:
             _, trace = forward(cfg, params, x, training=True)
             _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
             grads = backward(cfg, params, trace, grad_logits / y.size)
-            for name, tensor in params.named_learnables():
-                fd = central_difference(
-                    lambda: _mean_loss_and_trace(cfg, params, x, y)[0], tensor
-                )
-                assert max_relative_error(grads[name], fd) < 1e-4, name
+            fd = NetworkParameters(cfg)
+            fd.learnable[:] = central_difference(
+                lambda: _mean_loss_and_trace(cfg, params, x, y)[0], params.learnable
+            )
+            for name, grad in grads.tensors.items():  # buffer slots: zero on both sides
+                assert max_relative_error(grad, fd.tensors[name]) < 1e-4, name
 
 
 def _perturbed(cfg, seed):
     """Initialized parameters with nonzero biases and informative running stats."""
     rng = np.random.default_rng(seed)
     params = init_parameters(cfg, seed=seed)
-    for _, tensor in params.named_learnables():
-        tensor += rng.normal(0.0, 0.1, size=tensor.shape)
+    params.learnable += rng.normal(0.0, 0.1, size=params.learnable.shape)
     for mean, var in zip(params.bn_running_mean, params.bn_running_var):
         mean += rng.normal(0.0, 0.5, size=mean.shape)
         var *= rng.uniform(0.5, 2.0, size=var.shape)
@@ -258,16 +314,17 @@ class TestChannelLastLayout:
             cfg, reference, x, training=True, dropout_rng=np.random.default_rng(7)
         )
         assert np.max(np.abs(probs - ref_probs)) <= 1e-12
-        for (_, a), (_, b) in zip(params.named_buffers(), reference.named_buffers()):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        # the learnable slices are untouched, so this compares the running statistics
+        assert np.max(np.abs(params.flat - reference.flat)) <= 1e-12
 
         _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
         grads = backward(cfg, params, trace, grad_logits / y.size)
         _, _, ref_grad_logits = layers.softmax_cross_entropy(ref_trace["logits"], y)
         ref_grads = backward_reference(cfg, reference, ref_trace, ref_grad_logits / y.size)
-        assert grads.keys() == ref_grads.keys()
+        assert sorted(ref_grads) == sorted(n for n in grads.tensors if not n.startswith("bn"))
+        assert not grads.flat[grads.learnable.size :].any()
         for key, ref in ref_grads.items():
-            err = np.max(np.abs(grads[key] - ref))
+            err = np.max(np.abs(grads.tensors[key] - ref))
             if key.startswith("conv") and key.endswith(".bias"):
                 assert err <= 1e-12, key
             else:
@@ -309,8 +366,7 @@ class TestChannelLastLayout:
             results.append(step)
         for (p_ws, g_ws), (p_fresh, g_fresh) in zip(*results):
             assert np.array_equal(p_ws, p_fresh)
-            for key in g_fresh:
-                assert np.array_equal(g_ws[key], g_fresh[key]), key
+            assert np.array_equal(g_ws.flat, g_fresh.flat)
 
     def test_workspace_must_fit_the_batch(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)

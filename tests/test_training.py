@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import adam_scalar_reference
+from oracles import adam_per_tensor_reference, adam_scalar_reference
 from pyrseiz import (
     CheckpointError,
     ModelConfig,
+    NetworkParameters,
     TrainingConfig,
     WindowSet,
     adam_step,
@@ -13,6 +16,7 @@ from pyrseiz import (
     init_parameters,
     load_checkpoint,
     model_config,
+    parameter_shapes,
     save_checkpoint,
     train,
     write_history_csv,
@@ -48,12 +52,10 @@ class TestTrainingConfig:
 class TestAdamStep:
     def test_zero_gradient_is_a_fixed_point(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)
-        before = {name: t.copy() for name, t in params.named_learnables()}
+        before = params.flat.copy()
         state = init_adam_state(params)
-        grads = {name: np.zeros_like(t) for name, t in params.named_learnables()}
-        adam_step(params, grads, state, TrainingConfig())
-        for name, tensor in params.named_learnables():
-            assert np.array_equal(tensor, before[name])
+        adam_step(params, NetworkParameters(tiny_config), state, TrainingConfig())
+        assert np.array_equal(params.flat, before)
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self, tiny_config):
@@ -61,13 +63,13 @@ class TestAdamStep:
         config = TrainingConfig(learning_rate=0.01)
         for scale in (1e-4, 1.0, 1e4):
             params = init_parameters(tiny_config, seed=1)
-            before = {name: t.copy() for name, t in params.named_learnables()}
+            before = params.learnable.copy()
             state = init_adam_state(params)
-            grads = {name: np.full_like(t, scale) for name, t in params.named_learnables()}
+            grads = NetworkParameters(tiny_config)
+            grads.learnable[:] = scale
             adam_step(params, grads, state, config)
-            for name, tensor in params.named_learnables():
-                step = before[name] - tensor
-                assert np.allclose(step, config.learning_rate, rtol=1e-3)
+            step = before - params.learnable
+            assert np.allclose(step, config.learning_rate, rtol=1e-3)
 
     def test_scalar_quadratic_convergence_matches_reference(self):
         """100 steps on f(t)=t^2 from t=1, lr=0.1 drive |t| below 0.1."""
@@ -80,32 +82,54 @@ class TestAdamStep:
             fc1_width=1, dropout_rate=0.0, num_classes=2, input_length=1,
         )
         params = init_parameters(cfg, seed=0)
-        for _, tensor in params.named_learnables():
-            tensor[...] = 0.0
+        params.learnable[:] = 0.0
         theta = params.fc1_weight  # treat one scalar tensor as the variable
         theta[...] = 1.0
         state = init_adam_state(params)
         config = TrainingConfig(learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
         for _ in range(100):
-            grads = {name: np.zeros_like(t) for name, t in params.named_learnables()}
-            grads["fc1.weight"] = 2.0 * theta.copy()
+            grads = NetworkParameters(cfg)
+            grads.fc1_weight[...] = 2.0 * theta
             adam_step(params, grads, state, config)
         assert abs(theta.item()) < 0.1
         assert np.isclose(theta.item(), reference, atol=1e-12)
 
-    def test_shape_mismatch_rejected(self, tiny_config):
+    def test_gradient_for_another_config_rejected(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)
+        before = params.flat.copy()
         state = init_adam_state(params)
-        grads = {name: np.zeros_like(t) for name, t in params.named_learnables()}
-        grads["fc1.weight"] = np.zeros(3)
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(params, grads, state, TrainingConfig())
+        other = ModelConfig(
+            kernel_counts=(4, 3, 2), receptive_fields=(5, 3, 3), strides=(3, 2, 2),
+            fc1_width=6, dropout_rate=0.0, num_classes=2, input_length=64,
+        )
+        with pytest.raises(ValueError, match="another model config"):
+            adam_step(params, NetworkParameters(other), state, TrainingConfig())
+        assert np.array_equal(params.flat, before) and state.t == 0
 
-    def test_missing_gradient_rejected(self, tiny_config):
-        params = init_parameters(tiny_config, seed=0)
+    def test_flat_update_equals_per_tensor_reference_bitwise(self):
+        """20 steps on M5 (3 classes) with gradients spanning eight orders of
+        magnitude: parameters and both moments match the per-tensor loop."""
+        cfg = model_config("M5", 3)
+        config = TrainingConfig(learning_rate=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        params = init_parameters(cfg, seed=4)
         state = init_adam_state(params)
-        with pytest.raises(ValueError, match="missing gradient"):
-            adam_step(params, {}, state, TrainingConfig())
+        names = [name for name in parameter_shapes(cfg) if not name.startswith("bn")]
+        ref = {name: params.tensors[name].copy() for name in names}
+        ref_m = {name: np.zeros_like(t) for name, t in ref.items()}
+        ref_v = {name: np.zeros_like(t) for name, t in ref.items()}
+        rng = np.random.default_rng(11)
+        for step in range(1, 21):
+            grads = NetworkParameters(cfg)
+            size = grads.learnable.size
+            grads.learnable[:] = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 4, size)
+            adam_step(params, grads, state, config)
+            adam_per_tensor_reference(
+                ref, {name: grads.tensors[name] for name in names}, ref_m, ref_v, step,
+                config.learning_rate, config.beta1, config.beta2, config.eps,
+            )
+        assert state.t == 20
+        for flat, tensors in ((params.learnable, ref), (state.m, ref_m), (state.v, ref_v)):
+            assert np.array_equal(flat, np.concatenate([tensors[n].ravel() for n in names]))
 
 
 class TestTrain:
@@ -119,8 +143,7 @@ class TestTrain:
         config = TrainingConfig(epochs=3, batch_size=8, seed=4)
         params_a, hist_a = train(tiny_config, toy_windows, config)
         params_b, hist_b = train(tiny_config, toy_windows, config)
-        for (_, ta), (_, tb) in zip(params_a.named_tensors(), params_b.named_tensors()):
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(params_a.flat, params_b.flat)
         assert hist_a == hist_b
 
     def test_zero_epochs_returns_untouched_init(self, tiny_config, toy_windows):
@@ -128,8 +151,7 @@ class TestTrain:
         params, history = train(tiny_config, toy_windows, config)
         assert history == []
         fresh = init_parameters(tiny_config, seed=9)
-        for (_, t), (_, f) in zip(params.named_tensors(), fresh.named_tensors()):
-            assert np.array_equal(t, f)
+        assert np.array_equal(params.flat, fresh.flat)
 
     def test_empty_window_set_rejected(self, tiny_config, toy_windows):
         with pytest.raises(ValueError, match="empty"):
@@ -155,26 +177,28 @@ class TestTrain:
         assert np.array_equal(toy_windows.values, values)
         assert np.array_equal(toy_windows.labels, labels)
 
-    def test_dropout_seed_irrelevant_when_rate_zero(self, tiny_config, toy_windows):
-        base = TrainingConfig(epochs=2, seed=7, dropout_seed=None)
-        other = TrainingConfig(epochs=2, seed=7, dropout_seed=12345)
-        params_a, _ = train(tiny_config, toy_windows, base)
-        params_b, _ = train(tiny_config, toy_windows, other)
-        for (_, ta), (_, tb) in zip(params_a.named_tensors(), params_b.named_tensors()):
-            assert np.array_equal(ta, tb)
+    def test_active_dropout_changes_training(self, tiny_config, toy_windows):
+        """Rate 0.5 against rate 0 under one seed: same init, different weights."""
+        config = TrainingConfig(epochs=2, seed=7)
+        active = replace(tiny_config, dropout_rate=0.5)
+        params_a, _ = train(tiny_config, toy_windows, config)
+        params_b, _ = train(active, toy_windows, config)
+        assert np.array_equal(
+            init_parameters(tiny_config, 7).flat, init_parameters(active, 7).flat
+        )
+        assert not np.array_equal(params_a.learnable, params_b.learnable)
 
-    def test_dropout_seed_changes_training_when_active(self, toy_windows):
-        cfg = ModelConfig(
-            kernel_counts=(4, 3, 2), receptive_fields=(5, 3, 3), strides=(3, 2, 2),
-            fc1_width=5, dropout_rate=0.5, num_classes=2, input_length=64,
-        )
-        params_a, _ = train(cfg, toy_windows, TrainingConfig(epochs=2, seed=7))
-        params_b, _ = train(cfg, toy_windows, TrainingConfig(epochs=2, seed=7, dropout_seed=1))
-        different = any(
-            not np.array_equal(ta, tb)
-            for (_, ta), (_, tb) in zip(params_a.named_learnables(), params_b.named_learnables())
-        )
-        assert different
+    def test_accessors_stay_views_of_flat_after_training(self, tiny_config, toy_windows):
+        params, _ = train(tiny_config, toy_windows, TrainingConfig(epochs=2, seed=3))
+        accessors = [
+            *params.conv_weights, *params.conv_biases,
+            *params.bn_running_mean, *params.bn_running_var,
+            params.fc1_weight, params.fc1_bias, params.fc2_weight, params.fc2_bias,
+        ]
+        assert len(accessors) == len(params.tensors)
+        for tensor in accessors:
+            assert np.shares_memory(tensor, params.flat)
+        assert np.shares_memory(params.learnable, params.flat)
 
     def test_loss_decreases_over_first_five_steps(self, tiny_config):
         """Fixed-batch loss falls strictly for 5 Adam steps; >= 9 of 10 seeds."""
@@ -219,8 +243,7 @@ class TestTrain:
         config = TrainingConfig(epochs=3, batch_size=batch_size, seed=3)
         params_a, hist_a = train(tiny_config, toy_windows, config)
         params_b, hist_b = train(tiny_config, toy_windows, config)
-        for (_, ta), (_, tb) in zip(params_a.named_tensors(), params_b.named_tensors()):
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(params_a.flat, params_b.flat)
         assert hist_a == hist_b
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -237,7 +260,7 @@ class TestTrain:
         steps = []
 
         def checked_step(params, grads, state, config):
-            assert all(np.isfinite(g).all() for g in grads.values())
+            assert np.isfinite(grads.flat).all()
             steps.append(state.t)
             return adam_step(params, grads, state, config)
 
@@ -280,8 +303,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, tiny_config, path)
         loaded, _ = load_checkpoint(path)
-        for (_, ta), (_, tb) in zip(params.named_tensors(), loaded.named_tensors()):
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(params.flat, loaded.flat)
 
     def test_m5_header_echoes_kernel_counts(self, tmp_path):
         cfg = model_config("M5", 3)
@@ -314,6 +336,20 @@ class TestCheckpointRoundTrip:
         text = path.read_text().replace("tensor conv1.weight 4 1 5", "tensor conv1.weight 4 1 6")
         path.write_text(text)
         with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path)
+
+    def test_missing_tensor_block_rejected(self, tiny_config, tmp_path):
+        """A whole tensor block gone, ``end`` still there: the load names the
+        tensor instead of leaving its slots at zero."""
+        params = init_parameters(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, tiny_config, path)
+        lines = path.read_text().splitlines()
+        header = lines.index("tensor bn2.running_var 3")
+        del lines[header : header + 2]
+        assert lines[-1] == "end"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match=r"missing tensors \['bn2.running_var'\]"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):

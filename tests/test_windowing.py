@@ -78,6 +78,13 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        windows = np.ones((3, 8))
+        windows[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize(windows)
+
     @settings(max_examples=100)
     @given(
         st.lists(
