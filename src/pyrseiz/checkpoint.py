@@ -1,24 +1,37 @@
-"""Versioned text checkpoints: config echo, learnable tensors, BN running stats.
+"""Versioned checkpoints: config echo, training header, learnable tensors, BN running stats.
 
-Layout:
+Layout of ``p1dcnn-v2``, the version written:
 
-    p1dcnn-v1
+    p1dcnn-v2
     config <key> <values...>          (seven keys, fixed order)
-    tensor <name> <dim> [<dim>...]    followed by the values, row-major,
-    <whitespace-separated decimals>   17 significant digits
+    case <spec>                       (optional: the case the model was trained on)
+    scheme <id>                       (optional: its windowing scheme)
+    tensor <name> <dim> [<dim>...]    followed by one line holding the values,
+    <base64>                          row-major, as little-endian float64 bytes
     ...
     end
 
-Round trips are value-exact for float64.
+``p1dcnn-v1`` files, which have no ``case``/``scheme`` lines and hold each
+tensor as whitespace-separated decimals (17 significant digits), still load.
+Round trips are bitwise exact, and every value must be finite.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+from dataclasses import dataclass
 from pathlib import Path
 
-from .network import ModelConfig, NetworkParameters
+import numpy as np
 
-CHECKPOINT_VERSION = "p1dcnn-v1"
+from .artifacts import write_atomic
+from .dataset import define_case
+from .network import ModelConfig, NetworkParameters, count_parameters
+from .windowing import get_scheme
+
+CHECKPOINT_VERSION = "p1dcnn-v2"
+_DECIMAL_VERSION = "p1dcnn-v1"
 
 _CONFIG_KEYS = (
     "kernel_counts",
@@ -35,12 +48,34 @@ class CheckpointError(ValueError):
     """Raised for version mismatches and header/shape/value corruption."""
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """A loaded checkpoint: the parameters, their config, and the case spec
+    and scheme id the model was trained with (``None`` when the file does not
+    record them, as in every v1 file).
+
+    It unpacks as ``params, config = load_checkpoint(path)``.
+    """
+
+    params: NetworkParameters
+    config: ModelConfig
+    case: str | None = None
+    scheme: int | None = None
+
+    def __iter__(self):
+        return iter((self.params, self.config))
+
+
 def save_checkpoint(
-    params: NetworkParameters, config: ModelConfig, path: str | Path
+    params: NetworkParameters,
+    config: ModelConfig,
+    path: str | Path,
+    case: str | None = None,
+    scheme: int | None = None,
 ) -> None:
-    """Write parameters and their config; the on-disk order is fixed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write parameters, their config and, when given, the case spec and
+    scheme id they were trained with; the on-disk order is fixed and the file
+    is replaced atomically."""
     lines = [CHECKPOINT_VERSION]
     lines.append("config kernel_counts " + " ".join(str(v) for v in config.kernel_counts))
     lines.append(
@@ -51,11 +86,16 @@ def save_checkpoint(
     lines.append(f"config dropout_rate {format(config.dropout_rate, '.17g')}")
     lines.append(f"config num_classes {config.num_classes}")
     lines.append(f"config input_length {config.input_length}")
+    if case is not None:
+        lines.append(f"case {define_case(case).name}")
+    if scheme is not None:
+        lines.append(f"scheme {get_scheme(scheme).id}")
     for name, tensor in params.tensors.items():
         lines.append(f"tensor {name} " + " ".join(str(d) for d in tensor.shape))
-        lines.append(" ".join(format(v, ".17g") for v in tensor.ravel()))
+        raw = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
+        lines.append(base64.b64encode(raw).decode("ascii"))
     lines.append("end")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_config(entries: dict[str, list[str]]) -> ModelConfig:
@@ -76,16 +116,90 @@ def _parse_config(entries: dict[str, list[str]]) -> ModelConfig:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from None
 
 
-def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
-    """Read a checkpoint; truncated or corrupt files raise, never load partially."""
+def _parse_training_header(
+    path: Path, entries: dict[str, str], config: ModelConfig
+) -> tuple[str | None, int | None]:
+    """The ``case`` and ``scheme`` header values, checked against the config."""
+    case = entries.get("case")
+    scheme = entries.get("scheme")
+    try:
+        if case is not None:
+            spec = define_case(case)
+            if spec.name != case or spec.num_classes != config.num_classes:
+                raise ValueError(
+                    f"case {case!r} does not name {config.num_classes} classes "
+                    "in canonical form"
+                )
+        if scheme is not None:
+            scheme = get_scheme(scheme).id
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid training header: {exc}") from None
+    return case, scheme
+
+
+def _decimal_block(
+    path: Path, lines: list[str], pos: int, name: str, count: int
+) -> tuple[np.ndarray, int]:
+    """v1: whitespace-separated decimals from ``lines[pos]`` on, possibly over
+    several lines; the values and the position after the block."""
+    values: list[float] = []
+    while len(values) < count:
+        if pos >= len(lines):
+            raise CheckpointError(f"{path}: truncated while reading tensor {name}")
+        for token in lines[pos].split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise CheckpointError(
+                    f"{path}: non-numeric value {token!r} in tensor {name}"
+                ) from None
+        pos += 1
+    if len(values) != count:
+        raise CheckpointError(
+            f"{path}: tensor {name} has {len(values)} values, expected {count}"
+        )
+    return np.array(values, dtype=np.float64), pos
+
+
+def _base64_block(
+    path: Path, lines: list[str], pos: int, name: str, count: int
+) -> tuple[np.ndarray, int]:
+    """v2: one line of base64 holding exactly ``count`` little-endian float64s."""
+    if pos >= len(lines):
+        raise CheckpointError(f"{path}: truncated while reading tensor {name}")
+    try:
+        raw = base64.b64decode(lines[pos].strip(), validate=True)
+    except (binascii.Error, ValueError):
+        raise CheckpointError(f"{path}: invalid base64 in tensor {name}") from None
+    if len(raw) != 8 * count:
+        raise CheckpointError(
+            f"{path}: tensor {name} has {len(raw)} bytes, expected {8 * count}"
+        )
+    return np.frombuffer(raw, dtype="<f8"), pos + 1
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a v2 or v1 checkpoint; truncated or corrupt files raise, never
+    load partially."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != CHECKPOINT_VERSION:
-        found = lines[0].strip() if lines else "<empty file>"
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: not a text checkpoint") from None
+    lines = text.splitlines()
+    version = lines[0].strip() if lines else "<empty file>"
+    if version == CHECKPOINT_VERSION:
+        read_block = _base64_block
+        header_keys: tuple[str, ...] = ("case", "scheme")
+    elif version == _DECIMAL_VERSION:
+        read_block = _decimal_block
+        header_keys = ()
+    else:
         raise CheckpointError(
-            f"{path}: version mismatch, expected {CHECKPOINT_VERSION!r}, found {found!r}"
+            f"{path}: version mismatch, expected {CHECKPOINT_VERSION!r} or "
+            f"{_DECIMAL_VERSION!r}, found {version!r}"
         )
     pos = 1
     config_entries: dict[str, list[str]] = {}
@@ -96,6 +210,19 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
         config_entries[parts[1]] = parts[2:]
         pos += 1
     config = _parse_config(config_entries)
+    header: dict[str, str] = {}
+    while pos < len(lines) and lines[pos].split(" ", 1)[0] in header_keys:
+        parts = lines[pos].split()
+        if len(parts) != 2 or parts[0] in header:
+            raise CheckpointError(f"{path}: malformed or repeated header line {lines[pos]!r}")
+        header[parts[0]] = parts[1]
+        pos += 1
+    case, scheme = _parse_training_header(path, header, config)
+    if 2 * count_parameters(config) > len(text):  # below one digit and a separator each
+        raise CheckpointError(
+            f"{path}: truncated, too short for the {count_parameters(config)} "
+            "values its config implies"
+        )
     params = NetworkParameters(config)  # zeros until each tensor is read into its view
 
     seen: set[str] = set()
@@ -123,24 +250,9 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {shape}, config implies {tensor.shape}"
             )
-        count = tensor.size
-        pos += 1
-        values: list[float] = []
-        while len(values) < count:
-            if pos >= len(lines):
-                raise CheckpointError(f"{path}: truncated while reading tensor {name}")
-            for token in lines[pos].split():
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise CheckpointError(
-                        f"{path}: non-numeric value {token!r} in tensor {name}"
-                    ) from None
-            pos += 1
-        if len(values) != count:
-            raise CheckpointError(
-                f"{path}: tensor {name} has {len(values)} values, expected {count}"
-            )
+        values, pos = read_block(path, lines, pos + 1, name, tensor.size)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name} has a non-finite (nan or inf) value")
         tensor.reshape(-1)[:] = values
         seen.add(name)
     else:
@@ -150,4 +262,4 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParameters, ModelConfig]:
     missing = sorted(set(params.tensors) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {missing}")
-    return params, config
+    return Checkpoint(params, config, case, scheme)

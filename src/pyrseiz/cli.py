@@ -124,7 +124,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     stem = _artifact_stem("train", args, case.name)
     ckpt = out / f"{stem}.ckpt"
     hist = out / f"{stem}_history.csv"
-    save_checkpoint(params, config, ckpt)
+    save_checkpoint(params, config, ckpt, case=case.name, scheme=scheme.id)
     write_history_csv(history, hist)
     print(f"trained on {len(training_set)} windows; checkpoint {ckpt}, history {hist}")
     return 0
@@ -154,7 +154,10 @@ def cmd_cv(args: argparse.Namespace) -> int:
     stem = _artifact_stem("cv", args, case.name)
     report_path = emit_report(report, out / f"{stem}.{args.format}", fmt=args.format)
     for fold in report.folds:
-        save_checkpoint(fold.params, config, out / f"{stem}_fold{fold.fold}.ckpt")
+        save_checkpoint(
+            fold.params, config, out / f"{stem}_fold{fold.fold}.ckpt",
+            case=case.name, scheme=scheme.id,
+        )
     mean_acc = report.mean["acc"]
     mean_acc_v = report.mean["acc_v"]
     print(
@@ -191,13 +194,22 @@ def cmd_battery(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    params, config = load_checkpoint(args.checkpoint)
-    scheme = get_scheme(args.scheme)
+    checkpoint = load_checkpoint(args.checkpoint)
+    params, config = checkpoint
+    scheme = get_scheme(args.scheme or checkpoint.scheme or 1)
+    if checkpoint.scheme not in (None, scheme.id):
+        raise ValueError(
+            f"checkpoint was trained with scheme {checkpoint.scheme}, not --scheme {scheme.id}"
+        )
     case = define_case(args.case) if args.case else None
     if case is not None and case.num_classes != config.num_classes:
         raise ValueError(
             f"checkpoint has {config.num_classes} classes but case "
             f"{case.name} has {case.num_classes}"
+        )
+    if case is not None and checkpoint.case not in (None, case.name):
+        raise ValueError(
+            f"checkpoint was trained on case {checkpoint.case}, not --case {case.name}"
         )
     samples = read_samples(args.input)
     stem = Path(args.input).stem
@@ -307,9 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="classify one record with a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--scheme", type=int, choices=(1, 2), default=1)
+    p.add_argument("--scheme", type=int, choices=(1, 2), default=None,
+                   help="windowing scheme (default: the checkpoint's, else 1)")
     p.add_argument("--case", default=None, metavar="SPEC",
-                   help="optional case spec used to label the vote output")
+                   help="optional case spec used to label the vote output; "
+                        "must match the checkpoint's")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="directory for the per-instance vote log CSV")
     p.set_defaults(func=cmd_predict)

@@ -64,6 +64,24 @@ def read_samples(path: str | Path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"sample file not found: {path}")
+    # One pass over the whole text. Lines are split on "\n" as file iteration
+    # splits them (str.splitlines would also split on \x0c, \x1c, \x85, ...).
+    lines = path.read_text().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    try:
+        values = np.array(list(map(float, lines)), dtype=np.float64)
+    except ValueError:
+        pass  # a blank or bad line: the loop below skips or names it
+    else:
+        if np.isfinite(values).all():
+            return values
+    return _read_samples_by_line(path)
+
+
+def _read_samples_by_line(path: Path) -> np.ndarray:
+    """``read_samples`` one line at a time: skips blank lines and raises with
+    the ``path:line`` of the first bad sample."""
     values: list[float] = []
     with path.open("r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -105,10 +123,7 @@ def save_record(record: EegRecord, path: str | Path) -> None:
     """Write a record in Bonn file format, 17 significant digits per sample."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for value in record.samples:
-            fh.write(format(value, ".17g"))
-            fh.write("\n")
+    path.write_text("\n".join(format(v, ".17g") for v in record.samples.tolist()) + "\n")
 
 
 @dataclass(frozen=True)

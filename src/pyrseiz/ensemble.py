@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .network import ModelConfig, NetworkParameters, forward
 from .windowing import SchemeSpec, TestInstance
 
@@ -130,12 +131,10 @@ def predict_instance(
 
 
 def write_vote_log(records: Iterable[VoteRecord], path: str | Path) -> None:
-    """Emit per-instance vote logs as CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write("record_id,subsignal_index,votes,final,tie_broken\n")
-        for rec in records:
-            record_id, sub = rec.origin if rec.origin is not None else ("", "")
-            votes = " ".join(str(v) for v in rec.votes)
-            fh.write(f"{record_id},{sub},{votes},{rec.final},{str(rec.tie_broken).lower()}\n")
+    """Emit per-instance vote logs as CSV, replacing the file atomically."""
+    rows = ["record_id,subsignal_index,votes,final,tie_broken\n"]
+    for rec in records:
+        record_id, sub = rec.origin if rec.origin is not None else ("", "")
+        votes = " ".join(str(v) for v in rec.votes)
+        rows.append(f"{record_id},{sub},{votes},{rec.final},{str(rec.tie_broken).lower()}\n")
+    write_atomic(path, "".join(rows))

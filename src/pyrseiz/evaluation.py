@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .dataset import EegRecord, ExperimentCase, FoldPlan, define_case, ids_by_set, plan_folds
 from .ensemble import classify
 from .network import ModelConfig, NetworkParameters
@@ -478,8 +479,6 @@ def emit_report(report: MetricsReport, path: str | Path, fmt: str = "csv") -> Pa
     The CSV carries one row per fold plus a mean row; the JSON round-trips
     every numeric field exactly.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         lines = [REPORT_CSV_HEADER]
         for fold in report.folds:
@@ -489,12 +488,10 @@ def emit_report(report: MetricsReport, path: str | Path, fmt: str = "csv") -> Pa
             cells += [_cell(report.mean[key]) for key in METRIC_KEYS]
             cells.append(str(report.ties_total))
             lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
-    return path
+        return write_atomic(path, "\n".join(lines) + "\n")
+    if fmt == "json":
+        return write_atomic(path, json.dumps(report_to_dict(report), indent=2) + "\n")
+    raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
 
 
 BATTERY_CSV_HEADER = "case,scheme,model,mean_acc,mean_acc_v"
@@ -502,8 +499,6 @@ BATTERY_CSV_HEADER = "case,scheme,model,mean_acc,mean_acc_v"
 
 def emit_battery(report: BatteryReport, path: str | Path, fmt: str = "csv") -> Path:
     """Write the battery summary (one row per case)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         lines = [BATTERY_CSV_HEADER]
         for row in report.rows:
@@ -518,8 +513,8 @@ def emit_battery(report: BatteryReport, path: str | Path, fmt: str = "csv") -> P
                     ]
                 )
             )
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
+        return write_atomic(path, "\n".join(lines) + "\n")
+    if fmt == "json":
         payload = {
             "scheme": report.scheme_id,
             "model": report.model,
@@ -535,20 +530,15 @@ def emit_battery(report: BatteryReport, path: str | Path, fmt: str = "csv") -> P
                 for row in report.rows
             ],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
-    return path
+        return write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
 
 
 def emit_battery_comparison(report: BatteryReport, path: str | Path) -> Path:
     """Side-by-side file: case,paper_acc,our_acc (both in percent)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["case,paper_acc,our_acc"]
     for row in report.rows:
         reference = "" if row.reference_acc_v is None else repr(float(row.reference_acc_v))
         ours = repr(round(100.0 * row.mean_acc_v, 4))
         lines.append(f"{row.case},{reference},{ours}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_atomic(path, "\n".join(lines) + "\n")

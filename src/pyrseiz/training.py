@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from . import layers
+from .artifacts import write_atomic
 from .network import (
     ModelConfig,
     NetworkParameters,
@@ -172,10 +173,8 @@ def train(
 
 
 def write_history_csv(history: Sequence[EpochStats], path: str | Path) -> None:
-    """Emit the per-epoch history as ``epoch,loss,train_acc`` CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write("epoch,loss,train_acc\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.loss!r},{row.train_acc!r}\n")
+    """Emit the per-epoch history as ``epoch,loss,train_acc`` CSV, replacing
+    the file atomically."""
+    rows = ["epoch,loss,train_acc\n"]
+    rows += [f"{row.epoch},{row.loss!r},{row.train_acc!r}\n" for row in history]
+    write_atomic(path, "".join(rows))

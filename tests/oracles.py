@@ -131,6 +131,46 @@ def adam_per_tensor_reference(tensors, grads, m, v, t, lr, beta1, beta2, eps):
         tensor -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
 
 
+def read_samples_by_line(path):
+    """Sample-file parser one line at a time: blank lines skipped, the first
+    non-numeric or non-finite sample raises ValueError with its ``path:line``."""
+    values = []
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite sample {text!r}")
+            values.append(value)
+    return np.array(values, dtype=np.float64)
+
+
+def save_checkpoint_v1(params, config, path):
+    """The decimal ``p1dcnn-v1`` checkpoint: config echo, then each tensor as
+    whitespace-separated 17-significant-digit decimals on one line."""
+    lines = ["p1dcnn-v1"]
+    lines.append("config kernel_counts " + " ".join(str(v) for v in config.kernel_counts))
+    lines.append(
+        "config receptive_fields " + " ".join(str(v) for v in config.receptive_fields)
+    )
+    lines.append("config strides " + " ".join(str(v) for v in config.strides))
+    lines.append(f"config fc1_width {config.fc1_width}")
+    lines.append(f"config dropout_rate {format(config.dropout_rate, '.17g')}")
+    lines.append(f"config num_classes {config.num_classes}")
+    lines.append(f"config input_length {config.input_length}")
+    for name, tensor in params.tensors.items():
+        lines.append(f"tensor {name} " + " ".join(str(d) for d in tensor.shape))
+        lines.append(" ".join(format(v, ".17g") for v in tensor.ravel()))
+    lines.append("end")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _unfold_channels_first(x, rf, stride):
     """Per-tap gather of sliding patches: (B, C, L) -> (B, m, C, Rf)."""
     batch, channels, length = x.shape

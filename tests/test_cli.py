@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from oracles import save_checkpoint_v1
+from pyrseiz import load_checkpoint, save_checkpoint
 from pyrseiz.cli import main
 
 EXPECTED_TABLE3 = {21366, 21387, 41106, 41147, 8326, 8347, 14946, 14987}
@@ -142,8 +145,8 @@ class TestCv:
 
 
 class TestPredict:
-    @pytest.fixture
-    def trained(self, tmp_path):
+    @staticmethod
+    def _train(tmp_path, scheme):
         root = _synth(tmp_path, seed=8)
         out = tmp_path / "runs"
         main(
@@ -151,24 +154,73 @@ class TestPredict:
                 "train",
                 "--data-root", str(root),
                 "--case", "A-B",
+                "--scheme", str(scheme),
                 "--epochs", "1",
                 "--seed", "8",
                 "--out", str(out),
             ]
         )
-        ckpt = out / "train_A-B_scheme1_M5_seed8.ckpt"
+        ckpt = out / f"train_A-B_scheme{scheme}_M5_seed8.ckpt"
         sample = next((root / "A").glob("*.txt"))
         return ckpt, sample
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        return self._train(tmp_path, scheme=1)
+
+    @staticmethod
+    def _votes_per_instance(out):
+        lines = [line for line in out.splitlines() if line.startswith("instance ")]
+        return [len(line.split("[")[1].split("]")[0].split(",")) for line in lines]
+
+    def test_scheme_defaults_to_the_checkpoint_scheme(self, tmp_path, capsys):
+        ckpt, sample = self._train(tmp_path, scheme=2)
+        assert main(["predict", "--checkpoint", str(ckpt), "--input", str(sample)]) == 0
+        assert set(self._votes_per_instance(capsys.readouterr().out)) == {5}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scheme", "2"], "checkpoint was trained with scheme 1, not --scheme 2"),
+            (["--case", "A-E"], "checkpoint was trained on case A-B, not --case A-E"),
+        ],
+    )
+    def test_contradicting_the_checkpoint_rejected(self, trained, capsys, flags, message):
+        ckpt, sample = trained
+        rc = main(["predict", "--checkpoint", str(ckpt), "--input", str(sample), *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "instance" not in captured.out
+        assert captured.err == f"error: {message}\n"
+
+    def test_v1_checkpoint_carries_no_case_or_scheme(self, trained, capsys, tmp_path):
+        ckpt, sample = trained
+        params, config = load_checkpoint(ckpt)
+        v1 = tmp_path / "v1.ckpt"
+        save_checkpoint_v1(params, config, v1)
+        flags = ["--scheme", "2", "--case", "A-E"]
+        assert main(["predict", "--checkpoint", str(v1), "--input", str(sample), *flags]) == 0
+        assert set(self._votes_per_instance(capsys.readouterr().out)) == {5}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_checkpoint_rejected(self, trained, capsys, tmp_path, bad):
+        ckpt, sample = trained
+        params, config = load_checkpoint(ckpt)
+        params.tensors["fc2.weight"].flat[0] = bad
+        broken = tmp_path / "broken.ckpt"
+        save_checkpoint(params, config, broken, case="A-B", scheme=1)
+        rc = main(["predict", "--checkpoint", str(broken), "--input", str(sample)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "instance" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert "tensor fc2.weight has a non-finite" in captured.err
 
     def test_prints_four_instance_decisions_with_three_votes(self, trained, capsys):
         ckpt, sample = trained
         assert main(["predict", "--checkpoint", str(ckpt), "--input", str(sample)]) == 0
-        out = capsys.readouterr().out
-        lines = [line for line in out.splitlines() if line.startswith("instance ")]
-        assert len(lines) == 4
-        for line in lines:
-            votes = line.split("[")[1].split("]")[0].split(",")
-            assert len(votes) == 3  # scheme 1 fuses three expert windows
+        # scheme 1 fuses three expert windows per instance
+        assert self._votes_per_instance(capsys.readouterr().out) == [3, 3, 3, 3]
 
     def test_case_labels_and_vote_log(self, trained, capsys, tmp_path):
         ckpt, sample = trained

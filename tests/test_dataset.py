@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import read_samples_by_line
 from pyrseiz import (
     BONN_ALIASES,
     SET_LETTERS,
@@ -15,6 +16,7 @@ from pyrseiz import (
     load_manifest,
     load_record,
     plan_folds,
+    read_samples,
     save_record,
     synthesize_dataset,
     write_bonn_dataset,
@@ -83,8 +85,54 @@ class TestLoadRecord:
         path = tmp_path_factory.mktemp("rt") / "B007.txt"
         record = EegRecord("B", 7, np.array(values))
         save_record(record, path)
+        # the bytes of a per-sample write of each float64 sample
+        assert path.read_text() == "".join(format(v, ".17g") + "\n" for v in record.samples)
         loaded = load_record(path, "B", 7, expected_length=len(values))
         assert np.array_equal(loaded.samples, record.samples)
+
+
+# Lines that file iteration keeps whole but str.splitlines would split
+# (\x0c, \x1c, \x85, \u2028), blanks, and tokens float() reads differently
+# from a plain decimal.
+_SAMPLE_LINES = st.one_of(
+    st.sampled_from(
+        ["", " ", "\t", "1", "-2.5", " 3 ", "1 2", "\x0c", "1\x0c", "\x1c", "\x85",
+         "1\x85", "\u2028", "2\u2029", "1_0", "_1", "nan", "-inf", "1e999", "-0",
+         "1e-320", "+.5", "0x1", "abc"]
+    ),
+    st.floats(width=64).map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_SAMPLE_TEXTS = st.lists(
+    st.tuples(_SAMPLE_LINES, st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=12
+).map(lambda rows: "".join(line + end for line, end in rows))
+
+
+class TestReadSamples:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_SAMPLE_TEXTS)
+    @example(text="1\n\n2\n")
+    @example(text="1 2\n")
+    @example(text="1\x0c2\n")
+    @example(text="1\x852\n")
+    @example(text="1\u20282\n")
+    @example(text="1_0\n")
+    @example(text="1\nnan\n")
+    @example(text="")
+    def test_matches_line_by_line_oracle(self, text, tmp_path_factory):
+        """The same array, bitwise, or the same ValueError as the per-line parser."""
+        path = tmp_path_factory.mktemp("samples") / "X001.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = read_samples_by_line(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_samples(path)
+            assert str(info.value) == str(exc)
+            return
+        got = read_samples(path)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestEegRecord:

@@ -1,9 +1,12 @@
+import base64
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import adam_per_tensor_reference, adam_scalar_reference
+from oracles import adam_per_tensor_reference, adam_scalar_reference, save_checkpoint_v1
 from pyrseiz import (
     CheckpointError,
     ModelConfig,
@@ -311,7 +314,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "m5.ckpt"
         save_checkpoint(params, cfg, path)
         text = path.read_text()
-        assert text.splitlines()[0] == "p1dcnn-v1"
+        assert text.splitlines()[0] == "p1dcnn-v2"
         assert "config kernel_counts 24 16 8" in text
 
     def test_truncated_file_rejected(self, tiny_config, tmp_path):
@@ -325,7 +328,7 @@ class TestCheckpointRoundTrip:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        path.write_text("p1dcnn-v2\nend\n")
+        path.write_text("p1dcnn-v9\nend\n")
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
@@ -355,6 +358,180 @@ class TestCheckpointRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "none.ckpt")
+
+    def test_tensor_lines_are_base64_of_little_endian_float64(self, tiny_config, tmp_path):
+        params = init_parameters(tiny_config, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, tiny_config, path)
+        lines = path.read_text().splitlines()
+        for name, tensor in params.tensors.items():
+            at = lines.index(f"tensor {name} " + " ".join(map(str, tensor.shape)))
+            assert base64.b64decode(lines[at + 1]) == tensor.astype("<f8").tobytes()
+
+    def test_v1_file_loads_bitwise_equal_to_v2(self, tiny_config, tmp_path):
+        params = init_parameters(tiny_config, seed=8)
+        rng = np.random.default_rng(1)
+        params.flat[:] = rng.standard_normal(params.flat.size) * 10.0 ** rng.integers(
+            -300, 300, params.flat.size
+        )
+        save_checkpoint_v1(params, tiny_config, tmp_path / "v1.ckpt")
+        save_checkpoint(params, tiny_config, tmp_path / "v2.ckpt", case="A-B", scheme=2)
+        v1 = load_checkpoint(tmp_path / "v1.ckpt")
+        v2 = load_checkpoint(tmp_path / "v2.ckpt")
+        assert v1.config == v2.config == tiny_config
+        assert v1.params.flat.tobytes() == v2.params.flat.tobytes() == params.flat.tobytes()
+        assert (v1.case, v1.scheme) == (None, None)
+        assert (v2.case, v2.scheme) == ("A-B", 2)
+
+    def test_training_header_written_in_canonical_form(self, tmp_path):
+        cfg = model_config("M5", 3)
+        path = tmp_path / "m5.ckpt"
+        save_checkpoint(init_parameters(cfg, seed=0), cfg, path, case="ab-c-d", scheme=1)
+        assert "\ncase AB-C-D\nscheme 1\ntensor conv1.weight" in path.read_text()
+        assert (load_checkpoint(path).case, load_checkpoint(path).scheme) == ("AB-C-D", 1)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["case A-B-C", "case a-b", "case A-Q", "scheme 3", "scheme x", "scheme 1 2",
+         "scheme 1\nscheme 1"],
+    )
+    def test_bad_training_header_rejected(self, tiny_config, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_parameters(tiny_config, seed=0), tiny_config, path)
+        text = path.read_text().replace("\ntensor conv1.weight", f"\n{header}\ntensor conv1.weight")
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path)
+
+    def test_v1_file_has_no_training_header(self, tiny_config, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint_v1(init_parameters(tiny_config, seed=0), tiny_config, path)
+        path.write_text(path.read_text().replace("\ntensor conv1.weight", "\nscheme 1\ntensor conv1.weight"))
+        with pytest.raises(CheckpointError, match="expected a tensor header"):
+            load_checkpoint(path)
+
+    def test_config_larger_than_the_file_rejected_before_allocating(self, tiny_config, tmp_path):
+        """A corrupt input length implying trillions of values fails as a
+        truncated file instead of asking numpy for terabytes."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_parameters(tiny_config, seed=0), tiny_config, path)
+        text = path.read_text().replace("config input_length 64", "config input_length 6400000000000")
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="too short"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("writer", [save_checkpoint, save_checkpoint_v1], ids=["v2", "v1"])
+    def test_non_finite_value_rejected(self, tiny_config, tmp_path, writer, bad):
+        params = init_parameters(tiny_config, seed=0)
+        params.tensors["fc2.weight"].flat[3] = bad
+        path = tmp_path / "model.ckpt"
+        writer(params, tiny_config, path)
+        with pytest.raises(CheckpointError, match="tensor fc2.weight has a non-finite"):
+            load_checkpoint(path)
+
+    def _replace_block(self, tiny_config, tmp_path, name, data):
+        params = init_parameters(tiny_config, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, tiny_config, path)
+        lines = path.read_text().splitlines()
+        at = lines.index(f"tensor {name} " + " ".join(map(str, params.tensors[name].shape)))
+        lines[at + 1] = data(params.tensors[name])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[:20] + "*" + text[20:],  # decodes to 40 bytes if skipped
+            lambda text: text[:-1],
+            lambda text: text[:-4] + "é" + text[-3:],
+        ],
+        ids=["foreign-character", "bad-padding", "non-ascii"],
+    )
+    def test_invalid_base64_rejected(self, tiny_config, tmp_path, damage):
+        def data(tensor):
+            return damage(base64.b64encode(tensor.astype("<f8").tobytes()).decode("ascii"))
+
+        path = self._replace_block(tiny_config, tmp_path, "fc1.bias", data)
+        with pytest.raises(CheckpointError, match="invalid base64 in tensor fc1.bias"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [-8, -1, 8])
+    def test_wrong_byte_count_rejected(self, tiny_config, tmp_path, extra):
+        def data(tensor):
+            raw = tensor.astype("<f8").tobytes()
+            raw = raw[:extra] if extra < 0 else raw + bytes(extra)
+            return base64.b64encode(raw).decode("ascii")
+
+        path = self._replace_block(tiny_config, tmp_path, "fc1.bias", data)
+        with pytest.raises(CheckpointError, match=r"tensor fc1.bias has \d+ bytes, expected 40"):
+            load_checkpoint(path)
+
+
+_FUZZ_CONFIG = ModelConfig(
+    kernel_counts=(4, 3, 2), fc1_width=5, dropout_rate=0.0, num_classes=2, input_length=64
+)
+
+
+def _saved_bytes(writer, tmp_path_factory):
+    params = init_parameters(_FUZZ_CONFIG, seed=4)
+    path = tmp_path_factory.mktemp("fuzz_base") / "model.ckpt"
+    kwargs = {"case": "A-E", "scheme": 2} if writer is save_checkpoint else {}
+    writer(params, _FUZZ_CONFIG, path, **kwargs)
+    return path.read_bytes()
+
+
+def _edit(data: bytes, kind: str, at: int, chunk: bytes) -> bytes:
+    if kind == "truncate":
+        return data[: at % (len(data) + 1)]
+    if kind in ("drop_line", "repeat_line", "replace_line"):
+        lines = data.split(b"\n")
+        i = at % len(lines)
+        new = {"drop_line": [], "repeat_line": [lines[i]] * 2, "replace_line": [chunk]}[kind]
+        return b"\n".join(lines[:i] + new + lines[i + 1 :])
+    at %= len(data) + 1
+    if kind == "insert":
+        return data[:at] + chunk + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + len(chunk) :]
+    return data[:at] + chunk + data[at + len(chunk) :]  # overwrite
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    version=st.sampled_from(["v1", "v2"]),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["truncate", "drop_line", "repeat_line", "replace_line", "insert", "delete",
+                 "overwrite"]
+            ),
+            st.integers(0, 1 << 20),
+            st.one_of(
+                st.binary(min_size=1, max_size=8),
+                st.sampled_from([b"9", b"0", b"-", b" ", b"\n", b"=", b"nan", b"end", b"A"]),
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_random_edits_load_or_raise_checkpoint_error(version, edits, tmp_path_factory):
+    """Whatever the damage, a checkpoint either loads whole and finite or
+    raises CheckpointError; nothing else escapes and nothing loads partly."""
+    writer = save_checkpoint if version == "v2" else save_checkpoint_v1
+    data = _saved_bytes(writer, tmp_path_factory)
+    for kind, at, chunk in edits:
+        data = _edit(data, kind, at, chunk)
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    path.write_bytes(data)
+    try:
+        params, config = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert params.config == config
+    assert np.isfinite(params.flat).all()
 
 
 def test_history_csv_schema(tmp_path, tiny_config, toy_windows):
