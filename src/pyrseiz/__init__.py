@@ -18,7 +18,6 @@ from .dataset import (
     ids_by_set,
     load_bonn_root,
     load_bonn_set,
-    load_manifest,
     load_record,
     plan_folds,
     read_samples,
@@ -34,7 +33,6 @@ from .evaluation import (
     MetricsReport,
     MetricsValues,
     compute_metrics,
-    confusion_from_pairs,
     emit_battery,
     emit_battery_comparison,
     emit_report,

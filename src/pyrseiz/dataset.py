@@ -347,47 +347,6 @@ def load_bonn_root(
     return records
 
 
-def load_manifest(
-    path: str | Path, expected_length: int = BONN_RECORD_LENGTH
-) -> list[EegRecord]:
-    """Load records listed in a manifest of ``set_letter,path`` lines.
-
-    Relative paths resolve against the manifest's directory; lines that are
-    empty or start with '#' are skipped.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"manifest not found: {path}")
-    base = path.parent
-    counters = {letter: 0 for letter in SET_LETTERS}
-    records: list[EegRecord] = []
-    with path.open("r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            letter, sep, rel = text.partition(",")
-            letter = letter.strip().upper()
-            rel = rel.strip()
-            if not sep or letter not in SET_LETTERS or not rel:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'set_letter,path', got {text!r}"
-                )
-            counters[letter] += 1
-            record_path = Path(rel)
-            if not record_path.is_absolute():
-                record_path = base / record_path
-            records.append(
-                load_record(
-                    record_path,
-                    letter,
-                    _record_index(record_path.stem, counters[letter]),
-                    expected_length,
-                )
-            )
-    return records
-
-
 def write_bonn_dataset(records: Iterable[EegRecord], root: str | Path) -> list[Path]:
     """Write records as ``<root>/<letter>/<letter><index>.txt`` Bonn files."""
     root = Path(root)

@@ -76,16 +76,6 @@ class MetricsValues:
     undefined: tuple[str, ...] = ()
 
 
-def confusion_from_pairs(
-    true_labels: Sequence[int], predicted: Sequence[int], num_classes: int
-) -> np.ndarray:
-    """Counts matrix with rows = true class, columns = predicted class."""
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(true_labels, predicted, strict=True):
-        cm[t, p] += 1
-    return cm
-
-
 def _safe_ratio(num: float, den: float) -> float | None:
     return num / den if den > 0 else None
 
@@ -291,6 +281,11 @@ def _run_fold(args: tuple) -> FoldResult:
     )
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_cv(
     records: Iterable[EegRecord],
     case: ExperimentCase,
@@ -307,9 +302,11 @@ def run_cv(
     Window accuracy (acc) counts every individual test window; voted accuracy
     (acc_v) and the confusion matrix count 1024-sample test instances, four
     per record. Fold f tests on fold_plan's group f of every set; the other
-    groups train. Fold training seeds are training_config.seed + fold.
+    groups train. Fold training seeds are training_config.seed + fold. Folds
+    run in ``jobs`` processes (serially at 1).
     """
     start = time.perf_counter()
+    _check_jobs(jobs)
     if model_config.num_classes != case.num_classes:
         raise ValueError(
             f"model has {model_config.num_classes} classes, case {case.name} "
@@ -400,6 +397,7 @@ def run_battery(
     The model template's class count is re-derived per case; everything else
     (kernels, widths, dropout) is shared. Deterministic for fixed seeds.
     """
+    _check_jobs(jobs)
     plan = plan_folds(ids_by_set(records), k=k, seed=training_config.seed)
     rows: list[BatteryRow] = []
     reports: list[MetricsReport] = []

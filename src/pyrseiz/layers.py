@@ -74,7 +74,7 @@ def im2col(
 def conv1d_forward(
     x: np.ndarray,
     weights: np.ndarray,
-    bias: np.ndarray,
+    bias: np.ndarray | None,
     stride: int,
     cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
@@ -83,16 +83,17 @@ def conv1d_forward(
 
     x: (B, L, C), weights: (K, C, Rf), bias: (K,) -> (B, m, K) where
     out[b, j, k] = bias[k] + sum_{c,e} weights[k, c, e] * x[b, j*stride + e, c].
-    The patches are unfolded into ``cols`` (B, m, Rf*C), which a training
-    pass keeps for conv1d_backward, and the (B*m, K) GEMM result is written
-    into ``out``; fresh arrays are used for whichever is not given.
+    A None bias adds nothing: batch norm in training cancels it. The patches
+    are unfolded into ``cols`` (B, m, Rf*C), which a training pass keeps for
+    conv1d_backward, and the (B*m, K) GEMM result is written into ``out``;
+    fresh arrays are used for whichever is not given.
     """
     k, c, rf = weights.shape
     if x.ndim != 3 or x.shape[2] != c:
         raise ValueError(
             f"input shape {x.shape} does not match kernel channels {c}"
         )
-    if bias.shape != (k,):
+    if bias is not None and bias.shape != (k,):
         raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
     cols = im2col(x, rf, stride, out=cols)
     batch, m = cols.shape[0], cols.shape[1]
@@ -102,8 +103,31 @@ def conv1d_forward(
         cols.reshape(batch * m, rf * c), _kernel_matrix(weights).T,
         out=_view(out, (batch * m, k)),
     )
-    out += bias
+    if bias is not None:
+        out += bias
     return out
+
+
+def input_gradient_blocks(length: int, receptive_field: int, stride: int) -> tuple[int, int]:
+    """(rows, taps) of conv1d_backward's input gradient for an input of ``length``.
+
+    The gradient is computed as ``rows`` = ceil(length / stride) rows of
+    stride*C values, each a sum over ``taps`` = ceil(Rf / stride) rows of
+    the zero-padded output gradient. That padded gradient is
+    (B, rows + taps - 1, K) and its patches are (B, rows, taps*K).
+    """
+    return -(-length // stride), -(-receptive_field // stride)
+
+
+def _input_gradient_kernel(weights: np.ndarray, stride: int, taps: int) -> np.ndarray:
+    """(K, C, Rf) kernels re-blocked as the (taps*K, stride*C) matrix of the
+    input-gradient correlation: row (e, k), column (r, c) holds
+    weights[k, c, (taps - 1 - e)*stride + r], zero past Rf."""
+    k, c, rf = weights.shape
+    padded = np.zeros((k, c, taps * stride))
+    padded[:, :, :rf] = weights
+    blocks = padded.reshape(k, c, taps, stride)[:, :, ::-1]
+    return blocks.transpose(2, 0, 3, 1).reshape(taps * k, stride * c)
 
 
 def conv1d_backward(
@@ -112,7 +136,8 @@ def conv1d_backward(
     stride: int,
     grad_out: np.ndarray,
     grad_x: np.ndarray | None = None,
-    grad_cols: np.ndarray | None = None,
+    grad_pad: np.ndarray | None = None,
+    grad_patches: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
@@ -120,8 +145,15 @@ def conv1d_backward(
     grad_out is (B, m, K); returns (grad_x, grad_weights, grad_bias). The
     input gradient is written into ``grad_x``, a (B, L, C) array; without
     one it is skipped and None is returned in its place, as for a first
-    layer whose input is data. ``grad_cols`` (B, m, Rf*C) is the scratch
-    space of that scatter; a fresh array is used when it is not given.
+    layer whose input is data.
+
+    Input position q*stride + r receives grad_out[q - d] through kernel tap
+    d*stride + r, so grad_x, read as rows of stride*C values, is a stride-1
+    correlation of the zero-padded output gradient: one im2col of the padded
+    gradient and one GEMM with the re-blocked kernels, written straight into
+    grad_x (see ``input_gradient_blocks`` for the shapes). ``grad_pad`` and
+    ``grad_patches`` hold the padded gradient and its patches; fresh arrays
+    are used for whichever is not given.
     """
     k, c, rf = weights.shape
     batch, m, width = cols.shape
@@ -147,20 +179,21 @@ def conv1d_backward(
         or conv_output_length(grad_x.shape[1], rf, stride) != m
     ):
         raise ValueError(f"grad_x shape {grad_x.shape} does not match the columns")
-    if grad_cols is None:
-        grad_cols = np.empty_like(cols)
-    np.matmul(g, _kernel_matrix(weights), out=_view(grad_cols, (batch * m, width)))
-    # col2im: window j's Rf*C block adds onto the contiguous run of grad_x
-    # starting at position j*stride; windows ceil(Rf/stride) apart do not
-    # overlap, so each such group is one add over whole blocks
-    grad_x.fill(0.0)
-    flat = _view(grad_x, (batch, grad_x.shape[1] * c))
-    runs = as_strided(
-        flat, (batch, m, width), (flat.strides[0], stride * c * flat.itemsize, flat.itemsize)
-    )
-    group = -(-rf // stride)
-    for first in range(group):
-        runs[:, first::group] += grad_cols[:, first::group]
+    length = grad_x.shape[1]
+    rows, taps = input_gradient_blocks(length, rf, stride)
+    if grad_pad is None:
+        grad_pad = np.empty((batch, rows + taps - 1, k))
+    if grad_pad.shape != (batch, rows + taps - 1, k):
+        raise ValueError(f"grad_pad shape {grad_pad.shape} does not match the columns")
+    grad_pad[:, : taps - 1] = 0.0
+    grad_pad[:, taps - 1 : taps - 1 + m] = grad_out
+    grad_pad[:, taps - 1 + m :] = 0.0
+    patches = im2col(grad_pad, taps, 1, out=grad_patches).reshape(batch * rows, taps * k)
+    kernel = _input_gradient_kernel(weights, stride, taps)
+    if rows * stride == length:
+        np.matmul(patches, kernel, out=_view(grad_x, (batch * rows, stride * c)))
+    else:  # the last row runs past the input's end: keep what lies inside
+        grad_x[...] = (patches @ kernel).reshape(batch, rows * stride, c)[:, :length]
     return grad_x, grad_weights, grad_bias
 
 
@@ -225,12 +258,14 @@ def batchnorm_backward(
     grad_out: np.ndarray,
     relu: bool = False,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backprop through the standardization, including the stats' dependence on x.
 
     With ``relu`` the gradient arrives at relu(y) instead of y, and the ReLU
     mask (y > 0) is applied here: the fused BN+ReLU backward. ``out`` may be
-    ``grad_out`` itself.
+    ``grad_out`` itself; ``scratch``, shaped like it, takes the x_hat term
+    (a fresh array without it).
     """
     channels = cache.x_hat.shape[-1]
     x_hat = cache.x_hat.reshape(-1, channels)
@@ -246,9 +281,114 @@ def batchnorm_backward(
     mean_g = _channel_sums(res) / n
     mean_gx = np.einsum("ij,ij->j", res, x_hat) / n
     res -= mean_g
-    res -= x_hat * mean_gx
+    res -= np.multiply(
+        x_hat, mean_gx, out=None if scratch is None else _view(scratch, res.shape)
+    )
     res *= cache.inv_std
     return out
+
+
+@dataclass
+class ConvBatchNormCache(BatchNormCache):
+    """conv_batchnorm_train's intermediates: the batch-norm cache plus the
+    statistics of the patches, whose centred copy the caller keeps."""
+
+    patch_mean: np.ndarray  # (Rf*C,) column mean of the patches
+    scatter: np.ndarray  # (Rf*C, Rf*C) centred patches' Gram matrix, n times their covariance
+
+
+def conv_batchnorm_train(
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    stride: int,
+    eps: float = BN_EPS,
+    cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, ConvBatchNormCache, np.ndarray, np.ndarray]:
+    """batchnorm_train(conv1d_forward(x, ...)) from the statistics of the patches.
+
+    For a layer whose patches are narrow (the first, Rf*C_in wide), the n
+    patch rows P are centred in place in ``cols`` (P_c = P - mu) and reduced
+    to their Gram matrix S = P_c^T P_c. The convolution's batch mean is then
+    W mu + b, its variance w_k^T S w_k / n, and x_hat = P_c (W / sigma)^T is
+    one GEMM into ``out``: no pass over the (n, K) output for the bias or the
+    statistics. Returns (x_hat, cache, batch_mean, batch_var) as
+    batchnorm_train does; ``cols`` is left holding the centred patches.
+    """
+    k, c, rf = weights.shape
+    if x.ndim != 3 or x.shape[2] != c:
+        raise ValueError(f"input shape {x.shape} does not match kernel channels {c}")
+    if bias.shape != (k,):
+        raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
+    cols = im2col(x, rf, stride, out=cols)
+    batch, m, width = cols.shape
+    count = batch * m
+    centered = _view(cols, (count, width))
+    patch_mean = _channel_sums(centered) / count
+    centered -= patch_mean
+    scatter = centered.T @ centered
+    w = _kernel_matrix(weights)
+    mean = w @ patch_mean + bias
+    # S is positive semi-definite; round-off must not make a variance negative
+    var = np.maximum(np.einsum("kj,kj->k", w @ scatter, w) / count, 0.0)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    if out is None:
+        out = np.empty((batch, m, k))
+    np.matmul(centered, (w * inv_std[:, None]).T, out=_view(out, (count, k)))
+    cache = ConvBatchNormCache(
+        x_hat=out, inv_std=inv_std, count=count, patch_mean=patch_mean, scatter=scatter
+    )
+    return out, cache, mean, var
+
+
+def conv_batchnorm_backward(
+    cache: ConvBatchNormCache,
+    cols: np.ndarray,
+    weights: np.ndarray,
+    grad_out: np.ndarray,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_weights, grad_bias) through relu(conv_batchnorm_train(...)).
+
+    ``cols`` are the centred patches conv_batchnorm_train left behind and
+    grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask is
+    applied into ``out`` (which may be grad_out; fresh without it). With g
+    the masked gradient, s1 and s2 the per-channel sums of g and g*x_hat,
+    the gradient dz at the convolution output is
+    (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W / sigma)^T, s2 is
+    the row-wise dot of g^T P_c with W / sigma, x_hat^T P_c = (W / sigma) S
+    and so dz^T P_c = (g^T P_c - (s1/n) (1^T P_c) - (s2/n) (W / sigma) S)
+    / sigma: past the mask, the only pass over the (n, K) gradient is the
+    GEMM g^T P_c. grad_bias = 1^T dz and grad_weights = dz^T P_c +
+    grad_bias mu^T. 1^T P_c is zero up to round-off; it is kept as computed.
+    """
+    k, c, rf = weights.shape
+    count = cache.count
+    x_hat = cache.x_hat.reshape(count, k)
+    if grad_out.shape != cache.x_hat.shape:
+        raise ValueError(
+            f"grad_out shape {grad_out.shape} does not match the layer output "
+            f"{cache.x_hat.shape}"
+        )
+    centered = cols.reshape(count, rf * c)
+    if out is None:
+        out = np.empty_like(grad_out)
+    g = _view(out, (count, k))
+    np.multiply(grad_out.reshape(count, k), x_hat > 0.0, out=g)
+    sum_g = _channel_sums(g)
+    mean_g = sum_g / count
+    scaled = _kernel_matrix(weights) * cache.inv_std[:, None]
+    col_sums = _channel_sums(centered)
+    grad_centered = g.T @ centered
+    mean_gx = np.einsum("kj,kj->k", grad_centered, scaled) / count
+    grad_centered -= np.outer(mean_g, col_sums)
+    grad_centered -= mean_gx[:, None] * (scaled @ cache.scatter)
+    grad_centered *= cache.inv_std[:, None]
+    grad_bias = cache.inv_std * (sum_g - count * mean_g - (scaled @ col_sums) * mean_gx)
+    grad_centered += np.outer(grad_bias, cache.patch_mean)
+    grad_weights = np.ascontiguousarray(grad_centered.reshape(k, rf, c).transpose(0, 2, 1))
+    return grad_weights, grad_bias
 
 
 def update_running_stat(

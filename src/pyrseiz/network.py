@@ -223,17 +223,47 @@ class Workspace:
         """Loss gradient at each conv layer's ReLU output; allocated by the first backward."""
         return [np.empty_like(a) for a in self.act]
 
+    def _input_gradient_shapes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Shapes of conv layer i's padded output gradient and of its patches."""
+        cfg = self.config
+        length = (cfg.input_length,) + cfg.conv_lengths()
+        rows, taps = layers.input_gradient_blocks(
+            length[i], cfg.receptive_fields[i], cfg.strides[i]
+        )
+        k = cfg.kernel_counts[i]
+        return (self.batch, rows + taps - 1, k), (self.batch, rows, taps * k)
+
     @cached_property
-    def grad_cols(self) -> list[np.ndarray | None]:
-        """Scatter space of each conv input gradient; conv1's input is data and has none."""
-        return [None] + [np.empty_like(c) for c in self.cols[1:]]
+    def scratch(self) -> np.ndarray:
+        """Backward-pass scratch of conv2 and conv3, carved by ``bn_scratch``
+        and ``grad_buffers``. Each use ends before the next begins (layer by
+        layer, batch norm before convolution), so they share one vector."""
+        sizes = [self.act[i].size for i in (1, 2)]
+        for i in (1, 2):
+            pad, patches = self._input_gradient_shapes(i)
+            sizes.append(math.prod(pad) + math.prod(patches))
+        return np.empty(max(sizes))
+
+    def bn_scratch(self, i: int) -> np.ndarray:
+        """Where conv layer i's batch-norm backward puts its x_hat term."""
+        return self.scratch[: self.act[i].size].reshape(self.act[i].shape)
+
+    def grad_buffers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Conv layer i's padded output gradient and its patches; conv1's
+        input is data and has no input gradient."""
+        pad, patches = self._input_gradient_shapes(i)
+        split = math.prod(pad)
+        return (
+            self.scratch[:split].reshape(pad),
+            self.scratch[split : split + math.prod(patches)].reshape(patches),
+        )
 
 
 @dataclass
 class ForwardTrace:
     """Intermediates cached by a training-mode forward pass for backprop."""
 
-    conv_cols: list[np.ndarray]  # im2col patches of each conv input
+    conv_cols: list[np.ndarray]  # im2col patches of each conv input; conv1's centred
     bn_caches: list[layers.BatchNormCache]  # x_hat: the batch-norm outputs feeding each ReLU
     fc1_input: np.ndarray  # flattened conv stack output
     fc1_pre: np.ndarray  # FC1 pre-activation
@@ -283,16 +313,22 @@ def forward(
     weights, biases = params.conv_weights, params.conv_biases
     running_mean, running_var = params.bn_running_mean, params.bn_running_var
     for i, (cols, normalized, act) in enumerate(buffers):
-        z = layers.conv1d_forward(
-            h, weights[i], biases[i], config.strides[i], cols=cols, out=normalized
-        )
-        if training:
-            z, cache, mean, var = layers.batchnorm_train(z, out=z)
+        stride = config.strides[i]
+        if not training:
+            z = layers.conv1d_forward(h, weights[i], biases[i], stride, cols=cols, out=normalized)
+            layers.batchnorm_infer(z, running_mean[i], running_var[i], out=z)
+        else:
+            if i == 0:  # data input, Rf-wide patches: statistics from the patches
+                z, cache, mean, var = layers.conv_batchnorm_train(
+                    h, weights[i], biases[i], stride, cols=cols, out=normalized
+                )
+            else:  # batch norm cancels the conv bias; it reaches only the running mean
+                z = layers.conv1d_forward(h, weights[i], None, stride, cols=cols, out=normalized)
+                z, cache, mean, var = layers.batchnorm_train(z, out=z)
+                mean += biases[i]
             running_mean[i][...] = layers.update_running_stat(running_mean[i], mean)
             running_var[i][...] = layers.update_running_stat(running_var[i], var)
             bn_caches.append(cache)
-        else:
-            layers.batchnorm_infer(z, running_mean[i], running_var[i], out=z)
         h = layers.relu(z, out=z if act is None else act)  # inference keeps no x_hat
     # flatten in (kernel, position) order, the order fc1.weight's rows are stored in
     flat = ws.flat if ws is not None else np.empty((batch, config.flatten_width))
@@ -345,12 +381,18 @@ def backward(
     )
     g = ws.grad_act[2]
     np.copyto(g, d.reshape(g.shape[0], g.shape[2], g.shape[1]).transpose(0, 2, 1))
-    for i in (2, 1, 0):
-        g = layers.batchnorm_backward(trace.bn_caches[i], g, relu=True, out=g)
+    for i in (2, 1):
+        g = layers.batchnorm_backward(
+            trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i)
+        )
+        grad_pad, grad_patches = ws.grad_buffers(i)
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
             trace.conv_cols[i], params.conv_weights[i], config.strides[i], g,
-            grad_x=ws.grad_act[i - 1] if i else None, grad_cols=ws.grad_cols[i],
+            grad_x=ws.grad_act[i - 1], grad_pad=grad_pad, grad_patches=grad_patches,
         )
+    grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
+        trace.bn_caches[0], trace.conv_cols[0], params.conv_weights[0], g, out=g
+    )
     return grads
 
 

@@ -258,9 +258,28 @@ def backward_reference(config, params, trace, grad_logits):
         g = d.transpose(0, 2, 1).reshape(batch * m, k)
         grads[f"conv{i + 1}.bias"] = d.sum(axis=(0, 2))
         grads[f"conv{i + 1}.weight"] = (g.T @ cols.reshape(batch * m, c * rf)).reshape(k, c, rf)
-        grad_cols = (g @ w.reshape(k, c * rf)).reshape(batch, m, c, rf)
-        d = np.zeros_like(x)
-        stop = stride * (m - 1) + 1
-        for e in range(rf):
-            d[:, :, e : e + stop : stride] += grad_cols[:, :, :, e].transpose(0, 2, 1)
+        d = conv1d_input_gradient_loops(d, w, stride, x.shape[2])
     return grads
+
+
+def conv1d_input_gradient_loops(grad_out, weights, stride, length):
+    """Input gradient of a valid strided convolution by col2im: each window's
+    column gradient is added, tap by tap, onto the input positions it read.
+    (B, K, m) x (K, C, Rf) -> (B, C, length), channels first."""
+    batch, k, m = grad_out.shape
+    _, c, rf = weights.shape
+    g = grad_out.transpose(0, 2, 1).reshape(batch * m, k)
+    grad_cols = (g @ weights.reshape(k, c * rf)).reshape(batch, m, c, rf)
+    d = np.zeros((batch, c, length))
+    stop = stride * (m - 1) + 1
+    for e in range(rf):
+        d[:, :, e : e + stop : stride] += grad_cols[:, :, :, e].transpose(0, 2, 1)
+    return d
+
+
+def confusion_from_pairs(true_labels, predicted, num_classes):
+    """Counts matrix with rows = true class, columns = predicted class."""
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for t, p in zip(true_labels, predicted, strict=True):
+        cm[t, p] += 1
+    return cm

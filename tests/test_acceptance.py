@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import central_difference, max_relative_error, metrics_from_pairs, vote_oracle
+from oracles import (
+    central_difference,
+    confusion_from_pairs,
+    max_relative_error,
+    metrics_from_pairs,
+    vote_oracle,
+)
 from pyrseiz import (
     SCHEME_1,
     SCHEME_2,
@@ -26,7 +32,6 @@ from pyrseiz import (
     augment_training,
     backward,
     compute_metrics,
-    confusion_from_pairs,
     count_windows,
     define_case,
     forward,

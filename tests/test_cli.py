@@ -143,6 +143,20 @@ class TestCv:
         assert rc == 0
         assert (out / "cv_A-B_scheme1_M5_seed4.json").is_file()
 
+    @pytest.mark.parametrize("command", [["cv", "--case", "A-B"], ["battery"]])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1_with_one_line(self, tmp_path, capsys, command, jobs):
+        root = _synth(tmp_path, classes=5, records=2)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        rc = main([*command, "--data-root", str(root), "--folds", "2", "--epochs", "1",
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestPredict:
     @staticmethod

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,6 @@ from pyrseiz import (
     ids_by_set,
     load_bonn_root,
     load_bonn_set,
-    load_manifest,
     load_record,
     plan_folds,
     read_samples,
@@ -280,6 +282,31 @@ class TestSynthesize:
             BandSpec(4, 2)
 
 
+_SET_NAMES = st.sampled_from(
+    [*SET_LETTERS, *(c.lower() for c in SET_LETTERS), *BONN_ALIASES.values(),
+     *(c.lower() for c in BONN_ALIASES.values())]
+)
+_STRAY_NAMES = st.text("abxyzAEZS0123_.", min_size=1, max_size=6).filter(
+    lambda name: name not in (".", "..")
+)
+_FILE_NAMES = st.one_of(
+    st.sampled_from(["Z001.txt", "Z1.txt", "z001", "notes.txt", ".hidden", ".Z002.txt",
+                     "S000.txt", "A1B2.txt", "12", "0"]),
+    st.text("aZs._-0123456789", min_size=1, max_size=10).filter(
+        lambda name: name not in (".", "..")
+    ),
+)
+_CONTENTS = st.one_of(
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=3).map(
+        lambda values: "".join(f"{v}\n" for v in values)
+    ),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=5).map(
+        lambda values: "".join(f"{v}\n" for v in values)
+    ),
+    st.sampled_from(["1\n2\n3\n", "1\n\n2\n3", "1\nnan\n3\n", "x\ny\nz\n", ""]),
+)
+
+
 class TestBonnLayout:
     def test_write_then_load_by_letter(self, tmp_path):
         profiles = [BandSpec(2, 4), BandSpec(20, 30)]
@@ -303,16 +330,38 @@ class TestBonnLayout:
         with pytest.raises(FileNotFoundError, match="no directory for set"):
             load_bonn_set(tmp_path, "E")
 
-    def test_manifest_loading(self, tmp_path):
-        _write_lines(tmp_path / "one.txt", [1, 2, 3])
-        _write_lines(tmp_path / "two.txt", [4, 5, 6])
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text("# layout\nA,one.txt\nE,two.txt\n")
-        records = load_manifest(manifest, expected_length=3)
-        assert [(r.set_label, r.index) for r in records] == [("A", 1), ("E", 1)]
-
-    def test_manifest_bad_line(self, tmp_path):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text("A;one.txt\n")
-        with pytest.raises(ValueError, match="expected 'set_letter,path'"):
-            load_manifest(manifest)
+    @settings(max_examples=200, deadline=None)
+    @given(letter=st.sampled_from(SET_LETTERS), data=st.data())
+    def test_fuzzed_layout_loads_or_raises_value_or_file_not_found(self, letter, data):
+        """Set-directory names (the letter, its alias, either case, stray
+        names), record file names (no digits, repeated indices, dotfiles),
+        stray subdirectories and record lengths: every layout loads or raises
+        ValueError or FileNotFoundError."""
+        own = [letter, letter.lower(), BONN_ALIASES[letter], BONN_ALIASES[letter].lower()]
+        layout = data.draw(st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(own), st.sampled_from(own), _SET_NAMES, _STRAY_NAMES),
+                st.lists(st.tuples(_FILE_NAMES, _CONTENTS), max_size=5),
+                st.lists(_STRAY_NAMES, max_size=2),  # subdirectories inside it
+            ),
+            min_size=1,
+            max_size=3,
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, files, subdirs in layout:
+                directory = root / name
+                directory.mkdir(exist_ok=True)
+                for sub in subdirs:
+                    if not (directory / sub).exists():
+                        (directory / sub).mkdir()
+                for file, text in files:
+                    if not (directory / file).is_dir():
+                        (directory / file).write_text(text)
+            try:
+                records = load_bonn_set(root, letter, expected_length=3)
+            except (ValueError, FileNotFoundError):
+                return
+        indices = [r.index for r in records]
+        assert records and indices == sorted(set(indices))
+        assert all(r.set_label == letter and len(r) == 3 for r in records)

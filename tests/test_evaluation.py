@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import metrics_from_pairs
+from oracles import confusion_from_pairs, metrics_from_pairs
 from pyrseiz import (
     SCHEME_1,
     BandSpec,
@@ -11,7 +11,6 @@ from pyrseiz import (
     ModelConfig,
     TrainingConfig,
     compute_metrics,
-    confusion_from_pairs,
     define_case,
     emit_battery,
     emit_battery_comparison,
@@ -206,6 +205,12 @@ class TestRunCv:
         assert all(f.params is not None for f in serial.folds)
         assert report_to_dict(serial) == report_to_dict(parallel)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, cv_setup, jobs):
+        records, case, plan, training = cv_setup
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan, jobs=jobs)
+
 
 class TestRunBattery:
     def test_sixteen_rows_and_reference_column(self):
@@ -228,6 +233,14 @@ class TestRunBattery:
         a = run_battery(records, SCHEME_1, TINY_MODEL, training, k=3, cases=cases)
         b = run_battery(records, SCHEME_1, TINY_MODEL, training, k=3, cases=cases)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        profiles = [BandSpec(f, f + 2) for f in (2, 10, 20, 35, 55)]
+        records = synthesize_dataset(3, profiles, seed=5)
+        training = TrainingConfig(epochs=1, batch_size=64, seed=5)
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            run_battery(records, SCHEME_1, TINY_MODEL, training, k=3, jobs=jobs)
 
 
 class TestEmitReport:

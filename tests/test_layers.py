@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, conv1d_loops, max_relative_error
-from pyrseiz import layers
+from oracles import (
+    central_difference,
+    conv1d_input_gradient_loops,
+    conv1d_loops,
+    max_relative_error,
+)
+from pyrseiz import MODEL_NAMES, init_parameters, layers, model_config
 
 
 def _channel_last(a):
@@ -36,6 +41,13 @@ class TestConvForward:
         w = np.zeros((3, 1, 3))
         out = layers.conv1d_forward(x, w, np.array([1.0, -2.0, 0.5]), stride=1)
         assert np.allclose(out[0, 0, :], [1.0, -2.0, 0.5])
+
+    def test_none_bias_adds_nothing(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 9, 2))
+        w = rng.standard_normal((3, 2, 3))
+        out = layers.conv1d_forward(x, w, None, stride=2)
+        assert np.array_equal(out, layers.conv1d_forward(x, w, np.zeros(3), stride=2))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -126,7 +138,8 @@ class TestConvBackward:
             return float((layers.conv1d_forward(x, w, b, 2) * r).sum())
 
         gx, gw, gb = layers.conv1d_backward(
-            cols, w, 2, r, grad_x=np.empty_like(x), grad_cols=np.empty_like(cols)
+            cols, w, 2, r, grad_x=np.empty_like(x),
+            grad_pad=np.full((3, 6, 4), np.nan), grad_patches=np.full((3, 5, 8), np.nan),
         )
         assert not gx[:, -1].any()
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
@@ -157,6 +170,54 @@ class TestConvBackward:
                 np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
                 grad_x=np.zeros((1, 12, 1)),
             )
+
+    def test_padded_gradient_buffer_shape_checked(self):
+        with pytest.raises(ValueError, match="grad_pad shape"):
+            layers.conv1d_backward(
+                np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
+                grad_x=np.zeros((1, 9, 1)), grad_pad=np.zeros((1, 5, 1)),
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 4),
+        kernels=st.integers(1, 4),
+        rf=st.integers(1, 7),
+        stride=st.integers(1, 4),
+        m=st.integers(1, 9),
+        tail=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=2, channels=3, kernels=2, rf=2, stride=3, m=4, tail=1, seed=0)  # Rf < stride
+    @example(batch=2, channels=2, kernels=3, rf=3, stride=3, m=5, tail=0, seed=1)  # Rf == stride
+    @example(batch=3, channels=2, kernels=2, rf=5, stride=2, m=1, tail=1, seed=2)  # m == 1
+    @example(batch=1, channels=1, kernels=1, rf=3, stride=2, m=6, tail=0, seed=3)  # L % stride != 0
+    def test_input_gradient_matches_loop_col2im(
+        self, batch, channels, kernels, rf, stride, m, tail, seed
+    ):
+        """The padded-gradient GEMM against the tap-by-tap col2im, within
+        1e-12 of the largest gradient entry; ``tail`` input samples past the
+        last window get zero gradient. Every buffer starts as nan."""
+        tail = min(tail, stride - 1)
+        length = (m - 1) * stride + rf + tail
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, length, channels))
+        w = rng.standard_normal((kernels, channels, rf))
+        g = rng.standard_normal((batch, m, kernels))
+        rows, taps = layers.input_gradient_blocks(length, rf, stride)
+        grad_x = np.full_like(x, np.nan)
+        result, _, _ = layers.conv1d_backward(
+            layers.im2col(x, rf, stride), w, stride, g, grad_x=grad_x,
+            grad_pad=np.full((batch, rows + taps - 1, kernels), np.nan),
+            grad_patches=np.full((batch, rows, taps * kernels), np.nan),
+        )
+        expected = _channel_last(
+            conv1d_input_gradient_loops(g.transpose(0, 2, 1), w, stride, length)
+        )
+        assert result is grad_x
+        assert np.max(np.abs(grad_x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert not grad_x[:, (m - 1) * stride + rf :].any()
 
 
 class TestBatchNorm:
@@ -243,6 +304,122 @@ class TestBatchNorm:
         running = np.array([1.0])
         updated = layers.update_running_stat(running, np.array([2.0]))
         assert np.allclose(updated, 0.9 * 1.0 + 0.1 * 2.0)
+
+
+def _unfused_first_layer(x, w, b, stride, grad_out):
+    """conv1d_forward -> batchnorm_train -> relu, then batchnorm_backward(relu=True)
+    -> conv1d_backward: what conv_batchnorm_train/_backward fold together."""
+    cols = layers.im2col(x, w.shape[2], stride)
+    z = layers.conv1d_forward(x, w, b, stride)
+    x_hat, cache, mean, var = layers.batchnorm_train(z)
+    dz = layers.batchnorm_backward(cache, grad_out, relu=True)
+    _, gw, gb = layers.conv1d_backward(cols, w, stride, dz)
+    return x_hat, mean, var, gw, gb
+
+
+class TestConvBatchNorm:
+    """The first layer's conv + batch norm from the patch statistics.
+
+    Tolerances, set before measuring: on centred data x_hat, mean, var and the
+    weight gradient agree with the unfused path within 1e-12 (absolute for
+    x_hat, relative to the largest entry otherwise), and the conv-bias
+    gradient, round-off under batch norm, within 1e-12 absolute. A 1e3 DC
+    offset costs the unfused path ~1e-13 * 1e3 in its mean subtraction, so
+    there everything agrees within 1e-9, except that the weight gradient
+    carries grad_bias * mu^T: that bias round-off (~1e-10 on both paths)
+    times the 1e3 patch mean reached 1.7e-9 of the largest entry when first
+    measured, so the weight gradient is compared with that term taken out
+    and the bias gradient on its own. A constant batch has zero variance:
+    x_hat and both gradients are round-off scaled by 1/sqrt(eps) ~ 316 on both
+    paths and agree within 1e-9 absolute.
+    """
+
+    @staticmethod
+    def _fused(x, w, b, stride, grad_out):
+        cols = np.empty((x.shape[0], (x.shape[1] - w.shape[2]) // stride + 1, w.shape[2]))
+        x_hat, cache, mean, var = layers.conv_batchnorm_train(x, w, b, stride, cols=cols)
+        assert x_hat is cache.x_hat
+        centred = layers.im2col(x, w.shape[2], stride) - cache.patch_mean
+        assert np.max(np.abs(cols - centred)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+        g = grad_out.copy()
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, g, out=g)
+        assert np.array_equal(g, grad_out * (x_hat > 0.0))
+        return x_hat, mean, var, gw, gb, cache.patch_mean
+
+    @staticmethod
+    def _layer(name, batch, seed):
+        cfg = model_config(name, 2)
+        rng = np.random.default_rng(seed)
+        params = init_parameters(cfg, seed=seed)
+        w = params.conv_weights[0]
+        b = rng.normal(0.0, 0.5, size=w.shape[0])
+        x = rng.standard_normal((batch, cfg.input_length, 1))
+        m = cfg.conv_lengths()[0]
+        grad_out = rng.standard_normal((batch, m, w.shape[0]))
+        return x, w, b, cfg.strides[0], grad_out
+
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_unfused_composition(self, name, batch):
+        x, w, b, stride, grad_out = self._layer(name, batch, seed=batch)
+        x_hat, mean, var, gw, gb, mu = self._fused(x, w, b, stride, grad_out)
+        ref_x_hat, ref_mean, ref_var, ref_gw, ref_gb = _unfused_first_layer(
+            x, w, b, stride, grad_out
+        )
+        assert np.max(np.abs(x_hat - ref_x_hat)) <= 1e-12
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(var - ref_var)) <= 1e-12 * np.max(ref_var)
+        assert np.max(np.abs(gw - ref_gw)) <= 1e-12 * np.max(np.abs(ref_gw))
+        assert np.max(np.abs(gb - ref_gb)) <= 1e-12
+
+    def test_dc_offset(self):
+        x, w, b, stride, grad_out = self._layer("M5", 32, seed=3)
+        x += 1e3
+        x_hat, mean, var, gw, gb, mu = self._fused(x, w, b, stride, grad_out)
+        ref_x_hat, ref_mean, ref_var, ref_gw, ref_gb = _unfused_first_layer(
+            x, w, b, stride, grad_out
+        )
+        assert np.max(np.abs(x_hat - ref_x_hat)) <= 1e-9
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-9 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(var - ref_var)) <= 1e-9 * np.max(ref_var)
+        centred = gw[:, 0] - np.outer(gb, mu)  # C_in = 1: (K, Rf)
+        ref_centred = ref_gw[:, 0] - np.outer(ref_gb, mu)
+        assert np.max(np.abs(centred - ref_centred)) <= 1e-9 * np.max(np.abs(ref_centred))
+        assert np.max(np.abs(gb - ref_gb)) <= 1e-9 * np.max(np.abs(ref_gw))
+
+    def test_constant_batch_has_zero_variance(self):
+        x, w, b, stride, grad_out = self._layer("M1", 7, seed=4)
+        x[...] = 0.3
+        x_hat, mean, var, gw, gb, mu = self._fused(x, w, b, stride, grad_out)
+        ref_x_hat, ref_mean, ref_var, ref_gw, ref_gb = _unfused_first_layer(
+            x, w, b, stride, grad_out
+        )
+        assert np.max(np.abs(var)) <= 1e-20 and np.max(np.abs(ref_var)) <= 1e-20
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(x_hat - ref_x_hat)) <= 1e-9
+        assert np.max(np.abs(gw - ref_gw)) <= 1e-9
+        assert np.max(np.abs(gb - ref_gb)) <= 1e-9
+
+    def test_backward_finite_difference(self):
+        """relu(conv_batchnorm_train(x)) on batch 3, length 20, 2 channels,
+        Rf 4, stride 2, against central differences in the weights and bias."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 20, 2))
+        w = rng.standard_normal((3, 2, 4))
+        b = rng.standard_normal(3)
+        r = rng.standard_normal((3, 9, 3))
+
+        def loss():
+            y, _, _, _ = layers.conv_batchnorm_train(x, w, b, 2)
+            return float((layers.relu(y) * r).sum())
+
+        cols = np.empty((3, 9, 8))
+        y, cache, _, _ = layers.conv_batchnorm_train(x, w, b, 2, cols=cols)
+        assert np.min(np.abs(y)) > 1e-3  # clear of the kink at the probe step
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r)
+        assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
+        assert np.max(np.abs(gb)) <= 1e-12  # batch norm cancels the bias
+        assert np.max(np.abs(central_difference(loss, b))) <= 1e-8
 
 
 class TestDense:

@@ -290,6 +290,12 @@ def _perturbed(cfg, seed):
     return params
 
 
+def _workspace_buffers(ws):
+    """Every array a training step writes into, in no particular order."""
+    lists = (ws.cols, ws.normalized, ws.act, ws.grad_act)
+    return [b for buffers in lists for b in buffers] + [ws.flat, ws.windows, ws.scratch]
+
+
 class TestChannelLastLayout:
     @pytest.mark.parametrize("name", ["M4", "M5"])
     def test_matches_channels_first_reference(self, name):
@@ -349,7 +355,9 @@ class TestChannelLastLayout:
             assert all(b.flags.c_contiguous for b in buffers)
 
     def test_reused_workspace_matches_fresh_arrays(self, tiny_config):
-        """Two passes through one workspace give what fresh buffers give."""
+        """Two passes through one workspace give what fresh buffers give, also
+        when every buffer, the backward scratch that holds the padded
+        gradients' zero borders included, holds nan from the pass before."""
         cfg = tiny_config
         rng = np.random.default_rng(1)
         x1, x2 = rng.standard_normal((2, 4, 64))
@@ -363,10 +371,43 @@ class TestChannelLastLayout:
                 probs, trace = forward(cfg, params, x, training=True, workspace=workspace)
                 _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
                 step.append((probs, backward(cfg, params, trace, grad_logits)))
+                for buffer in _workspace_buffers(trace.workspace):
+                    buffer.fill(np.nan)
             results.append(step)
         for (p_ws, g_ws), (p_fresh, g_fresh) in zip(*results):
             assert np.array_equal(p_ws, p_fresh)
             assert np.array_equal(g_ws.flat, g_fresh.flat)
+        # conv2 reads 20 positions at stride 2 and conv3 9 (the odd tail row)
+        assert [[b.shape for b in ws.grad_buffers(i)] for i in (1, 2)] == [
+            [(4, 11, 3), (4, 10, 6)], [(4, 6, 2), (4, 5, 4)]
+        ]
+
+    def test_workspace_buffers_do_not_overlap(self, tiny_config):
+        """No buffer aliases another, the training-only ones included, and the
+        gradients and probabilities a step returns are not workspace memory.
+        Within the backward scratch, a layer's padded gradient and its
+        patches are disjoint; the batch-norm scratch is dead before either
+        is written."""
+        params = init_parameters(tiny_config, seed=3)
+        x = np.random.default_rng(3).standard_normal((4, 64))
+        probs, trace = forward(tiny_config, params, x, training=True)
+        _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, np.array([0, 1, 0, 1]))
+        grads = backward(tiny_config, params, trace, grad_logits)
+        ws = trace.workspace
+        buffers = _workspace_buffers(ws)
+        assert len(buffers) == 3 * 4 + 3
+        for i, a in enumerate(buffers):
+            assert a.flags.c_contiguous
+            assert not np.shares_memory(a, probs) and not np.shares_memory(a, grads.flat)
+            for b in buffers[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        for i in (1, 2):
+            pad, patches = ws.grad_buffers(i)
+            scratch = ws.bn_scratch(i)
+            assert scratch.shape == ws.act[i].shape
+            for view in (pad, patches, scratch):
+                assert view.flags.c_contiguous and view.base is ws.scratch
+            assert not np.shares_memory(pad, patches)
 
     def test_workspace_must_fit_the_batch(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)
