@@ -10,6 +10,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import write_atomic
+
 SET_LETTERS = ("A", "B", "C", "D", "E")
 
 # The public archive names its sets Z/O/N/F/S; A..E is the usual
@@ -59,14 +61,18 @@ def read_samples(path: str | Path) -> np.ndarray:
     """Parse a sample file: plain text, one sample per line, blank lines skipped.
 
     A non-numeric or non-finite (nan, inf) sample raises with its
-    ``path:line``; nothing downstream can classify such a signal.
+    ``path:line``, and a file that is not UTF-8 text raises with its path;
+    nothing downstream can classify such a signal.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"sample file not found: {path}")
     # One pass over the whole text. Lines are split on "\n" as file iteration
     # splits them (str.splitlines would also split on \x0c, \x1c, \x85, ...).
-    lines = path.read_text().split("\n")
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a UTF-8 text sample file") from None
     if lines[-1] == "":
         lines.pop()
     try:
@@ -83,7 +89,7 @@ def _read_samples_by_line(path: Path) -> np.ndarray:
     """``read_samples`` one line at a time: skips blank lines and raises with
     the ``path:line`` of the first bad sample."""
     values: list[float] = []
-    with path.open("r") as fh:
+    with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -120,10 +126,9 @@ def load_record(
 
 
 def save_record(record: EegRecord, path: str | Path) -> None:
-    """Write a record in Bonn file format, 17 significant digits per sample."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(format(v, ".17g") for v in record.samples.tolist()) + "\n")
+    """Write a record in Bonn file format, 17 significant digits per sample,
+    replacing the file atomically."""
+    write_atomic(path, "\n".join(format(v, ".17g") for v in record.samples.tolist()) + "\n")
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,6 @@ class ExperimentCase:
         return "".join(
             s for s in SET_LETTERS if self.class_of_set.get(s) == class_index
         )
-
-    @property
-    def positive_class(self) -> int:
-        """Designated positive class for binary metrics: the last group."""
-        return self.num_classes - 1
 
 
 def define_case(spec: str) -> ExperimentCase:
@@ -287,8 +287,8 @@ def synthesize_dataset(
     return records
 
 
-def _set_directory(root: Path, letter: str, aliases: Mapping[str, str]) -> Path | None:
-    alias = aliases.get(letter, letter)
+def _set_directory(root: Path, letter: str) -> Path | None:
+    alias = BONN_ALIASES.get(letter, letter)
     for name in (letter, letter.lower(), alias, alias.lower()):
         candidate = root / name
         if candidate.is_dir():
@@ -304,7 +304,6 @@ def _record_index(stem: str, fallback: int) -> int:
 def load_bonn_set(
     root: str | Path,
     letter: str,
-    aliases: Mapping[str, str] | None = None,
     expected_length: int = BONN_RECORD_LENGTH,
 ) -> list[EegRecord]:
     """Load every record of one set from a Bonn-layout directory tree.
@@ -312,12 +311,11 @@ def load_bonn_set(
     Set directories may be named by letter (A..E) or by the archive's native
     prefix (Z/O/N/F/S); record indices are parsed from filename digits.
     """
-    aliases = BONN_ALIASES if aliases is None else dict(aliases)
     root = Path(root)
-    set_dir = _set_directory(root, letter, aliases)
+    set_dir = _set_directory(root, letter)
     if set_dir is None:
         raise FileNotFoundError(
-            f"no directory for set {letter} (or alias {aliases.get(letter)}) under {root}"
+            f"no directory for set {letter} (or alias {BONN_ALIASES.get(letter)}) under {root}"
         )
     files = sorted(p for p in set_dir.iterdir() if p.is_file())
     if not files:
@@ -337,13 +335,12 @@ def load_bonn_set(
 def load_bonn_root(
     root: str | Path,
     letters: Iterable[str] = SET_LETTERS,
-    aliases: Mapping[str, str] | None = None,
     expected_length: int = BONN_RECORD_LENGTH,
 ) -> list[EegRecord]:
     """Load the requested sets from a Bonn-layout directory tree."""
     records: list[EegRecord] = []
     for letter in letters:
-        records.extend(load_bonn_set(root, letter, aliases, expected_length))
+        records.extend(load_bonn_set(root, letter, expected_length))
     return records
 
 

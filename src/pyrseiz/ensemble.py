@@ -59,32 +59,22 @@ def majority_vote(
 
 
 def classify(
-    params: NetworkParameters | Sequence[NetworkParameters],
+    params: NetworkParameters,
     config: ModelConfig,
     windows: np.ndarray,
 ) -> list[VoteRecord]:
     """Classify every expert window of each test instance and fuse by majority vote.
 
-    ``windows`` is (n_instances, width, input_length). With one parameter
-    set every expert is the same model and inference covers all windows in
-    passes of at most INFER_BATCH; a sequence of ``width`` parameter sets
-    runs independently trained experts, expert j on window j of every
-    instance. Window votes are argmax classes (ties to the lowest index).
+    ``windows`` is (n_instances, width, input_length). Every expert is the
+    same model, and inference covers all windows in passes of at most
+    INFER_BATCH. Window votes are argmax classes (ties to the lowest index).
     The records carry no origin.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected (instances, width, window) windows, got shape {x.shape}")
     n, width, length = x.shape
-    if isinstance(params, NetworkParameters):
-        probs = _infer(params, config, x.reshape(n * width, length)).reshape(n, width, -1)
-    else:
-        experts = list(params)
-        if len(experts) != width:
-            raise ValueError(
-                f"got {len(experts)} expert parameter sets for {width} windows per instance"
-            )
-        probs = np.stack([_infer(p, config, x[:, j]) for j, p in enumerate(experts)], axis=1)
+    probs = _infer(params, config, x.reshape(n * width, length)).reshape(n, width, -1)
     records = []
     for votes, instance_probs in zip(probs.argmax(axis=2).tolist(), probs):
         final, tie_broken = majority_vote(votes, instance_probs)
@@ -109,17 +99,13 @@ def _infer(params: NetworkParameters, config: ModelConfig, windows: np.ndarray) 
 
 
 def predict_instance(
-    params: NetworkParameters | Sequence[NetworkParameters],
+    params: NetworkParameters,
     config: ModelConfig,
     instance: TestInstance,
     scheme: SchemeSpec,
 ) -> VoteRecord:
-    """Classify each window of a test instance and fuse by majority vote.
-
-    By default every expert is the same trained model; passing a sequence of
-    parameter sets (one per expert) runs independently trained experts
-    instead.
-    """
+    """Classify each window of a test instance with the one trained model and
+    fuse the window decisions by majority vote."""
     width = scheme.ensemble_width
     if len(instance.windows) != width:
         raise ValueError(

@@ -6,7 +6,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -98,14 +98,14 @@ def _one_vs_rest_rates(
     return sen, spe, precision, f_m, g_m
 
 
-def compute_metrics(cm: np.ndarray, positive_class: int | None = None) -> MetricsValues:
+def compute_metrics(cm: np.ndarray) -> MetricsValues:
     """Accuracy, sensitivity, specificity, precision, F-measure, G-mean.
 
-    Binary matrices read TP/TN/FP/FN against the designated positive class
-    (default: the last class, i.e. the seizure side). Three or more classes
-    are scored one-vs-rest per class and macro-averaged; accuracy is always
-    trace/total. Zero denominators leave a metric undefined (None) and
-    flagged rather than coerced to 0.
+    Binary matrices read TP/TN/FP/FN against the last class, the seizure
+    side of every benchmark case. Three or more classes are scored
+    one-vs-rest per class and macro-averaged; accuracy is always trace/total.
+    Zero denominators leave a metric undefined (None) and flagged rather
+    than coerced to 0.
     """
     cm = np.asarray(cm)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] < 2:
@@ -118,10 +118,7 @@ def compute_metrics(cm: np.ndarray, positive_class: int | None = None) -> Metric
     acc = float(cm.trace()) / total
     num_classes = cm.shape[0]
     if num_classes == 2:
-        positive = num_classes - 1 if positive_class is None else positive_class
-        if not 0 <= positive < num_classes:
-            raise ValueError(f"positive class {positive} outside [0, {num_classes})")
-        sen, spe, precision, f_m, g_m = _one_vs_rest_rates(cm, positive)
+        sen, spe, precision, f_m, g_m = _one_vs_rest_rates(cm, 1)
     else:
         per_class = [_one_vs_rest_rates(cm, c) for c in range(num_classes)]
 
@@ -203,23 +200,13 @@ def _aggregate(folds: Sequence[FoldResult]) -> tuple[dict[str, float | None], di
 def _settings_echo(
     model_config: ModelConfig, training_config: TrainingConfig, fold_plan: FoldPlan
 ) -> dict[str, object]:
+    # Training always shuffles and weights every class equally; the report
+    # still states both.
     return {
-        "kernel_counts": list(model_config.kernel_counts),
-        "receptive_fields": list(model_config.receptive_fields),
-        "strides": list(model_config.strides),
-        "fc1_width": model_config.fc1_width,
-        "dropout_rate": model_config.dropout_rate,
-        "num_classes": model_config.num_classes,
-        "input_length": model_config.input_length,
-        "learning_rate": training_config.learning_rate,
-        "beta1": training_config.beta1,
-        "beta2": training_config.beta2,
-        "eps": training_config.eps,
-        "batch_size": training_config.batch_size,
-        "epochs": training_config.epochs,
-        "seed": training_config.seed,
-        "shuffle": training_config.shuffle,
-        "balance_classes": training_config.balance_classes,
+        **asdict(model_config),
+        **asdict(training_config),
+        "shuffle": True,
+        "balance_classes": False,
         "folds": fold_plan.k,
         "fold_seed": fold_plan.seed,
     }
@@ -379,7 +366,6 @@ class BatteryReport:
     seed: int
     k: int
     rows: list[BatteryRow]
-    reports: list[MetricsReport] = field(default_factory=list, repr=False)
 
 
 def run_battery(
@@ -400,7 +386,6 @@ def run_battery(
     _check_jobs(jobs)
     plan = plan_folds(ids_by_set(records), k=k, seed=training_config.seed)
     rows: list[BatteryRow] = []
-    reports: list[MetricsReport] = []
     for spec in cases:
         case = define_case(spec)
         config = replace(model_template, num_classes=case.num_classes)
@@ -414,7 +399,6 @@ def run_battery(
             jobs=jobs,
             model_name=model_name,
         )
-        reports.append(report)
         rows.append(
             BatteryRow(
                 case=case.name,
@@ -429,7 +413,6 @@ def run_battery(
         seed=training_config.seed,
         k=k,
         rows=rows,
-        reports=reports,
     )
 
 

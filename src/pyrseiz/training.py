@@ -32,8 +32,6 @@ class TrainingConfig:
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
-    shuffle: bool = True
-    balance_classes: bool = False
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -134,15 +132,12 @@ def train(
     dropout_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(2,))
     )
-    class_weights = None
-    if config.balance_classes:
-        class_weights = y.size / (model_config.num_classes * counts.astype(np.float64))
 
     history: list[EpochStats] = []
     workspaces: dict[int, Workspace] = {}
     n = y.size
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         total_loss = 0.0
         correct = 0
         for batch, start in enumerate(range(0, n, config.batch_size), start=1):
@@ -156,9 +151,6 @@ def train(
                 workspace=ws,
             )
             losses, _, grad_logits = layers.softmax_cross_entropy(trace.logits, yb)
-            if class_weights is not None:
-                losses = losses * class_weights[yb]
-                grad_logits = grad_logits * class_weights[yb][:, None]
             grads = backward(model_config, params, trace, grad_logits / idx.size)
             if not (np.isfinite(losses).all() and np.isfinite(grads.learnable).all()):
                 raise ValueError(

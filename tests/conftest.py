@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pyrseiz import BandSpec, ModelConfig, WindowSet, synthesize_dataset
+from pyrseiz.dataset import BandSpec, synthesize_dataset
+from pyrseiz.network import ModelConfig
+from pyrseiz.windowing import WindowSet
 
 
 @pytest.fixture

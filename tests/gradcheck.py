@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pyrseiz import forward, init_parameters
+from pyrseiz.network import forward, init_parameters
 
 KINK_MARGIN = 1e-3
 

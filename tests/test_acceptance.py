@@ -21,31 +21,33 @@ from oracles import (
     metrics_from_pairs,
     vote_oracle,
 )
-from pyrseiz import (
-    SCHEME_1,
-    SCHEME_2,
+from pyrseiz import layers
+from pyrseiz.cli import main
+from pyrseiz.dataset import (
     BandSpec,
     EegRecord,
-    ModelConfig,
-    NetworkParameters,
-    TrainingConfig,
-    augment_training,
-    backward,
-    compute_metrics,
-    count_windows,
     define_case,
-    forward,
     ids_by_set,
-    layers,
-    majority_vote,
-    model_config,
     plan_folds,
-    run_battery,
-    run_cv,
-    segment_testing,
     synthesize_dataset,
 )
-from pyrseiz.cli import main
+from pyrseiz.ensemble import majority_vote
+from pyrseiz.evaluation import compute_metrics, run_battery, run_cv
+from pyrseiz.network import (
+    ModelConfig,
+    NetworkParameters,
+    backward,
+    forward,
+    model_config,
+)
+from pyrseiz.training import TrainingConfig
+from pyrseiz.windowing import (
+    SCHEME_1,
+    SCHEME_2,
+    augment_training,
+    count_windows,
+    segment_testing,
+)
 
 TABLE3_COUNTS = {21366, 21387, 41106, 41147, 8326, 8347, 14946, 14987}
 
@@ -293,10 +295,10 @@ def _bonn_root():
     if not root:
         return None
     root = Path(root)
-    from pyrseiz.dataset import _set_directory, BONN_ALIASES
+    from pyrseiz.dataset import _set_directory
 
     for letter in ("A", "B", "C", "D", "E"):
-        if _set_directory(root, letter, BONN_ALIASES) is None:
+        if _set_directory(root, letter) is None:
             return None
     return root
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import save_checkpoint_v1
-from pyrseiz import load_checkpoint, save_checkpoint
+from pyrseiz.checkpoint import load_checkpoint, save_checkpoint
 from pyrseiz.cli import main
 
 EXPECTED_TABLE3 = {21366, 21387, 41106, 41147, 8326, 8347, 14946, 14987}
@@ -279,6 +279,16 @@ class TestPredict:
         captured = capsys.readouterr()
         assert "instance" not in captured.out
         assert f"{bad}:1: non-finite sample 'nan'" in captured.err
+
+    def test_non_utf8_input_rejected(self, trained, capsys, tmp_path):
+        ckpt, _ = trained
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"1.0\n\xff2.0\n")
+        rc = main(["predict", "--checkpoint", str(ckpt), "--input", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "instance" not in captured.out
+        assert captured.err == f"error: {bad}: not a UTF-8 text sample file\n"
 
     def test_missing_checkpoint(self, capsys, tmp_path):
         rc = main(

@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_samples_by_line
-from pyrseiz import (
+from pyrseiz.dataset import (
     BONN_ALIASES,
     SET_LETTERS,
     BandSpec,
@@ -92,6 +93,20 @@ class TestLoadRecord:
         loaded = load_record(path, "B", 7, expected_length=len(values))
         assert np.array_equal(loaded.samples, record.samples)
 
+    def test_failed_save_leaves_the_old_record_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "A" / "A001.txt"
+        save_record(EegRecord("A", 1, np.array([1.0, 2.0])), path)
+        old = path.read_bytes()
+
+        def replace_fails(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(OSError, match="no space left"):
+            save_record(EegRecord("A", 1, np.array([3.0, 4.0, 5.0])), path)
+        assert path.read_bytes() == old
+        assert os.listdir(path.parent) == ["A001.txt"]
+
 
 # Lines that file iteration keeps whole but str.splitlines would split
 # (\x0c, \x1c, \x85, \u2028), blanks, and tokens float() reads differently
@@ -135,6 +150,13 @@ class TestReadSamples:
         got = read_samples(path)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
+
+    def test_non_utf8_file_names_its_path(self, tmp_path):
+        path = tmp_path / "A001.txt"
+        path.write_bytes(b"1.0\n\xff\n2.0\n")
+        with pytest.raises(ValueError) as info:
+            read_samples(path)
+        assert str(info.value) == f"{path}: not a UTF-8 text sample file"
 
 
 class TestEegRecord:
@@ -192,7 +214,6 @@ class TestDefineCase:
         case = define_case("AB-CD-E")
         assert case.group_letters(0) == "AB"
         assert case.group_letters(2) == "E"
-        assert case.positive_class == 2
 
 
 class TestPlanFolds:
@@ -325,6 +346,17 @@ class TestBonnLayout:
         assert records[0].set_label == "A"
         assert records[0].index == 1
         assert BONN_ALIASES["A"] == "Z"
+
+    def test_non_utf8_record_names_its_path(self, tmp_path):
+        for letter in ("A", "B"):
+            (tmp_path / letter).mkdir()
+            for index in (1, 2):
+                _write_lines(tmp_path / letter / f"{letter}{index:03d}.txt", [1, 2, 3])
+        bad = tmp_path / "B" / "B002.txt"
+        bad.write_bytes(b"1\n2\n\xfe3\n")
+        with pytest.raises(ValueError, match="not a UTF-8 text sample file") as info:
+            load_bonn_root(tmp_path, letters=("A", "B"), expected_length=3)
+        assert str(bad) in str(info.value)
 
     def test_missing_set_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no directory for set"):

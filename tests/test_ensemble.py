@@ -6,22 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import vote_oracle
-from pyrseiz import (
+from pyrseiz.ensemble import (
+    INFER_BATCH,
+    classify,
+    majority_vote,
+    predict_instance,
+    write_vote_log,
+)
+from pyrseiz.network import forward, init_parameters, model_config
+from pyrseiz.training import TrainingConfig, train
+from pyrseiz.windowing import (
     SCHEME_1,
     SCHEME_2,
     SchemeSpec,
     TestInstance as SignalInstance,
-    TrainingConfig,
     WindowSet,
-    classify,
-    forward,
-    init_parameters,
-    majority_vote,
-    model_config,
-    predict_instance,
-    train,
 )
-from pyrseiz.ensemble import INFER_BATCH, write_vote_log
 
 
 class TestMajorityVote:
@@ -119,7 +119,7 @@ class TestMajorityVote:
 @pytest.fixture(scope="module")
 def trained_toy():
     """A small trained model over 512-sample windows (2 classes)."""
-    from pyrseiz import ModelConfig
+    from pyrseiz.network import ModelConfig
 
     cfg = ModelConfig(
         kernel_counts=(6, 4, 2), fc1_width=8, dropout_rate=0.0, num_classes=2,
@@ -195,7 +195,6 @@ class TestClassify:
         first = classify(params, cfg, windows.values[:6].reshape(2, 3, 512))
         kept = [r.probabilities.copy() for r in first]
         classify(params, cfg, windows.values[6:12].reshape(2, 3, 512))
-        classify([params, params, params], cfg, windows.values[12:18].reshape(2, 3, 512))
         for record, probs in zip(first, kept):
             assert np.array_equal(record.probabilities, probs)
 
@@ -240,20 +239,6 @@ class TestPredictInstance:
         record = predict_instance(params, cfg, instance, solo_scheme)
         probs, _ = forward(cfg, params, instance.windows[0], training=False)
         assert record.final == int(probs[0].argmax()) and record.tie_broken is False
-
-    def test_independently_trained_experts(self, trained_toy):
-        cfg, params, windows = trained_toy
-        experts = [params, params.copy(), params.copy()]
-        instance = _instance_from(windows.values, int(windows.labels[0]), 3)
-        record = predict_instance(experts, cfg, instance, SCHEME_1)
-        same = predict_instance(params, cfg, instance, SCHEME_1)
-        assert record.votes == same.votes  # identical copies vote identically
-
-    def test_expert_count_mismatch_rejected(self, trained_toy):
-        cfg, params, windows = trained_toy
-        instance = _instance_from(windows.values, int(windows.labels[0]), 3)
-        with pytest.raises(ValueError, match="expert parameter sets"):
-            predict_instance([params, params], cfg, instance, SCHEME_1)
 
 
 def test_vote_log_csv(tmp_path, trained_toy):

@@ -4,21 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import confusion_from_pairs, metrics_from_pairs
-from pyrseiz import (
-    SCHEME_1,
+from pyrseiz.dataset import (
     BandSpec,
     FoldPlan,
-    ModelConfig,
-    TrainingConfig,
-    compute_metrics,
     define_case,
-    emit_battery,
-    emit_battery_comparison,
-    emit_report,
     ids_by_set,
     plan_folds,
-    run_battery,
-    run_cv,
     synthesize_dataset,
 )
 from pyrseiz.evaluation import (
@@ -26,8 +17,17 @@ from pyrseiz.evaluation import (
     METRIC_KEYS,
     REPORT_CSV_HEADER,
     MetricsReport,
+    compute_metrics,
+    emit_battery,
+    emit_battery_comparison,
+    emit_report,
     report_to_dict,
+    run_battery,
+    run_cv,
 )
+from pyrseiz.network import ModelConfig
+from pyrseiz.training import TrainingConfig
+from pyrseiz.windowing import SCHEME_1
 
 TINY_MODEL = ModelConfig(
     kernel_counts=(4, 3, 2), fc1_width=6, dropout_rate=0.0, num_classes=2
@@ -99,12 +99,6 @@ class TestComputeMetrics:
         for i, key in enumerate(("sen", "spe", "precision", "f_m", "g_m"), start=1):
             expected = np.mean([metrics_from_pairs(true, pred, positive=c)[i] for c in range(3)])
             assert getattr(values, key) == pytest.approx(expected, abs=1e-12)
-
-    def test_custom_positive_class(self):
-        cm = np.array([[90, 10], [15, 85]])
-        values = compute_metrics(cm, positive_class=0)
-        assert values.sen == pytest.approx(0.9)
-        assert values.spe == pytest.approx(0.85)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -277,6 +271,35 @@ class TestEmitReport:
             assert loaded["mean"][key] == report.mean[key]
             assert loaded["std"][key] == report.std[key]
         assert "runtime" not in json.dumps(loaded)
+
+    def test_json_settings_keys_and_order(self, cv_setup, tmp_path):
+        records, case, plan, training = cv_setup
+        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        path = emit_report(report, tmp_path / "report.json", fmt="json")
+        settings = json.loads(path.read_text())["settings"]
+        assert list(settings) == [
+            "kernel_counts",
+            "receptive_fields",
+            "strides",
+            "fc1_width",
+            "dropout_rate",
+            "num_classes",
+            "input_length",
+            "learning_rate",
+            "beta1",
+            "beta2",
+            "eps",
+            "batch_size",
+            "epochs",
+            "seed",
+            "shuffle",
+            "balance_classes",
+            "folds",
+            "fold_seed",
+        ]
+        assert settings["shuffle"] is True and settings["balance_classes"] is False
+        assert settings["kernel_counts"] == [4, 3, 2]
+        assert settings["folds"] == 2 and settings["fold_seed"] == 21
 
     def test_unknown_format_rejected(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup

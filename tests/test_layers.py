@@ -9,7 +9,8 @@ from oracles import (
     conv1d_loops,
     max_relative_error,
 )
-from pyrseiz import MODEL_NAMES, init_parameters, layers, model_config
+from pyrseiz import layers
+from pyrseiz.network import MODEL_NAMES, init_parameters, model_config
 
 
 def _channel_last(a):

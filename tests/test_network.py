@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import backward_reference, central_difference, forward_reference, max_relative_error
-from pyrseiz import (
+from pyrseiz import layers
+from pyrseiz.network import (
     MODEL_GRID,
     MODEL_NAMES,
     ModelConfig,
     NetworkParameters,
+    Workspace,
     backward,
     count_parameters,
     forward,
@@ -16,8 +18,6 @@ from pyrseiz import (
     model_config,
     parameter_shapes,
 )
-from pyrseiz import layers
-from pyrseiz.network import Workspace
 
 EXPECTED_COUNTS = {
     ("traditional", 20, 2): 21366,

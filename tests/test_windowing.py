@@ -4,21 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import count_offsets
-from pyrseiz import (
-    SCHEME_1,
-    SCHEME_2,
+from pyrseiz.dataset import (
     BandSpec,
     EegRecord,
+    define_case,
+    plan_folds,
+    synthesize_dataset,
+)
+from pyrseiz.windowing import (
+    SCHEME_1,
+    SCHEME_2,
     SchemeSpec,
     augment_training,
     count_windows,
-    define_case,
     get_scheme,
     normalize,
-    plan_folds,
     segment_signal,
     segment_testing,
-    synthesize_dataset,
 )
 
 pytest.importorskip("hypothesis")
