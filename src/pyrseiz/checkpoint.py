@@ -3,7 +3,8 @@
 Layout of ``p1dcnn-v2``, the version written:
 
     p1dcnn-v2
-    config <key> <values...>          (seven keys, fixed order)
+    config <key> <values...>          (one line per ModelConfig field,
+                                       in declaration order)
     case <spec>                       (optional: the case the model was trained on)
     scheme <id>                       (optional: its windowing scheme)
     tensor <name> <dim> [<dim>...]    followed by one line holding the values,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import base64
 import binascii
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +34,8 @@ from .windowing import get_scheme
 CHECKPOINT_VERSION = "p1dcnn-v2"
 _DECIMAL_VERSION = "p1dcnn-v1"
 
-_CONFIG_KEYS = (
-    "kernel_counts",
-    "receptive_fields",
-    "strides",
-    "fc1_width",
-    "dropout_rate",
-    "num_classes",
-    "input_length",
-)
+# Each config value is read back with the type of its field's default.
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)}
 
 
 class CheckpointError(ValueError):
@@ -77,15 +71,9 @@ def save_checkpoint(
     scheme id they were trained with; the on-disk order is fixed and the file
     is replaced atomically."""
     lines = [CHECKPOINT_VERSION]
-    lines.append("config kernel_counts " + " ".join(str(v) for v in config.kernel_counts))
-    lines.append(
-        "config receptive_fields " + " ".join(str(v) for v in config.receptive_fields)
-    )
-    lines.append("config strides " + " ".join(str(v) for v in config.strides))
-    lines.append(f"config fc1_width {config.fc1_width}")
-    lines.append(f"config dropout_rate {format(config.dropout_rate, '.17g')}")
-    lines.append(f"config num_classes {config.num_classes}")
-    lines.append(f"config input_length {config.input_length}")
+    for key, value in asdict(config).items():
+        values = value if isinstance(value, tuple) else (value,)
+        lines.append(f"config {key} " + " ".join(format(v, ".17g") for v in values))
     if case is not None:
         lines.append(f"case {define_case(case).name}")
     if scheme is not None:
@@ -98,22 +86,33 @@ def save_checkpoint(
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_config(entries: dict[str, list[str]]) -> ModelConfig:
-    missing = [key for key in _CONFIG_KEYS if key not in entries]
+def _parse_config(path: Path, lines: list[str], pos: int) -> tuple[ModelConfig, int]:
+    """The ``config`` lines from ``lines[pos]`` on: the config and the
+    position after them. Every field appears once, a scalar with one value."""
+    values: dict[str, object] = {}
+    while pos < len(lines) and lines[pos].startswith("config "):
+        parts = lines[pos].split()
+        default = _CONFIG_DEFAULTS.get(parts[1]) if len(parts) > 2 else None
+        scalar = not isinstance(default, tuple)
+        if default is None or parts[1] in values or (scalar and len(parts) != 3):
+            raise CheckpointError(
+                f"{path}: malformed, unknown or repeated config line {lines[pos]!r}"
+            )
+        try:
+            if scalar:
+                values[parts[1]] = type(default)(parts[2])
+            else:
+                values[parts[1]] = tuple(type(default[0])(v) for v in parts[2:])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
+        pos += 1
+    missing = [key for key in _CONFIG_DEFAULTS if key not in values]
     if missing:
-        raise CheckpointError(f"checkpoint config is missing {missing}")
+        raise CheckpointError(f"{path}: checkpoint config is missing {missing}")
     try:
-        return ModelConfig(
-            kernel_counts=tuple(int(v) for v in entries["kernel_counts"]),
-            receptive_fields=tuple(int(v) for v in entries["receptive_fields"]),
-            strides=tuple(int(v) for v in entries["strides"]),
-            fc1_width=int(entries["fc1_width"][0]),
-            dropout_rate=float(entries["dropout_rate"][0]),
-            num_classes=int(entries["num_classes"][0]),
-            input_length=int(entries["input_length"][0]),
-        )
-    except (ValueError, IndexError) as exc:
-        raise CheckpointError(f"invalid checkpoint config: {exc}") from None
+        return ModelConfig(**values), pos
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
 
 
 def _parse_training_header(
@@ -201,15 +200,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: version mismatch, expected {CHECKPOINT_VERSION!r} or "
             f"{_DECIMAL_VERSION!r}, found {version!r}"
         )
-    pos = 1
-    config_entries: dict[str, list[str]] = {}
-    while pos < len(lines) and lines[pos].startswith("config "):
-        parts = lines[pos].split()
-        if len(parts) < 3:
-            raise CheckpointError(f"{path}: malformed config line {lines[pos]!r}")
-        config_entries[parts[1]] = parts[2:]
-        pos += 1
-    config = _parse_config(config_entries)
+    config, pos = _parse_config(path, lines, 1)
     header: dict[str, str] = {}
     while pos < len(lines) and lines[pos].split(" ", 1)[0] in header_keys:
         parts = lines[pos].split()

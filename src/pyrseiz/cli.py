@@ -21,17 +21,10 @@ from .dataset import (
     write_bonn_dataset,
 )
 from .ensemble import classify, write_vote_log
-from .evaluation import (
-    BATTERY_CASES,
-    emit_battery,
-    emit_battery_comparison,
-    emit_report,
-    run_battery,
-    run_cv,
-)
+from .evaluation import emit_battery, emit_battery_comparison, emit_report, run_battery, run_cv
 from .network import MODEL_GRID, MODEL_NAMES, count_parameters, model_config
 from .training import TrainingConfig, train, write_history_csv
-from .windowing import augment_training, get_scheme, segment_signal
+from .windowing import _SCHEMES, augment_training, get_scheme, segment_signal
 
 DATA_ENV_VAR = "PYRSEIZ_DATA"
 
@@ -179,7 +172,6 @@ def cmd_battery(args: argparse.Namespace) -> int:
         template,
         training,
         k=args.folds,
-        cases=BATTERY_CASES,
         jobs=args.jobs,
         model_name=args.model,
     )
@@ -247,6 +239,10 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_scheme_option(parser: argparse.ArgumentParser, default: int | None = 1, **kwargs) -> None:
+    parser.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=default, **kwargs)
+
+
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=MODEL_NAMES, default="M5")
     parser.add_argument("--fc1", type=int, choices=(20, 40), default=None)
@@ -287,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on the full dataset")
     _add_data_options(p)
     p.add_argument("--case", required=True, metavar="SPEC")
-    p.add_argument("--scheme", type=int, choices=(1, 2), default=1)
+    _add_scheme_option(p)
     _add_model_options(p)
     _add_training_options(p)
     _add_common_options(p)
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="k-fold cross-validation for one case")
     _add_data_options(p)
     p.add_argument("--case", required=True, metavar="SPEC")
-    p.add_argument("--scheme", type=int, choices=(1, 2), default=1)
+    _add_scheme_option(p)
     _add_model_options(p)
     _add_training_options(p)
     _add_common_options(p)
@@ -307,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("battery", help="run all 16 benchmark cases")
     _add_data_options(p)
-    p.add_argument("--scheme", type=int, choices=(1, 2), default=1)
+    _add_scheme_option(p)
     _add_model_options(p)
     _add_training_options(p)
     _add_common_options(p)
@@ -319,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="classify one record with a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--scheme", type=int, choices=(1, 2), default=None,
-                   help="windowing scheme (default: the checkpoint's, else 1)")
+    _add_scheme_option(p, default=None,
+                       help="windowing scheme (default: the checkpoint's, else 1)")
     p.add_argument("--case", default=None, metavar="SPEC",
                    help="optional case spec used to label the vote output; "
                         "must match the checkpoint's")

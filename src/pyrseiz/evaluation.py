@@ -19,29 +19,13 @@ from .network import ModelConfig, NetworkParameters
 from .training import TrainingConfig, train
 from .windowing import SchemeSpec, augment_training, segment_testing
 
+# Window accuracy, voted accuracy, then the rates compute_metrics derives
+# from a confusion matrix; every report lists them in this order.
 METRIC_KEYS = ("acc", "acc_v", "sen", "spe", "precision", "f_m", "g_m")
+_RATE_KEYS = METRIC_KEYS[2:]
 
-# The 16 benchmark set combinations, in their conventional order.
-BATTERY_CASES = (
-    "AB-CD-E",
-    "AB-CD",
-    "AB-E",
-    "A-E",
-    "B-E",
-    "CD-E",
-    "C-E",
-    "D-E",
-    "BCD-E",
-    "BC-E",
-    "BD-E",
-    "AC-E",
-    "ABCD-E",
-    "AB-CDE",
-    "ABC-E",
-    "ACD-E",
-)
-
-# Reference ensemble accuracies (percent) embedded into the battery
+# The 16 benchmark set combinations, in their conventional order, with the
+# reference ensemble accuracies (percent) embedded into the battery
 # comparison file's paper_acc column for side-by-side display.
 REFERENCE_ACC_V = {
     "AB-CD-E": 99.1,
@@ -61,28 +45,15 @@ REFERENCE_ACC_V = {
     "ABC-E": 99.97,
     "ACD-E": 99.8,
 }
-
-
-@dataclass(frozen=True)
-class MetricsValues:
-    """Scalar metrics of one confusion matrix; None marks an undefined rate."""
-
-    acc: float
-    sen: float | None
-    spe: float | None
-    precision: float | None
-    f_m: float | None
-    g_m: float | None
-    undefined: tuple[str, ...] = ()
+BATTERY_CASES = tuple(REFERENCE_ACC_V)
 
 
 def _safe_ratio(num: float, den: float) -> float | None:
     return num / den if den > 0 else None
 
 
-def _one_vs_rest_rates(
-    cm: np.ndarray, positive: int
-) -> tuple[float | None, float | None, float | None, float | None, float | None]:
+def _one_vs_rest_rates(cm: np.ndarray, positive: int) -> tuple[float | None, ...]:
+    """The rates of one class against the rest, in ``_RATE_KEYS`` order."""
     tp = float(cm[positive, positive])
     fn = float(cm[positive].sum() - tp)
     fp = float(cm[:, positive].sum() - tp)
@@ -98,14 +69,15 @@ def _one_vs_rest_rates(
     return sen, spe, precision, f_m, g_m
 
 
-def compute_metrics(cm: np.ndarray) -> MetricsValues:
-    """Accuracy, sensitivity, specificity, precision, F-measure, G-mean.
+def compute_metrics(cm: np.ndarray) -> dict[str, float | None]:
+    """Accuracy, sensitivity, specificity, precision, F-measure, G-mean,
+    keyed ``acc`` and the rate keys of ``METRIC_KEYS``, in that order.
 
     Binary matrices read TP/TN/FP/FN against the last class, the seizure
     side of every benchmark case. Three or more classes are scored
     one-vs-rest per class and macro-averaged; accuracy is always trace/total.
-    Zero denominators leave a metric undefined (None) and flagged rather
-    than coerced to 0.
+    Zero denominators leave a metric undefined (None) rather than coerced
+    to 0.
     """
     cm = np.asarray(cm)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] < 2:
@@ -118,48 +90,30 @@ def compute_metrics(cm: np.ndarray) -> MetricsValues:
     acc = float(cm.trace()) / total
     num_classes = cm.shape[0]
     if num_classes == 2:
-        sen, spe, precision, f_m, g_m = _one_vs_rest_rates(cm, 1)
+        rates = _one_vs_rest_rates(cm, 1)
     else:
         per_class = [_one_vs_rest_rates(cm, c) for c in range(num_classes)]
-
-        def macro(i: int) -> float | None:
-            vals = [rates[i] for rates in per_class]
-            if any(v is None for v in vals):
-                return None
-            return float(np.mean(vals))
-
-        sen, spe, precision, f_m, g_m = (macro(i) for i in range(5))
-    undefined = tuple(
-        key
-        for key, value in zip(("sen", "spe", "precision", "f_m", "g_m"),
-                              (sen, spe, precision, f_m, g_m))
-        if value is None
-    )
-    return MetricsValues(
-        acc=acc, sen=sen, spe=spe, precision=precision, f_m=f_m, g_m=g_m,
-        undefined=undefined,
-    )
+        rates = tuple(
+            None if None in column else float(np.mean(column)) for column in zip(*per_class)
+        )
+    return {"acc": acc, **dict(zip(_RATE_KEYS, rates))}
 
 
 @dataclass
 class FoldResult:
-    """Window- and instance-level scores of one cross-validation fold."""
+    """Window- and instance-level scores of one cross-validation fold;
+    ``metrics`` is keyed by ``METRIC_KEYS``, in that order."""
 
     fold: int
-    acc: float
-    acc_v: float
-    sen: float | None
-    spe: float | None
-    precision: float | None
-    f_m: float | None
-    g_m: float | None
+    metrics: dict[str, float | None]
     ties: int
     confusion: np.ndarray
-    undefined: tuple[str, ...] = ()
     params: NetworkParameters | None = field(default=None, repr=False, compare=False)
 
-    def metric(self, key: str) -> float | None:
-        return getattr(self, key)
+    @property
+    def undefined(self) -> tuple[str, ...]:
+        """The metric keys whose value is undefined (None)."""
+        return tuple(key for key, value in self.metrics.items() if value is None)
 
 
 @dataclass
@@ -186,7 +140,7 @@ def _aggregate(folds: Sequence[FoldResult]) -> tuple[dict[str, float | None], di
     mean: dict[str, float | None] = {}
     std: dict[str, float | None] = {}
     for key in METRIC_KEYS:
-        values = [f.metric(key) for f in folds]
+        values = [f.metrics[key] for f in folds]
         defined = [v for v in values if v is not None]
         if defined:
             mean[key] = float(np.mean(defined))
@@ -251,21 +205,21 @@ def _run_fold(args: tuple) -> FoldResult:
     for inst, vote in zip(instances, votes):
         cm[inst.label, vote.final] += 1
         window_correct += vote.votes.count(inst.label)
-    values = compute_metrics(cm)
+    window_acc = window_correct / (len(instances) * scheme.ensemble_width)
+    # compute_metrics scores the voted instances, so its accuracy is acc_v
+    voted = compute_metrics(cm).values()
     return FoldResult(
         fold=fold + 1,
-        acc=window_correct / (len(instances) * scheme.ensemble_width),
-        acc_v=values.acc,
-        sen=values.sen,
-        spe=values.spe,
-        precision=values.precision,
-        f_m=values.f_m,
-        g_m=values.g_m,
+        metrics=dict(zip(METRIC_KEYS, (window_acc, *voted))),
         ties=sum(vote.tie_broken for vote in votes),
         confusion=cm,
-        undefined=values.undefined,
         params=params if keep_params else None,
     )
+
+
+def _model_label(config: ModelConfig) -> str:
+    """The report's model name when none is given, e.g. ``pyramid-fc20``."""
+    return f"{config.family}-fc{config.fc1_width}"
 
 
 def _check_jobs(jobs: int) -> None:
@@ -333,12 +287,10 @@ def run_cv(
         folds = [_run_fold(args) for args in fold_args]
     mean, std = _aggregate(folds)
     mean_confusion = np.mean([f.confusion for f in folds], axis=0)
-    if model_name is None:
-        model_name = f"{model_config.family}-fc{model_config.fc1_width}"
     return MetricsReport(
         case=case.name,
         scheme_id=scheme.id,
-        model=model_name,
+        model=model_name or _model_label(model_config),
         folds=folds,
         mean=mean,
         std=std,
@@ -409,24 +361,26 @@ def run_battery(
         )
     return BatteryReport(
         scheme_id=scheme.id,
-        model=model_name or f"{model_template.family}-fc{model_template.fc1_width}",
+        model=model_name or _model_label(model_template),
         seed=training_config.seed,
         k=k,
         rows=rows,
     )
 
 
-REPORT_CSV_HEADER = "case,scheme,model,fold,acc,acc_v,sen,spe,precision,f_m,g_m,ties"
+REPORT_CSV_HEADER = ",".join(("case", "scheme", "model", "fold", *METRIC_KEYS, "ties"))
 
 
 def _cell(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _fold_row(report: MetricsReport, fold: FoldResult) -> str:
-    cells = [report.case, str(report.scheme_id), report.model, str(fold.fold)]
-    cells += [_cell(fold.metric(key)) for key in METRIC_KEYS]
-    cells.append(str(fold.ties))
+def _report_row(
+    report: MetricsReport, fold: str, metrics: dict[str, float | None], ties: int
+) -> str:
+    cells = [report.case, str(report.scheme_id), report.model, fold]
+    cells += [_cell(metrics[key]) for key in METRIC_KEYS]
+    cells.append(str(ties))
     return ",".join(cells)
 
 
@@ -440,7 +394,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "folds": [
             {
                 "fold": fold.fold,
-                **{key: fold.metric(key) for key in METRIC_KEYS},
+                **fold.metrics,
                 "ties": fold.ties,
                 "undefined": list(fold.undefined),
                 "confusion": fold.confusion.tolist(),
@@ -463,12 +417,9 @@ def emit_report(report: MetricsReport, path: str | Path, fmt: str = "csv") -> Pa
     if fmt == "csv":
         lines = [REPORT_CSV_HEADER]
         for fold in report.folds:
-            lines.append(_fold_row(report, fold))
+            lines.append(_report_row(report, str(fold.fold), fold.metrics, fold.ties))
         if report.folds:
-            cells = [report.case, str(report.scheme_id), report.model, "mean"]
-            cells += [_cell(report.mean[key]) for key in METRIC_KEYS]
-            cells.append(str(report.ties_total))
-            lines.append(",".join(cells))
+            lines.append(_report_row(report, "mean", report.mean, report.ties_total))
         return write_atomic(path, "\n".join(lines) + "\n")
     if fmt == "json":
         return write_atomic(path, json.dumps(report_to_dict(report), indent=2) + "\n")

@@ -135,17 +135,15 @@ def conv1d_backward(
     weights: np.ndarray,
     stride: int,
     grad_out: np.ndarray,
-    grad_x: np.ndarray | None = None,
+    grad_x: np.ndarray,
     grad_pad: np.ndarray | None = None,
     grad_patches: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
     ``cols`` are the (B, m, Rf*C) patches the forward pass unfolded and
     grad_out is (B, m, K); returns (grad_x, grad_weights, grad_bias). The
-    input gradient is written into ``grad_x``, a (B, L, C) array; without
-    one it is skipped and None is returned in its place, as for a first
-    layer whose input is data.
+    input gradient is written into ``grad_x``, a (B, L, C) array.
 
     Input position q*stride + r receives grad_out[q - d] through kernel tap
     d*stride + r, so grad_x, read as rows of stride*C values, is a stride-1
@@ -171,8 +169,6 @@ def conv1d_backward(
     grad_weights = np.ascontiguousarray(
         (g.T @ cols.reshape(batch * m, width)).reshape(k, rf, c).transpose(0, 2, 1)
     )
-    if grad_x is None:
-        return None, grad_weights, grad_bias
     if (
         grad_x.ndim != 3
         or (grad_x.shape[0], grad_x.shape[2]) != (batch, c)

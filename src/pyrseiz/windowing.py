@@ -82,7 +82,8 @@ def get_scheme(scheme_id: int) -> SchemeSpec:
     try:
         return _SCHEMES[int(scheme_id)]
     except (KeyError, TypeError, ValueError):
-        raise ValueError(f"unknown scheme {scheme_id!r}; expected 1 or 2") from None
+        expected = " or ".join(map(str, _SCHEMES))
+        raise ValueError(f"unknown scheme {scheme_id!r}; expected {expected}") from None
 
 
 @dataclass(frozen=True)

@@ -231,11 +231,10 @@ def test_criterion_4_vote_and_metric_oracles():
             cm = confusion_from_pairs(true, pred, 2)
             ours = compute_metrics(cm)
             acc, sen, spe, precision, f_m, g_m = metrics_from_pairs(true, pred, positive=1)
-            assert (ours.acc, ours.sen, ours.spe, ours.precision, ours.f_m, ours.g_m) == (
-                acc, sen, spe, precision, f_m, g_m
-            )
-            if ours.g_m is not None:
-                assert abs(ours.g_m**2 - ours.spe * ours.sen) < 1e-12
+            assert (ours["acc"], ours["sen"], ours["spe"], ours["precision"], ours["f_m"],
+                    ours["g_m"]) == (acc, sen, spe, precision, f_m, g_m)
+            if ours["g_m"] is not None:
+                assert abs(ours["g_m"]**2 - ours["spe"] * ours["sen"]) < 1e-12
 
 
 def test_criterion_5_cv_determinism(tmp_path):

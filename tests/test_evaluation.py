@@ -16,6 +16,7 @@ from pyrseiz.evaluation import (
     BATTERY_CASES,
     METRIC_KEYS,
     REPORT_CSV_HEADER,
+    FoldResult,
     MetricsReport,
     compute_metrics,
     emit_battery,
@@ -39,19 +40,19 @@ class TestComputeMetrics:
         # rows true, cols predicted; positive class is the last one
         cm = np.array([[85, 15], [10, 90]])
         values = compute_metrics(cm)
-        assert values.acc == pytest.approx(0.875, abs=1e-12)
-        assert values.sen == pytest.approx(0.9, abs=1e-12)
-        assert values.spe == pytest.approx(0.85, abs=1e-12)
-        assert values.precision == pytest.approx(0.8571, abs=1e-4)
-        assert values.f_m == pytest.approx(0.8780, abs=1e-4)
-        assert values.g_m == pytest.approx(0.8746, abs=1e-4)
-        assert values.undefined == ()
+        assert values["acc"] == pytest.approx(0.875, abs=1e-12)
+        assert values["sen"] == pytest.approx(0.9, abs=1e-12)
+        assert values["spe"] == pytest.approx(0.85, abs=1e-12)
+        assert values["precision"] == pytest.approx(0.8571, abs=1e-4)
+        assert values["f_m"] == pytest.approx(0.8780, abs=1e-4)
+        assert values["g_m"] == pytest.approx(0.8746, abs=1e-4)
+        assert None not in values.values()
 
     def test_perfect_predictions(self):
         cm = np.diag([40, 25])
         values = compute_metrics(cm)
         for key in ("acc", "sen", "spe", "precision", "f_m", "g_m"):
-            assert getattr(values, key) == 1.0
+            assert values[key] == 1.0
 
     def test_thousand_random_binary_sets_match_counting_oracle(self):
         rng = np.random.default_rng(0)
@@ -62,32 +63,33 @@ class TestComputeMetrics:
             cm = confusion_from_pairs(true, pred, 2)
             ours = compute_metrics(cm)
             acc, sen, spe, precision, f_m, g_m = metrics_from_pairs(true, pred, positive=1)
-            assert ours.acc == acc
-            assert ours.sen == sen
-            assert ours.spe == spe
-            assert ours.precision == precision
-            assert ours.f_m == f_m
-            assert ours.g_m == g_m
+            assert ours["acc"] == acc
+            assert ours["sen"] == sen
+            assert ours["spe"] == spe
+            assert ours["precision"] == precision
+            assert ours["f_m"] == f_m
+            assert ours["g_m"] == g_m
 
     def test_zero_denominator_is_undefined_not_zero(self):
         cm = np.array([[5, 0], [0, 0]])  # no positive-class examples at all
         values = compute_metrics(cm)
-        assert values.sen is None
-        assert values.precision is None
-        assert "sen" in values.undefined and "precision" in values.undefined
-        assert values.spe == 1.0
+        assert values["sen"] is None
+        assert values["precision"] is None
+        undefined = [key for key, value in values.items() if value is None]
+        assert "sen" in undefined and "precision" in undefined
+        assert values["spe"] == 1.0
 
     def test_g_mean_squared_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             cm = rng.integers(1, 50, size=(2, 2))
             values = compute_metrics(cm)
-            assert abs(values.g_m**2 - values.spe * values.sen) < 1e-12
+            assert abs(values["g_m"]**2 - values["spe"] * values["sen"]) < 1e-12
 
     def test_ternary_macro_average(self):
         cm = np.array([[8, 1, 1], [2, 7, 1], [0, 1, 9]])
         values = compute_metrics(cm)
-        assert values.acc == pytest.approx(24 / 30)
+        assert values["acc"] == pytest.approx(24 / 30)
         # rebuild the label/prediction pairs the matrix encodes, then check
         # each metric against the macro mean of one-vs-rest oracle values
         true = []
@@ -98,7 +100,7 @@ class TestComputeMetrics:
                 pred += [p] * cm[t, p]
         for i, key in enumerate(("sen", "spe", "precision", "f_m", "g_m"), start=1):
             expected = np.mean([metrics_from_pairs(true, pred, positive=c)[i] for c in range(3)])
-            assert getattr(values, key) == pytest.approx(expected, abs=1e-12)
+            assert values[key] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -109,7 +111,7 @@ class TestComputeMetrics:
         for _ in range(50):
             cm = rng.integers(0, 30, size=(3, 3)) + np.eye(3, dtype=int)
             values = compute_metrics(cm)
-            assert values.acc == cm.trace() / cm.sum()
+            assert values["acc"] == cm.trace() / cm.sum()
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +133,8 @@ class TestRunCv:
         for fold in report.folds:
             # 2 test records per set x 2 sets x 4 instances each
             assert fold.confusion.sum() == 4 * 4
-            assert fold.acc_v == fold.confusion.trace() / fold.confusion.sum()
-            assert 0.0 <= fold.acc <= 1.0
+            assert fold.metrics["acc_v"] == fold.confusion.trace() / fold.confusion.sum()
+            assert 0.0 <= fold.metrics["acc"] <= 1.0
         assert report.mean_confusion.sum() == pytest.approx(16)
         assert report.settings["folds"] == 2
         assert report.settings["seed"] == 21
@@ -265,7 +267,7 @@ class TestEmitReport:
         loaded = json.loads(path.read_text())
         for fold, fold_dict in zip(report.folds, loaded["folds"]):
             for key in METRIC_KEYS:
-                assert fold_dict[key] == fold.metric(key)
+                assert fold_dict[key] == fold.metrics[key]
             assert fold_dict["confusion"] == fold.confusion.tolist()
         for key in METRIC_KEYS:
             assert loaded["mean"][key] == report.mean[key]
@@ -300,6 +302,33 @@ class TestEmitReport:
         assert settings["shuffle"] is True and settings["balance_classes"] is False
         assert settings["kernel_counts"] == [4, 3, 2]
         assert settings["folds"] == 2 and settings["fold_seed"] == 21
+
+    def test_json_fold_keys_and_order(self, cv_setup, tmp_path):
+        records, case, plan, training = cv_setup
+        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        path = emit_report(report, tmp_path / "report.json", fmt="json")
+        for fold in json.loads(path.read_text())["folds"]:
+            assert list(fold) == [
+                "fold", "acc", "acc_v", "sen", "spe", "precision", "f_m", "g_m",
+                "ties", "undefined", "confusion",
+            ]
+
+    def test_json_undefined_lists_rates_in_metric_order(self):
+        cm = np.array([[5, 0], [0, 0]])  # no positive-class examples at all
+        fold = FoldResult(
+            fold=1,
+            metrics=dict(zip(METRIC_KEYS, (1.0, *compute_metrics(cm).values()))),
+            ties=0,
+            confusion=cm,
+        )
+        report = MetricsReport(
+            case="A-B", scheme_id=1, model="M5", folds=[fold],
+            mean=dict(fold.metrics), std=dict(fold.metrics),
+            mean_confusion=cm, ties_total=0, settings={},
+        )
+        (fold_dict,) = report_to_dict(report)["folds"]
+        assert fold_dict["undefined"] == ["sen", "precision", "f_m", "g_m"]
+        assert list(fold_dict)[1:8] == list(METRIC_KEYS)
 
     def test_unknown_format_rejected(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup

@@ -102,7 +102,9 @@ class TestConvBackward:
         x = rng.standard_normal((1, 6, 1))
         w = rng.standard_normal((1, 1, 1))
         g = rng.standard_normal((1, 6, 1))
-        _, gw, gb = layers.conv1d_backward(layers.im2col(x, 1, 1), w, 1, g)
+        _, gw, gb = layers.conv1d_backward(
+            layers.im2col(x, 1, 1), w, 1, g, grad_x=np.empty_like(x)
+        )
         assert np.isclose(gw[0, 0, 0], (x[0, :, 0] * g[0, :, 0]).sum())
         assert np.isclose(gb[0], g.sum())
 
@@ -147,22 +149,11 @@ class TestConvBackward:
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(loss, b)) < 1e-6
 
-    def test_input_gradient_skipped_without_buffer(self):
-        """The first layer's input is data: no grad_x, same weight gradients."""
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 9, 2))
-        w = rng.standard_normal((3, 2, 3))
-        r = rng.standard_normal((2, 4, 3))
-        cols = layers.im2col(x, 3, 2)
-        skipped = layers.conv1d_backward(cols, w, 2, r)
-        full = layers.conv1d_backward(cols, w, 2, r, grad_x=np.empty_like(x))
-        assert skipped[0] is None
-        assert np.array_equal(skipped[1], full[1]) and np.array_equal(skipped[2], full[2])
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             layers.conv1d_backward(
-                np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 7, 1))
+                np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 7, 1)),
+                grad_x=np.zeros((1, 9, 1)),
             )
 
     def test_input_gradient_buffer_shape_checked(self):
@@ -314,7 +305,7 @@ def _unfused_first_layer(x, w, b, stride, grad_out):
     z = layers.conv1d_forward(x, w, b, stride)
     x_hat, cache, mean, var = layers.batchnorm_train(z)
     dz = layers.batchnorm_backward(cache, grad_out, relu=True)
-    _, gw, gb = layers.conv1d_backward(cols, w, stride, dz)
+    _, gw, gb = layers.conv1d_backward(cols, w, stride, dz, grad_x=np.empty_like(x))
     return x_hat, mean, var, gw, gb
 
 

@@ -1,4 +1,5 @@
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from pyrseiz.network import (
     model_config,
     parameter_shapes,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXPECTED_COUNTS = {
     ("traditional", 20, 2): 21366,
@@ -83,6 +86,22 @@ class TestModelGrid:
             assert MODEL_GRID[name].kernel_counts == (8, 16, 24)
         for name in ("M5", "M6", "M7", "M8"):
             assert MODEL_GRID[name].kernel_counts == (24, 16, 8)
+
+    def test_readme_table_matches_the_grid(self):
+        """README's model table is the one copy of the grid written by hand."""
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in README.read_text().splitlines()
+            if line.startswith("| M")
+        ]
+        assert [row[0] for row in rows] == list(MODEL_NAMES)
+        for name, family, kernels, fc1, dropout, params2, params3 in rows:
+            two, three = model_config(name, 2), model_config(name, 3)
+            assert family == two.family
+            assert tuple(int(k) for k in kernels.split(",")) == two.kernel_counts
+            assert int(fc1) == two.fc1_width
+            assert float(dropout) == two.dropout_rate
+            assert (int(params2), int(params3)) == (count_parameters(two), count_parameters(three))
 
 
 class TestCountParameters:

@@ -314,6 +314,65 @@ class TestCheckpointRoundTrip:
         assert text.splitlines()[0] == "p1dcnn-v2"
         assert "config kernel_counts 24 16 8" in text
 
+    @pytest.mark.parametrize(
+        "overrides, dropout_line",
+        [({}, "config dropout_rate 0.5"),
+         ({"dropout_rate": 0.1}, "config dropout_rate 0.10000000000000001")],
+        ids=["m5", "dropout-0.1"],
+    )
+    def test_config_block_bytes(self, tmp_path, overrides, dropout_line):
+        cfg = replace(model_config("M5", 3), **overrides)
+        path = tmp_path / "m5.ckpt"
+        save_checkpoint(init_parameters(cfg, seed=0), cfg, path)
+        assert path.read_text().splitlines()[1:8] == [
+            "config kernel_counts 24 16 8",
+            "config receptive_fields 5 3 3",
+            "config strides 3 2 2",
+            "config fc1_width 20",
+            dropout_line,
+            "config num_classes 3",
+            "config input_length 512",
+        ]
+        assert load_checkpoint(path).config == cfg
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            ("config fc1_width 5 99", "config fc1_width 5 99"),
+            ("config fc1_width 5\nconfig flux 7", "config flux 7"),
+            ("config fc1_width 40\nconfig fc1_width 5", "config fc1_width 5"),
+        ],
+        ids=["extra-value", "unknown-key", "repeated-key"],
+    )
+    @pytest.mark.parametrize("writer", [save_checkpoint, save_checkpoint_v1], ids=["v2", "v1"])
+    def test_malformed_config_line_rejected(self, tiny_config, tmp_path, writer, lines, bad_line):
+        """Each line in place of ``config fc1_width 5`` fails the load, naming
+        the file and the offending line."""
+        path = tmp_path / "model.ckpt"
+        writer(init_parameters(tiny_config, seed=0), tiny_config, path)
+        path.write_text(path.read_text().replace("config fc1_width 5\n", lines + "\n"))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert repr(bad_line) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("config strides 3 2 2\n", "", r"config is missing \['strides'\]"),
+            ("config num_classes 2\n", "config num_classes two\n", "invalid checkpoint config"),
+            ("config strides 3 2 2\n", "config strides 3 2\n", "invalid checkpoint config"),
+        ],
+        ids=["missing-key", "non-integer", "two-strides"],
+    )
+    def test_bad_config_value_names_the_path(self, tiny_config, tmp_path, old, new, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_parameters(tiny_config, seed=0), tiny_config, path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_truncated_file_rejected(self, tiny_config, tmp_path):
         params = init_parameters(tiny_config, seed=0)
         path = tmp_path / "model.ckpt"
