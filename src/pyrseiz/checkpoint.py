@@ -88,7 +88,8 @@ def save_checkpoint(
 
 def _parse_config(path: Path, lines: list[str], pos: int) -> tuple[ModelConfig, int]:
     """The ``config`` lines from ``lines[pos]`` on: the config and the
-    position after them. Every field appears once, a scalar with one value."""
+    position after them. Every field appears once, a scalar with one value,
+    and every value is spelled as ``format(value, ".17g")`` spells it."""
     values: dict[str, object] = {}
     while pos < len(lines) and lines[pos].startswith("config "):
         parts = lines[pos].split()
@@ -98,13 +99,19 @@ def _parse_config(path: Path, lines: list[str], pos: int) -> tuple[ModelConfig, 
             raise CheckpointError(
                 f"{path}: malformed, unknown or repeated config line {lines[pos]!r}"
             )
+        convert = type(default) if scalar else type(default[0])
         try:
-            if scalar:
-                values[parts[1]] = type(default)(parts[2])
-            else:
-                values[parts[1]] = tuple(type(default[0])(v) for v in parts[2:])
+            parsed = [convert(token) for token in parts[2:]]
         except ValueError as exc:
             raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
+        # int() and float() also take '5_12', '+20', '03', '0.50' and non-ASCII
+        # digits; a file as save_checkpoint writes it has none of these
+        for token, value in zip(parts[2:], parsed):
+            if token != format(value, ".17g"):
+                raise CheckpointError(
+                    f"{path}: non-canonical value {token!r} in config line {lines[pos]!r}"
+                )
+        values[parts[1]] = parsed[0] if scalar else tuple(parsed)
         pos += 1
     missing = [key for key in _CONFIG_DEFAULTS if key not in values]
     if missing:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -206,10 +207,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     samples = read_samples(args.input)
     stem = Path(args.input).stem
     vote_records = []
-    # one instance per pass, as predict_instance does: on a few windows, small
-    # batches run faster than one batch of the whole record
-    for sub_index, windows in enumerate(segment_signal(samples, scheme)):
-        (record,) = classify(params, config, windows[None])
+    records = classify(params, config, segment_signal(samples, scheme))  # all instances at once
+    for sub_index, record in enumerate(records):
         record = replace(record, origin=(stem, sub_index))
         vote_records.append(record)
         label = case.group_letters(record.final) if case is not None else str(record.final)
@@ -260,7 +259,11 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="runs", metavar="DIR")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than a ``predict`` call's inference. Subcommand ``X`` runs
+    ``cmd_X``, looked up when it is called."""
     parser = argparse.ArgumentParser(
         prog="pyrseiz",
         description="Pyramidal 1D-CNN ensemble for EEG classification",
@@ -270,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="print the model parameter-count table")
     p.add_argument("models", nargs="*", metavar="MODEL")
     p.add_argument("--all", action="store_true", help="audit every model M1..M8")
-    p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("synth", help="write a synthetic Bonn-layout dataset")
     p.add_argument("--classes", type=int, default=3, metavar="N")
@@ -278,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=BONN_RECORD_LENGTH, metavar="N")
     p.add_argument("--noise", type=float, default=0.05, metavar="R")
     _add_common_options(p)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model on the full dataset")
     _add_data_options(p)
@@ -287,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_options(p)
     _add_training_options(p)
     _add_common_options(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("cv", help="k-fold cross-validation for one case")
     _add_data_options(p)
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10, metavar="N")
     p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("battery", help="run all 16 benchmark cases")
     _add_data_options(p)
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10, metavar="N")
     p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_battery)
 
     p = sub.add_parser("predict", help="classify one record with a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
@@ -322,16 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "must match the checkpoint's")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="directory for the per-instance vote log CSV")
-    p.set_defaults(func=cmd_predict)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

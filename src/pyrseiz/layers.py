@@ -230,23 +230,27 @@ def batchnorm_train(
 
 
 def batchnorm_infer(
-    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
     running_mean: np.ndarray | None,
     running_var: np.ndarray | None,
     eps: float = BN_EPS,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Normalize channel-last x by running statistics (inference path).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold inference batch norm into the preceding convolution.
 
-    ``out`` may be ``x`` itself.
+    Normalizing a conv output by running statistics is itself a convolution:
+    with s = sqrt(running_var + eps) per output channel, the (K, C, Rf)
+    ``weights`` become W / s and the (K,) ``bias`` becomes (b - mean) / s.
+    Returns fresh (weights', bias'); conv1d_forward with them gives the
+    normalized output without a pass over the activations.
     """
     if running_mean is None or running_var is None:
         raise ValueError("batch-norm running statistics are uninitialized")
     rv = np.asarray(running_var, dtype=np.float64)
     if not np.all(np.isfinite(rv)) or np.any(rv <= 0.0):
         raise ValueError("batch-norm running variances must be finite and positive")
-    y = np.subtract(x, np.asarray(running_mean), out=out)
-    return np.divide(y, np.sqrt(rv + eps), out=y)
+    scale = np.sqrt(rv + eps)
+    return weights / scale[:, None, None], (bias - np.asarray(running_mean)) / scale
 
 
 def batchnorm_backward(

@@ -286,8 +286,9 @@ def forward(
 
     ``windows`` is (B, input_length) or a single window. The trace is None at
     inference. Training mode normalizes by batch statistics and updates the
-    running statistics in place in ``params``; inference normalizes by running
-    statistics and applies no dropout. Activations are written into
+    running statistics in place in ``params``; inference folds the running
+    statistics into each layer's conv weights and bias
+    (``layers.batchnorm_infer``) and applies no dropout. Activations are written into
     ``workspace``; without one, training makes a fresh workspace and
     inference allocates as it goes. The returned probabilities are always a
     fresh array.
@@ -314,9 +315,9 @@ def forward(
     running_mean, running_var = params.bn_running_mean, params.bn_running_var
     for i, (cols, normalized, act) in enumerate(buffers):
         stride = config.strides[i]
-        if not training:
-            z = layers.conv1d_forward(h, weights[i], biases[i], stride, cols=cols, out=normalized)
-            layers.batchnorm_infer(z, running_mean[i], running_var[i], out=z)
+        if not training:  # batch norm folded into the conv weights and bias
+            w, b = layers.batchnorm_infer(weights[i], biases[i], running_mean[i], running_var[i])
+            z = layers.conv1d_forward(h, w, b, stride, cols=cols, out=normalized)
         else:
             if i == 0:  # data input, Rf-wide patches: statistics from the patches
                 z, cache, mean, var = layers.conv_batchnorm_train(

@@ -189,7 +189,10 @@ def forward_reference(config, params, windows, training=False, dropout_rng=None)
     (0, 2), and the flatten reads (kernel, position) order, so it checks the
     channel-last implementation against an independent layout. Training mode
     updates ``params``' running statistics (momentum 0.9, eps 1e-5) and draws
-    the dropout mask from ``dropout_rng``. Returns (probs, trace dict).
+    the dropout mask from ``dropout_rng``. Inference is unfolded: conv plus
+    bias, minus the running mean, divided by sqrt(var + eps), then ReLU,
+    where the network folds batch norm into the conv weights and bias.
+    Returns (probs, trace dict).
     """
     h = np.asarray(windows, dtype=np.float64)[:, None, :]
     trace = {"inputs": [], "x_hat": [], "inv_std": []}

@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import save_checkpoint_v1
+from pyrseiz import cli
 from pyrseiz.checkpoint import load_checkpoint, save_checkpoint
 from pyrseiz.cli import main
+from pyrseiz.dataset import define_case, load_bonn_root
+from pyrseiz.ensemble import predict_instance
+from pyrseiz.windowing import get_scheme, segment_testing
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPECTED_TABLE3 = {21366, 21387, 41106, 41147, 8326, 8347, 14946, 14987}
 
@@ -290,6 +301,29 @@ class TestPredict:
         assert "instance" not in captured.out
         assert captured.err == f"error: {bad}: not a UTF-8 text sample file\n"
 
+    @pytest.mark.parametrize("scheme", [1, 2])
+    def test_vote_logs_equal_the_library_path(self, tmp_path, scheme):
+        """For every record, the vote log of ``pyrseiz predict`` holds the
+        rows of predict_instance over segment_testing, in the documented format."""
+        ckpt, sample = self._train(tmp_path, scheme)
+        params, config = load_checkpoint(ckpt)
+        case, spec = define_case("A-B"), get_scheme(scheme)
+        root, out = sample.parent.parent, tmp_path / "votes"
+        records = load_bonn_root(root, letters=case.sets)
+        assert len(records) == 8
+        for record in records:
+            path = root / record.set_label / f"{record.record_id}.txt"
+            assert main(["predict", "--checkpoint", str(ckpt), "--input", str(path),
+                         "--out", str(out)]) == 0
+            rows = ["record_id,subsignal_index,votes,final,tie_broken"]
+            for instance in segment_testing(record, case, spec):
+                vote = predict_instance(params, config, instance, spec)
+                votes = " ".join(str(v) for v in vote.votes)
+                rows.append(f"{vote.origin[0]},{vote.origin[1]},{votes},{vote.final},"
+                            f"{str(vote.tie_broken).lower()}")
+            log = out / f"predict_{record.record_id}_votes.csv"
+            assert log.read_text().splitlines() == rows
+
     def test_missing_checkpoint(self, capsys, tmp_path):
         rc = main(
             ["predict", "--checkpoint", str(tmp_path / "no.ckpt"), "--input", "x.txt"]
@@ -321,3 +355,45 @@ class TestBattery:
         assert comp_lines[0] == "case,paper_acc,our_acc"
         assert len(comp_lines) == 17
         assert any(line.startswith("A-E,") for line in comp_lines)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "handler, argv",
+        [
+            ("cmd_predict", ["predict", "--checkpoint", "no.ckpt", "--input", "x.txt"]),
+            ("cmd_cv", ["cv", "--case", "A-B"]),
+        ],
+    )
+    def test_handler_is_looked_up_at_call_time(self, monkeypatch, capsys, handler, argv):
+        """A handler replaced after the parser exists still receives its
+        subcommand, as the benchmark's timing wrappers need."""
+        monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
+        assert main(["params", "M5"]) == 0
+        original, calls = getattr(cli, handler), []
+
+        def counting(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, handler, counting)
+        assert main(argv) == 1  # the handler runs and reports the missing input
+        assert calls == [argv[0]]
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_two_calls_build_the_parser_once(self):
+        cli.build_parser.cache_clear()
+        assert main(["params", "M5"]) == 0
+        assert main(["params", "M1"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "pyrseiz", "params", "M5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "8326" in result.stdout

@@ -274,23 +274,44 @@ class TestBatchNorm:
         assert layers.batchnorm_backward(cache, in_place, relu=True, out=in_place) is in_place
         assert np.array_equal(in_place, gx)
 
+    @staticmethod
+    def _folded_conv(x, running_mean, running_var, **kwargs):
+        """Batch norm of channel-last x by running statistics, as inference
+        runs it: folded into a 1-tap identity convolution with zero bias."""
+        channels = x.shape[2]
+        weights, bias = layers.batchnorm_infer(
+            np.eye(channels)[:, :, None], np.zeros(channels), running_mean, running_var,
+            **kwargs,
+        )
+        return layers.conv1d_forward(x, weights, bias, 1)
+
     def test_inference_uses_running_stats(self):
         x = np.ones((2, 4, 1))
-        y = layers.batchnorm_infer(x, np.array([3.0]), np.array([4.0]))
+        y = self._folded_conv(x, np.array([3.0]), np.array([4.0]))
         assert np.allclose(y, (1.0 - 3.0) / np.sqrt(4.0 + layers.BN_EPS))
 
     def test_inference_normalizes_each_channel(self):
         x = np.array([[[1.0, 10.0], [3.0, 20.0]]])
-        y = layers.batchnorm_infer(x, np.array([1.0, 10.0]), np.array([4.0, 100.0]), eps=0.0)
+        y = self._folded_conv(x, np.array([1.0, 10.0]), np.array([4.0, 100.0]), eps=0.0)
         assert y.tolist() == [[[0.0, 0.0], [1.0, 1.0]]]
+
+    def test_inference_folds_into_weights_and_bias(self):
+        weights = np.arange(12.0).reshape(2, 3, 2)
+        weights_folded, bias_folded = layers.batchnorm_infer(
+            weights, np.array([1.0, 2.0]), np.array([3.0, -2.0]), np.array([4.0, 16.0]), eps=0.0
+        )
+        assert weights_folded.shape == weights.shape
+        assert np.array_equal(weights_folded[0], weights[0] / 2.0)
+        assert np.array_equal(weights_folded[1], weights[1] / 4.0)
+        assert bias_folded.tolist() == [-1.0, 1.0]
 
     def test_inference_requires_initialized_stats(self):
         with pytest.raises(ValueError, match="uninitialized"):
-            layers.batchnorm_infer(np.ones((1, 2, 1)), None, None)
+            layers.batchnorm_infer(np.ones((1, 1, 1)), np.zeros(1), None, None)
 
     def test_inference_rejects_bad_variance(self):
         with pytest.raises(ValueError, match="finite and positive"):
-            layers.batchnorm_infer(np.ones((1, 2, 1)), np.zeros(1), np.array([-1.0]))
+            layers.batchnorm_infer(np.ones((1, 1, 1)), np.zeros(1), np.zeros(1), np.array([-1.0]))
 
     def test_running_stat_update(self):
         running = np.array([1.0])

@@ -444,3 +444,23 @@ class TestChannelLastLayout:
             forward(tiny_config, params, rng.standard_normal((6, 64)))
             forward(tiny_config, params, rng.standard_normal((6, 64)), training=True)
         assert np.array_equal(first, kept)
+
+
+# Set before measuring: the fold divides the weights where the oracle divides
+# the activations, so the two differ by float64 rounding alone.
+FOLD_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_folded_inference_matches_unfolded_oracle(name):
+    """Inference with batch norm folded into the conv weights and bias gives
+    the probabilities of conv plus bias, minus the running mean, divided by
+    sqrt(var + eps), then ReLU, within FOLD_TOLERANCE (absolute)."""
+    cfg = model_config(name, 3)
+    params = _perturbed(cfg, seed=11)
+    assert all(np.ptp(var) > 0.1 and np.abs(mean).max() > 0.1 for mean, var in
+               zip(params.bn_running_mean, params.bn_running_var))
+    x = np.random.default_rng(12).standard_normal((16, 512))
+    probs, _ = forward(cfg, params, x, training=False)
+    ref_probs, _ = forward_reference(cfg, params.copy(), x, training=False)
+    assert np.max(np.abs(probs - ref_probs)) <= FOLD_TOLERANCE

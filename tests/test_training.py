@@ -357,6 +357,32 @@ class TestCheckpointRoundTrip:
         assert repr(bad_line) in str(info.value)
 
     @pytest.mark.parametrize(
+        "canonical, spelling",
+        [
+            ("config input_length 512", "config input_length 5_12"),
+            ("config fc1_width 20", "config fc1_width +20"),
+            ("config dropout_rate 0.5", "config dropout_rate 0.50"),
+            ("config num_classes 3", "config num_classes 03"),
+            ("config strides 3 2 2", "config strides 3 2 ２"),
+        ],
+        ids=["underscore", "plus-sign", "trailing-zero", "leading-zero", "full-width-digit"],
+    )
+    @pytest.mark.parametrize("writer", [save_checkpoint, save_checkpoint_v1], ids=["v2", "v1"])
+    def test_non_canonical_config_value_rejected(self, tmp_path, writer, canonical, spelling):
+        """int() and float() read each spelling as the canonical value; the
+        load fails instead, naming the file and the line."""
+        cfg = model_config("M5", 3)
+        path = tmp_path / "m5.ckpt"
+        writer(init_parameters(cfg, seed=0), cfg, path)
+        text = path.read_text()
+        assert f"\n{canonical}\n" in text
+        path.write_text(text.replace(f"\n{canonical}\n", f"\n{spelling}\n"))
+        with pytest.raises(CheckpointError, match="non-canonical value") as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert repr(spelling) in str(info.value)
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("config strides 3 2 2\n", "", r"config is missing \['strides'\]"),
