@@ -13,6 +13,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     BONN_RECORD_LENGTH,
     BandSpec,
+    ExperimentCase,
     define_case,
     ids_by_set,
     load_bonn_root,
@@ -22,7 +23,14 @@ from .dataset import (
     write_bonn_dataset,
 )
 from .ensemble import classify, write_vote_log
-from .evaluation import emit_battery, emit_battery_comparison, emit_report, run_battery, run_cv
+from .evaluation import (
+    RunSpec,
+    emit_battery,
+    emit_battery_comparison,
+    emit_report,
+    run_battery,
+    run_cv,
+)
 from .network import MODEL_GRID, MODEL_NAMES, count_parameters, model_config
 from .training import TrainingConfig, train, write_history_csv
 from .windowing import _SCHEMES, augment_training, get_scheme, segment_signal
@@ -48,19 +56,19 @@ def _data_root(args: argparse.Namespace) -> Path:
     return Path(root)
 
 
-def _training_config(args: argparse.Namespace) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
+def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> RunSpec:
+    """The run the model, training and scheme options describe; without a
+    case, the battery's template (two classes until ``for_case``)."""
+    model = model_config(
+        args.model,
+        2 if case is None else case.num_classes,
+        fc1_width=args.fc1,
+        dropout_rate=args.dropout,
     )
-
-
-def _model_config(args: argparse.Namespace, num_classes: int):
-    return model_config(
-        args.model, num_classes, fc1_width=args.fc1, dropout_rate=args.dropout
+    training = TrainingConfig(
+        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed
     )
+    return RunSpec(case, get_scheme(args.scheme), model, training, args.model)
 
 
 def cmd_params(args: argparse.Namespace) -> int:
@@ -100,62 +108,44 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _artifact_stem(kind: str, args: argparse.Namespace, case_name: str) -> str:
-    return f"{kind}_{case_name}_scheme{args.scheme}_{args.model}_seed{args.seed}"
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    case = define_case(args.case)
-    scheme = get_scheme(args.scheme)
+    spec = _run_spec(args, define_case(args.case))
+    case, scheme = spec.case, spec.scheme
     records = load_bonn_root(
         _data_root(args), letters=case.sets, expected_length=args.record_length
     )
-    config = _model_config(args, case.num_classes)
-    training = _training_config(args)
     training_set = augment_training(records, case, scheme)
-    params, history = train(config, training_set, training)
+    params, history = train(spec.model, training_set, spec.training)
     out = Path(args.out)
-    stem = _artifact_stem("train", args, case.name)
+    stem = spec.stem("train")
     ckpt = out / f"{stem}.ckpt"
     hist = out / f"{stem}_history.csv"
-    save_checkpoint(params, config, ckpt, case=case.name, scheme=scheme.id)
+    save_checkpoint(params, spec.model, ckpt, case=case.name, scheme=scheme.id)
     write_history_csv(history, hist)
     print(f"trained on {len(training_set)} windows; checkpoint {ckpt}, history {hist}")
     return 0
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    case = define_case(args.case)
-    scheme = get_scheme(args.scheme)
+    spec = _run_spec(args, define_case(args.case))
+    case, scheme = spec.case, spec.scheme
     records = load_bonn_root(
         _data_root(args), letters=case.sets, expected_length=args.record_length
     )
-    config = _model_config(args, case.num_classes)
-    training = _training_config(args)
     plan = plan_folds(ids_by_set(records), k=args.folds, seed=args.seed)
-    report = run_cv(
-        records,
-        case,
-        scheme,
-        config,
-        training,
-        plan,
-        jobs=args.jobs,
-        keep_params=True,
-        model_name=args.model,
-    )
+    report = run_cv(records, spec, plan, jobs=args.jobs, keep_params=True)
     out = Path(args.out)
-    stem = _artifact_stem("cv", args, case.name)
+    stem = spec.stem("cv")
     report_path = emit_report(report, out / f"{stem}.{args.format}", fmt=args.format)
     for fold in report.folds:
         save_checkpoint(
-            fold.params, config, out / f"{stem}_fold{fold.fold}.ckpt",
+            fold.params, spec.model, out / f"{stem}_fold{fold.fold}.ckpt",
             case=case.name, scheme=scheme.id,
         )
     mean_acc = report.mean["acc"]
     mean_acc_v = report.mean["acc_v"]
     print(
-        f"{case.name} scheme {scheme.id} {args.model}: "
+        f"{case.name} scheme {scheme.id} {spec.label}: "
         f"mean acc {mean_acc:.4f}, mean acc_v {mean_acc_v:.4f} "
         f"over {plan.k} folds; report {report_path}"
     )
@@ -163,21 +153,11 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_battery(args: argparse.Namespace) -> int:
-    scheme = get_scheme(args.scheme)
+    template = _run_spec(args)
     records = load_bonn_root(_data_root(args), expected_length=args.record_length)
-    template = _model_config(args, 2)
-    training = _training_config(args)
-    battery = run_battery(
-        records,
-        scheme,
-        template,
-        training,
-        k=args.folds,
-        jobs=args.jobs,
-        model_name=args.model,
-    )
+    battery = run_battery(records, template, k=args.folds, jobs=args.jobs)
     out = Path(args.out)
-    stem = f"battery_scheme{args.scheme}_{args.model}_seed{args.seed}"
+    stem = template.stem("battery")
     summary = emit_battery(battery, out / f"{stem}.{args.format}", fmt=args.format)
     comparison = emit_battery_comparison(battery, out / f"{stem}_comparison.csv")
     for row in battery.rows:

@@ -82,26 +82,19 @@ def read_samples(path: str | Path) -> np.ndarray:
     else:
         if np.isfinite(values).all():
             return values
-    return _read_samples_by_line(path)
-
-
-def _read_samples_by_line(path: Path) -> np.ndarray:
-    """``read_samples`` one line at a time: skips blank lines and raises with
-    the ``path:line`` of the first bad sample."""
-    values: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite sample {text!r}")
-            values.append(value)
-    return np.array(values, dtype=np.float64)
+    samples: list[float] = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite sample {text!r}")
+        samples.append(value)
+    return np.array(samples, dtype=np.float64)
 
 
 def load_record(

@@ -7,6 +7,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -151,37 +152,68 @@ def _aggregate(folds: Sequence[FoldResult]) -> tuple[dict[str, float | None], di
     return mean, std
 
 
-def _settings_echo(
-    model_config: ModelConfig, training_config: TrainingConfig, fold_plan: FoldPlan
-) -> dict[str, object]:
-    # Training always shuffles and weights every class equally; the report
-    # still states both.
-    return {
-        **asdict(model_config),
-        **asdict(training_config),
-        "shuffle": True,
-        "balance_classes": False,
-        "folds": fold_plan.k,
-        "fold_seed": fold_plan.seed,
-    }
+@dataclass(frozen=True)
+class RunSpec:
+    """What one run is: the case, windowing scheme, model and training
+    settings, and the model name reports and file names carry.
+
+    ``case`` is None in a battery template; ``for_case`` derives each case's
+    spec from it.
+    """
+
+    case: ExperimentCase | None
+    scheme: SchemeSpec
+    model: ModelConfig
+    training: TrainingConfig
+    model_name: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.case is not None and self.model.num_classes != self.case.num_classes:
+            raise ValueError(
+                f"model has {self.model.num_classes} classes, case {self.case.name} "
+                f"has {self.case.num_classes}"
+            )
+
+    @property
+    def label(self) -> str:
+        """The model name, else e.g. ``pyramid-fc20``."""
+        return self.model_name or f"{self.model.family}-fc{self.model.fc1_width}"
+
+    def for_case(self, case: ExperimentCase) -> RunSpec:
+        """This spec on ``case``, with the model's class count re-derived."""
+        return replace(self, case=case, model=replace(self.model, num_classes=case.num_classes))
+
+    def settings(self, plan: FoldPlan) -> dict[str, object]:
+        """The settings a JSON report echoes. Training always shuffles and
+        weights every class equally; the report still states both."""
+        return {
+            **asdict(self.model),
+            **asdict(self.training),
+            "shuffle": True,
+            "balance_classes": False,
+            "folds": plan.k,
+            "fold_seed": plan.seed,
+        }
+
+    def stem(self, kind: str) -> str:
+        """The artifact file-name stem, e.g. ``cv_A-E_scheme1_M5_seed0``."""
+        case = "" if self.case is None else f"_{self.case.name}"
+        return f"{kind}{case}_scheme{self.scheme.id}_{self.label}_seed{self.training.seed}"
 
 
-def _run_fold(args: tuple) -> FoldResult:
-    (
-        fold,
-        case,
-        scheme,
-        model_config,
-        training_config,
-        fold_plan,
-        by_set,
-        keep_params,
-    ) = args
+def _run_fold(
+    fold: int,
+    spec: RunSpec,
+    plan: FoldPlan,
+    by_set: dict[str, dict[int, EegRecord]],
+    keep_params: bool,
+) -> FoldResult:
+    case, scheme = spec.case, spec.scheme
     train_records: list[EegRecord] = []
     test_records: list[EegRecord] = []
     for letter in sorted(case.class_of_set):
-        test_ids = set(fold_plan.test_ids(letter, fold))
-        train_ids = set(fold_plan.train_ids(letter, fold))
+        test_ids = set(plan.test_ids(letter, fold))
+        train_ids = set(plan.train_ids(letter, fold))
         overlap = sorted(test_ids & train_ids)
         if overlap:
             raise ValueError(
@@ -193,13 +225,13 @@ def _run_fold(args: tuple) -> FoldResult:
         train_records.extend(records[i] for i in sorted(train_ids))
 
     training_set = augment_training(train_records, case, scheme)
-    fold_config = replace(training_config, seed=training_config.seed + fold)
-    params, _ = train(model_config, training_set, fold_config)
+    fold_config = replace(spec.training, seed=spec.training.seed + fold)
+    params, _ = train(spec.model, training_set, fold_config)
 
     instances = [
         instance for record in test_records for instance in segment_testing(record, case, scheme)
     ]
-    votes = classify(params, model_config, np.stack([inst.windows for inst in instances]))
+    votes = classify(params, spec.model, np.stack([inst.windows for inst in instances]))
     cm = np.zeros((case.num_classes, case.num_classes), dtype=np.int64)
     window_correct = 0
     for inst, vote in zip(instances, votes):
@@ -217,11 +249,6 @@ def _run_fold(args: tuple) -> FoldResult:
     )
 
 
-def _model_label(config: ModelConfig) -> str:
-    """The report's model name when none is given, e.g. ``pyramid-fc20``."""
-    return f"{config.family}-fc{config.fc1_width}"
-
-
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -229,74 +256,55 @@ def _check_jobs(jobs: int) -> None:
 
 def run_cv(
     records: Iterable[EegRecord],
-    case: ExperimentCase,
-    scheme: SchemeSpec,
-    model_config: ModelConfig,
-    training_config: TrainingConfig,
-    fold_plan: FoldPlan,
+    spec: RunSpec,
+    plan: FoldPlan,
     jobs: int = 1,
     keep_params: bool = False,
-    model_name: str | None = None,
 ) -> MetricsReport:
-    """Train and score one model per fold; report per-fold and mean metrics.
+    """Train and score one model per fold of ``spec.case``; report per-fold
+    and mean metrics.
 
     Window accuracy (acc) counts every individual test window; voted accuracy
     (acc_v) and the confusion matrix count 1024-sample test instances, four
-    per record. Fold f tests on fold_plan's group f of every set; the other
-    groups train. Fold training seeds are training_config.seed + fold. Folds
+    per record. Fold f tests on the plan's group f of every set; the other
+    groups train. Fold training seeds are spec.training.seed + fold. Folds
     run in ``jobs`` processes (serially at 1).
     """
     start = time.perf_counter()
     _check_jobs(jobs)
-    if model_config.num_classes != case.num_classes:
-        raise ValueError(
-            f"model has {model_config.num_classes} classes, case {case.name} "
-            f"has {case.num_classes}"
-        )
+    case = spec.case
     by_set: dict[str, dict[int, EegRecord]] = {}
     for record in records:
         if record.set_label in case.class_of_set:
             by_set.setdefault(record.set_label, {})[record.index] = record
     for letter in sorted(case.class_of_set):
-        if letter not in fold_plan.assignments:
+        if letter not in plan.assignments:
             raise ValueError(f"fold plan has no assignments for set {letter}")
-        planned = {i for chunk in fold_plan.assignments[letter] for i in chunk}
+        planned = {i for chunk in plan.assignments[letter] for i in chunk}
         missing = sorted(planned - set(by_set.get(letter, {})))
         if missing:
             raise ValueError(
                 f"fold plan references records absent from the dataset: "
                 f"{letter}{missing[:5]}"
             )
-    fold_args = [
-        (
-            fold,
-            case,
-            scheme,
-            model_config,
-            training_config,
-            fold_plan,
-            by_set,
-            keep_params,
-        )
-        for fold in range(fold_plan.k)
-    ]
+    fold_args = (range(plan.k), repeat(spec), repeat(plan), repeat(by_set), repeat(keep_params))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(_run_fold, fold_args))
+            folds = list(pool.map(_run_fold, *fold_args))
     else:
-        folds = [_run_fold(args) for args in fold_args]
+        folds = list(map(_run_fold, *fold_args))
     mean, std = _aggregate(folds)
     mean_confusion = np.mean([f.confusion for f in folds], axis=0)
     return MetricsReport(
         case=case.name,
-        scheme_id=scheme.id,
-        model=model_name or _model_label(model_config),
+        scheme_id=spec.scheme.id,
+        model=spec.label,
         folds=folds,
         mean=mean,
         std=std,
         mean_confusion=mean_confusion,
         ties_total=sum(f.ties for f in folds),
-        settings=_settings_echo(model_config, training_config, fold_plan),
+        settings=spec.settings(plan),
         runtime_seconds=time.perf_counter() - start,
     )
 
@@ -322,47 +330,34 @@ class BatteryReport:
 
 def run_battery(
     records: Sequence[EegRecord],
-    scheme: SchemeSpec,
-    model_template: ModelConfig,
-    training_config: TrainingConfig,
+    template: RunSpec,
     k: int = 10,
     cases: Sequence[str] = BATTERY_CASES,
     jobs: int = 1,
-    model_name: str | None = None,
 ) -> BatteryReport:
     """Run run_cv over every case spec, reusing one fold plan for all sets.
 
-    The model template's class count is re-derived per case; everything else
-    (kernels, widths, dropout) is shared. Deterministic for fixed seeds.
+    Each case runs ``template.for_case``: the class count is re-derived per
+    case, everything else (kernels, widths, dropout) is shared.
+    Deterministic for fixed seeds.
     """
     _check_jobs(jobs)
-    plan = plan_folds(ids_by_set(records), k=k, seed=training_config.seed)
+    plan = plan_folds(ids_by_set(records), k=k, seed=template.training.seed)
     rows: list[BatteryRow] = []
-    for spec in cases:
-        case = define_case(spec)
-        config = replace(model_template, num_classes=case.num_classes)
-        report = run_cv(
-            records,
-            case,
-            scheme,
-            config,
-            training_config,
-            plan,
-            jobs=jobs,
-            model_name=model_name,
-        )
+    for name in cases:
+        report = run_cv(records, template.for_case(define_case(name)), plan, jobs=jobs)
         rows.append(
             BatteryRow(
-                case=case.name,
+                case=report.case,
                 mean_acc=report.mean["acc"],
                 mean_acc_v=report.mean["acc_v"],
-                reference_acc_v=REFERENCE_ACC_V.get(case.name),
+                reference_acc_v=REFERENCE_ACC_V.get(report.case),
             )
         )
     return BatteryReport(
-        scheme_id=scheme.id,
-        model=model_name or _model_label(model_template),
-        seed=training_config.seed,
+        scheme_id=template.scheme.id,
+        model=template.label,
+        seed=template.training.seed,
         k=k,
         rows=rows,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +35,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (("learning_rate", self.learning_rate), ("eps", self.eps)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:

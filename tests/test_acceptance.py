@@ -32,7 +32,7 @@ from pyrseiz.dataset import (
     synthesize_dataset,
 )
 from pyrseiz.ensemble import majority_vote
-from pyrseiz.evaluation import compute_metrics, run_battery, run_cv
+from pyrseiz.evaluation import RunSpec, compute_metrics, run_battery, run_cv
 from pyrseiz.network import (
     ModelConfig,
     NetworkParameters,
@@ -278,7 +278,7 @@ def test_criterion_6_synthetic_end_to_end():
         cfg = model_config("M5", case.num_classes)
         training = TrainingConfig(epochs=8, seed=7)
         plan = plan_folds(ids_by_set(records), k=5, seed=7)
-        report = run_cv(records, case, SCHEME_1, cfg, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, cfg, training), plan)
         elapsed = time.perf_counter() - start
         print(
             f"\n  mean window acc {report.mean['acc']:.4f}, "
@@ -318,7 +318,7 @@ def test_criterion_7_bonn_a_vs_e():
         cfg = model_config("M5", case.num_classes)
         training = TrainingConfig(epochs=20, seed=1)
         plan = plan_folds(ids_by_set(records), k=10, seed=1)
-        report = run_cv(records, case, SCHEME_1, cfg, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, cfg, training), plan)
         print(f"\n  A-E mean acc_v {report.mean['acc_v']:.4f}")
         assert report.mean["acc_v"] >= 0.99
 
@@ -333,7 +333,7 @@ def test_criterion_7_bonn_ternary():
         cfg = model_config("M5", case.num_classes)
         training = TrainingConfig(epochs=30, seed=1)
         plan = plan_folds(ids_by_set(records), k=10, seed=1)
-        report = run_cv(records, case, SCHEME_1, cfg, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, cfg, training), plan)
         print(f"\n  AB-CD-E mean acc_v {report.mean['acc_v']:.4f}")
         assert report.mean["acc_v"] >= 0.97
         cm = report.mean_confusion
@@ -353,7 +353,7 @@ def test_criterion_7_bonn_full_battery():
         records = load_bonn_root(_bonn_root())
         template = model_config("M5", 2)
         training = TrainingConfig(epochs=20, seed=1)
-        battery = run_battery(records, SCHEME_1, template, training, k=10)
+        battery = run_battery(records, RunSpec(None, SCHEME_1, template, training), k=10)
         mean_acc_v = float(np.mean([row.mean_acc_v for row in battery.rows]))
         print(f"\n  battery mean acc_v {mean_acc_v:.4f}")
         assert mean_acc_v >= 0.98

@@ -110,6 +110,19 @@ class TestTrain:
         assert main(["train", "--case", "A-B", "--epochs", "1"]) == 1
         assert "PYRSEIZ_DATA" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+    def test_non_finite_learning_rate_exits_1_with_one_line(self, tmp_path, capsys, lr, shown):
+        root = _synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        rc = main(["train", "--data-root", str(root), "--case", "A-B", "--epochs", "1",
+                   "--lr", lr, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: learning_rate must be finite, got {shown}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCv:
     def test_report_and_fold_checkpoints(self, tmp_path, capsys):

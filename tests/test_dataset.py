@@ -158,6 +158,27 @@ class TestReadSamples:
             read_samples(path)
         assert str(info.value) == f"{path}: not a UTF-8 text sample file"
 
+    @pytest.mark.parametrize(
+        "text, error", [("1\n\n2\n", None), ("1\nx\n2\n", "2: non-numeric sample 'x'")]
+    )
+    def test_a_blank_or_bad_line_opens_the_file_once(self, tmp_path, monkeypatch, text, error):
+        path = tmp_path / "A001.txt"
+        path.write_text(text)
+        opens = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opens.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        if error is None:
+            assert read_samples(path).tolist() == [1.0, 2.0]
+        else:
+            with pytest.raises(ValueError, match=error):
+                read_samples(path)
+        assert opens == [path]
+
 
 class TestEegRecord:
     def test_unknown_set_label(self):

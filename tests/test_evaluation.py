@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pyrseiz.evaluation import (
     REPORT_CSV_HEADER,
     FoldResult,
     MetricsReport,
+    RunSpec,
     compute_metrics,
     emit_battery,
     emit_battery_comparison,
@@ -26,9 +28,9 @@ from pyrseiz.evaluation import (
     run_battery,
     run_cv,
 )
-from pyrseiz.network import ModelConfig
+from pyrseiz.network import ModelConfig, model_config
 from pyrseiz.training import TrainingConfig
-from pyrseiz.windowing import SCHEME_1
+from pyrseiz.windowing import SCHEME_1, SCHEME_2
 
 TINY_MODEL = ModelConfig(
     kernel_counts=(4, 3, 2), fc1_width=6, dropout_rate=0.0, num_classes=2
@@ -127,7 +129,7 @@ def cv_setup():
 class TestRunCv:
     def test_fold_structure_and_confusion_totals(self, cv_setup):
         records, case, plan, training = cv_setup
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         assert len(report.folds) == 2
         assert [f.fold for f in report.folds] == [1, 2]
         for fold in report.folds:
@@ -141,8 +143,8 @@ class TestRunCv:
 
     def test_deterministic_reports(self, cv_setup):
         records, case, plan, training = cv_setup
-        a = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
-        b = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        a = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
+        b = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         assert report_to_dict(a) == report_to_dict(b)
 
     def test_leakage_guard(self, cv_setup):
@@ -157,7 +159,7 @@ class TestRunCv:
             },
         )
         with pytest.raises(ValueError, match="both the train and test"):
-            run_cv(records, case, SCHEME_1, TINY_MODEL, training, corrupt)
+            run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), corrupt)
 
     def test_plan_referencing_missing_records(self, cv_setup):
         records, case, plan, training = cv_setup
@@ -170,15 +172,15 @@ class TestRunCv:
             },
         )
         with pytest.raises(ValueError, match="absent from the dataset"):
-            run_cv(records, case, SCHEME_1, TINY_MODEL, training, corrupt)
+            run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), corrupt)
 
     def test_class_count_mismatch(self, cv_setup):
-        records, case, plan, training = cv_setup
+        _, case, _, training = cv_setup
         three = ModelConfig(
             kernel_counts=(4, 3, 2), fc1_width=6, dropout_rate=0.0, num_classes=3
         )
         with pytest.raises(ValueError, match="classes"):
-            run_cv(records, case, SCHEME_1, three, training, plan)
+            RunSpec(case, SCHEME_1, three, training)
 
     def test_ten_fold_report_has_ten_fold_rows(self, tmp_path):
         """Default-depth plan: one accuracy row per fold, K1..K10 style."""
@@ -187,7 +189,7 @@ class TestRunCv:
         case = define_case("A-B")
         plan = plan_folds(ids_by_set(records), k=10, seed=13)
         training = TrainingConfig(epochs=1, batch_size=64, seed=13)
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         assert [f.fold for f in report.folds] == list(range(1, 11))
         path = emit_report(report, tmp_path / "ten.csv", fmt="csv")
         lines = path.read_text().splitlines()
@@ -196,8 +198,9 @@ class TestRunCv:
 
     def test_keep_params_and_parallel_jobs_match_serial(self, cv_setup):
         records, case, plan, training = cv_setup
-        serial = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan, keep_params=True)
-        parallel = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan, jobs=2)
+        spec = RunSpec(case, SCHEME_1, TINY_MODEL, training)
+        serial = run_cv(records, spec, plan, keep_params=True)
+        parallel = run_cv(records, spec, plan, jobs=2)
         assert all(f.params is not None for f in serial.folds)
         assert report_to_dict(serial) == report_to_dict(parallel)
 
@@ -205,7 +208,46 @@ class TestRunCv:
     def test_jobs_below_one_rejected(self, cv_setup, jobs):
         records, case, plan, training = cv_setup
         with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
-            run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan, jobs=jobs)
+            run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan, jobs=jobs)
+
+
+class TestRunSpec:
+    @pytest.mark.parametrize(
+        "kind, case, name, stem",
+        [
+            ("train", "A-B", "M5", "train_A-B_scheme2_M5_seed7"),
+            ("train", "A-B", None, "train_A-B_scheme2_pyramid-fc20_seed7"),
+            ("cv", "AB-CD-E", "M5", "cv_AB-CD-E_scheme2_M5_seed7"),
+            ("cv", "AB-CD-E", None, "cv_AB-CD-E_scheme2_pyramid-fc20_seed7"),
+            ("battery", None, "M5", "battery_scheme2_M5_seed7"),
+            ("battery", None, None, "battery_scheme2_pyramid-fc20_seed7"),
+        ],
+    )
+    def test_stem(self, kind, case, name, stem):
+        case = None if case is None else define_case(case)
+        model = model_config("M5", 2 if case is None else case.num_classes)
+        spec = RunSpec(case, SCHEME_2, model, TrainingConfig(seed=7), name)
+        assert spec.stem(kind) == stem
+        assert spec.label == (name or "pyramid-fc20")
+
+    def test_for_case_changes_only_case_and_class_count(self):
+        template = RunSpec(None, SCHEME_2, model_config("M5", 2), TrainingConfig(seed=3), "M5")
+        case = define_case("AB-CD-E")
+        spec = template.for_case(case)
+        assert spec.case is case
+        assert spec.model.num_classes == 3
+        assert replace(spec.model, num_classes=2) == template.model
+        for field in fields(RunSpec):
+            if field.name not in ("case", "model"):
+                assert getattr(spec, field.name) == getattr(template, field.name)
+
+    def test_settings_equal_the_json_echo(self, cv_setup, tmp_path):
+        records, case, plan, training = cv_setup
+        spec = RunSpec(case, SCHEME_1, TINY_MODEL, training)
+        path = emit_report(run_cv(records, spec, plan), tmp_path / "report.json", fmt="json")
+        echo = json.loads(path.read_text())["settings"]
+        assert json.loads(json.dumps(spec.settings(plan))) == echo
+        assert list(spec.settings(plan)) == list(echo)
 
 
 class TestRunBattery:
@@ -213,7 +255,7 @@ class TestRunBattery:
         profiles = [BandSpec(f, f + 2) for f in (2, 10, 20, 35, 55)]
         records = synthesize_dataset(4, profiles, seed=31)
         training = TrainingConfig(epochs=1, batch_size=64, seed=31)
-        battery = run_battery(records, SCHEME_1, TINY_MODEL, training, k=2)
+        battery = run_battery(records, RunSpec(None, SCHEME_1, TINY_MODEL, training), k=2)
         assert len(battery.rows) == 16
         assert [row.case for row in battery.rows] == list(BATTERY_CASES)
         assert any(row.case == "A-E" for row in battery.rows)
@@ -226,8 +268,9 @@ class TestRunBattery:
         records = synthesize_dataset(3, profiles, seed=5)
         training = TrainingConfig(epochs=1, batch_size=64, seed=5)
         cases = ("A-E", "AB-CD-E")
-        a = run_battery(records, SCHEME_1, TINY_MODEL, training, k=3, cases=cases)
-        b = run_battery(records, SCHEME_1, TINY_MODEL, training, k=3, cases=cases)
+        template = RunSpec(None, SCHEME_1, TINY_MODEL, training)
+        a = run_battery(records, template, k=3, cases=cases)
+        b = run_battery(records, template, k=3, cases=cases)
         assert a.rows == b.rows
 
     @pytest.mark.parametrize("jobs", [0, -1])
@@ -236,13 +279,13 @@ class TestRunBattery:
         records = synthesize_dataset(3, profiles, seed=5)
         training = TrainingConfig(epochs=1, batch_size=64, seed=5)
         with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
-            run_battery(records, SCHEME_1, TINY_MODEL, training, k=3, jobs=jobs)
+            run_battery(records, RunSpec(None, SCHEME_1, TINY_MODEL, training), k=3, jobs=jobs)
 
 
 class TestEmitReport:
     def test_csv_layout(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan, model_name="M5")
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training, "M5"), plan)
         path = emit_report(report, tmp_path / "report.csv", fmt="csv")
         lines = path.read_text().splitlines()
         assert lines[0] == REPORT_CSV_HEADER
@@ -262,7 +305,7 @@ class TestEmitReport:
 
     def test_json_round_trip_is_exact(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         path = emit_report(report, tmp_path / "report.json", fmt="json")
         loaded = json.loads(path.read_text())
         for fold, fold_dict in zip(report.folds, loaded["folds"]):
@@ -276,7 +319,7 @@ class TestEmitReport:
 
     def test_json_settings_keys_and_order(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         path = emit_report(report, tmp_path / "report.json", fmt="json")
         settings = json.loads(path.read_text())["settings"]
         assert list(settings) == [
@@ -305,7 +348,7 @@ class TestEmitReport:
 
     def test_json_fold_keys_and_order(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         path = emit_report(report, tmp_path / "report.json", fmt="json")
         for fold in json.loads(path.read_text())["folds"]:
             assert list(fold) == [
@@ -332,7 +375,7 @@ class TestEmitReport:
 
     def test_unknown_format_rejected(self, cv_setup, tmp_path):
         records, case, plan, training = cv_setup
-        report = run_cv(records, case, SCHEME_1, TINY_MODEL, training, plan)
+        report = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(report, tmp_path / "x.yaml", fmt="yaml")
 
@@ -341,7 +384,7 @@ class TestEmitReport:
         records = synthesize_dataset(3, profiles, seed=6)
         training = TrainingConfig(epochs=1, batch_size=64, seed=6)
         battery = run_battery(
-            records, SCHEME_1, TINY_MODEL, training, k=3, cases=("A-E", "AB-E")
+            records, RunSpec(None, SCHEME_1, TINY_MODEL, training), k=3, cases=("A-E", "AB-E")
         )
         summary = emit_battery(battery, tmp_path / "battery.csv")
         comparison = emit_battery_comparison(battery, tmp_path / "comparison.csv")

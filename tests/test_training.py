@@ -51,6 +51,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            TrainingConfig(**{field: value})
+
 
 class TestAdamStep:
     def test_zero_gradient_is_a_fixed_point(self, tiny_config):
