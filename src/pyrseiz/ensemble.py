@@ -9,12 +9,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .artifacts import write_atomic
-from .network import ModelConfig, NetworkParameters, forward
+from .network import ModelConfig, NetworkParameters, Workspace, forward
 from .windowing import SchemeSpec, TestInstance
 
-# Windows per inference pass. It bounds the activations one pass holds: a
-# fold's whole test set run as one batch set the peak memory of a cv run.
-INFER_BATCH = 256
+# Windows per inference pass, the rows of a classify call's one workspace. It
+# bounds the activations inference holds: passes of 256 windows set much of
+# the peak memory of a cv run.
+INFER_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ def classify(
 
     ``windows`` is (n_instances, width, input_length). Every expert is the
     same model, and inference covers all windows in passes of at most
-    INFER_BATCH. Window votes are argmax classes (ties to the lowest index).
-    The records carry no origin.
+    INFER_BATCH through one workspace. Window votes are argmax classes (ties
+    to the lowest index). The records carry no origin.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
@@ -90,12 +91,17 @@ def classify(
 
 
 def _infer(params: NetworkParameters, config: ModelConfig, windows: np.ndarray) -> np.ndarray:
-    """Class probabilities of (n, input_length) windows, INFER_BATCH windows per pass."""
-    chunks = [
-        forward(config, params, windows[start : start + INFER_BATCH], training=False)[0]
-        for start in range(0, len(windows), INFER_BATCH)
-    ]
-    return np.concatenate(chunks) if chunks else np.empty((0, config.num_classes))
+    """Class probabilities of (n, input_length) windows, INFER_BATCH windows
+    per pass; the last, partial pass runs on the workspace's leading rows."""
+    n = len(windows)
+    probs = np.empty((n, config.num_classes))
+    workspace = Workspace(config, min(INFER_BATCH, n)) if n else None
+    for start in range(0, n, INFER_BATCH):
+        chunk = windows[start : start + INFER_BATCH]
+        probs[start : start + len(chunk)], _ = forward(
+            config, params, chunk, training=False, workspace=workspace.head(len(chunk))
+        )
+    return probs
 
 
 def predict_instance(

@@ -273,6 +273,8 @@ def run_cv(
     start = time.perf_counter()
     _check_jobs(jobs)
     case = spec.case
+    if case is None:
+        raise ValueError("run_cv needs a spec with a case; derive one with RunSpec.for_case")
     by_set: dict[str, dict[int, EegRecord]] = {}
     for record in records:
         if record.set_label in case.class_of_set:

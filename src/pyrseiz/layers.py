@@ -51,13 +51,18 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def im2col(
-    x: np.ndarray, receptive_field: int, stride: int, out: np.ndarray | None = None
+    x: np.ndarray,
+    receptive_field: int,
+    stride: int,
+    out: np.ndarray | None = None,
+    relu: bool = False,
 ) -> np.ndarray:
     """Sliding patches of a channel-last batch: (B, L, C) -> (B, m, Rf*C).
 
     Row j of sample b is x[b, j*stride : j*stride + Rf, :] flattened, so on a
     C-contiguous input every patch is one contiguous Rf*C block and the unfold
-    is a single copy of a strided view. ``out`` must be C-contiguous.
+    is a single copy of a strided view. With ``relu`` the patches are of
+    max(x, 0), rectified as they are copied. ``out`` must be C-contiguous.
     """
     batch, length, channels = x.shape
     m = conv_output_length(length, receptive_field, stride)
@@ -67,7 +72,10 @@ def im2col(
     patches = as_strided(
         x, (batch, m, receptive_field, channels), (sb, stride * sl, sl, sc), writeable=False
     )
-    np.copyto(_view(out, patches.shape), patches)
+    if relu:
+        np.maximum(patches, 0.0, out=_view(out, patches.shape))
+    else:
+        np.copyto(_view(out, patches.shape), patches)
     return out
 
 
@@ -78,6 +86,7 @@ def conv1d_forward(
     stride: int,
     cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    relu: bool = False,
 ) -> np.ndarray:
     """Valid strided cross-correlation of a channel-last batch.
 
@@ -86,7 +95,9 @@ def conv1d_forward(
     A None bias adds nothing: batch norm in training cancels it. The patches
     are unfolded into ``cols`` (B, m, Rf*C), which a training pass keeps for
     conv1d_backward, and the (B*m, K) GEMM result is written into ``out``;
-    fresh arrays are used for whichever is not given.
+    fresh arrays are used for whichever is not given. With ``relu`` the
+    input is convolved as max(x, 0), the ReLU of the layer before applied by
+    the unfold.
     """
     k, c, rf = weights.shape
     if x.ndim != 3 or x.shape[2] != c:
@@ -95,7 +106,7 @@ def conv1d_forward(
         )
     if bias is not None and bias.shape != (k,):
         raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
-    cols = im2col(x, rf, stride, out=cols)
+    cols = im2col(x, rf, stride, out=cols, relu=relu)
     batch, m = cols.shape[0], cols.shape[1]
     if out is None:
         out = np.empty((batch, m, k))

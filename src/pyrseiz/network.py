@@ -196,32 +196,48 @@ class Workspace:
     ``backward`` write into the buffers with ``out=``, so a trace made with a
     workspace is valid only until the next pass that uses the same
     workspace. Buffers only training needs are allocated on first use.
+    ``head(b)`` is a workspace for a smaller batch on the leading rows of
+    these buffers; it allocates nothing of its own.
     """
 
-    def __init__(self, config: ModelConfig, batch: int) -> None:
+    def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
         self.config = config
         self.batch = batch
+        self.base = base
+        if base is not None:
+            self.cols = [a[:batch] for a in base.cols]
+            self.normalized = [a[:batch] for a in base.normalized]
+            self.flat = base.flat[:batch]
+            return
         self.cols: list[np.ndarray] = []  # im2col patches, kept for backward
         self.normalized: list[np.ndarray] = []  # conv output, batch-normalized in place
-        self.act: list[np.ndarray] = []  # ReLU outputs
         in_channels = (1,) + config.kernel_counts[:2]
         for m, k, c, rf in zip(
             config.conv_lengths(), config.kernel_counts, in_channels, config.receptive_fields
         ):
             self.cols.append(np.empty((batch, m, rf * c)))
             self.normalized.append(np.empty((batch, m, k)))
-            self.act.append(np.empty((batch, m, k)))
         self.flat = np.empty((batch, config.flatten_width))
+
+    def head(self, batch: int) -> Workspace:
+        """This workspace for the first ``batch`` rows: itself at full size."""
+        if not 1 <= batch <= self.batch:
+            raise ValueError(f"a workspace for {self.batch} windows has no head of {batch}")
+        return self if batch == self.batch else Workspace(self.config, batch, base=self)
 
     @cached_property
     def windows(self) -> np.ndarray:
         """Where a training loop gathers its (batch, input_length) batch."""
+        if self.base is not None:
+            return self.base.windows[: self.batch]
         return np.empty((self.batch, self.config.input_length))
 
     @cached_property
     def grad_act(self) -> list[np.ndarray]:
         """Loss gradient at each conv layer's ReLU output; allocated by the first backward."""
-        return [np.empty_like(a) for a in self.act]
+        if self.base is not None:
+            return [a[: self.batch] for a in self.base.grad_act]
+        return [np.empty_like(a) for a in self.normalized]
 
     def _input_gradient_shapes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Shapes of conv layer i's padded output gradient and of its patches."""
@@ -237,8 +253,11 @@ class Workspace:
     def scratch(self) -> np.ndarray:
         """Backward-pass scratch of conv2 and conv3, carved by ``bn_scratch``
         and ``grad_buffers``. Each use ends before the next begins (layer by
-        layer, batch norm before convolution), so they share one vector."""
-        sizes = [self.act[i].size for i in (1, 2)]
+        layer, batch norm before convolution), so they share one vector; a
+        head carves it from its base's."""
+        if self.base is not None:
+            return self.base.scratch
+        sizes = [self.normalized[i].size for i in (1, 2)]
         for i in (1, 2):
             pad, patches = self._input_gradient_shapes(i)
             sizes.append(math.prod(pad) + math.prod(patches))
@@ -246,7 +265,8 @@ class Workspace:
 
     def bn_scratch(self, i: int) -> np.ndarray:
         """Where conv layer i's batch-norm backward puts its x_hat term."""
-        return self.scratch[: self.act[i].size].reshape(self.act[i].shape)
+        shape = self.normalized[i].shape
+        return self.scratch[: math.prod(shape)].reshape(shape)
 
     def grad_buffers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Conv layer i's padded output gradient and its patches; conv1's
@@ -288,10 +308,11 @@ def forward(
     inference. Training mode normalizes by batch statistics and updates the
     running statistics in place in ``params``; inference folds the running
     statistics into each layer's conv weights and bias
-    (``layers.batchnorm_infer``) and applies no dropout. Activations are written into
-    ``workspace``; without one, training makes a fresh workspace and
-    inference allocates as it goes. The returned probabilities are always a
-    fresh array.
+    (``layers.batchnorm_infer``) and applies no dropout. Each conv layer's
+    ReLU is applied where its output is read: by the next layer's im2col and
+    by the flatten. Activations are written into ``workspace``; without one,
+    training makes a fresh workspace and inference allocates as it goes. The
+    returned probabilities are always a fresh array.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim == 1:
@@ -308,32 +329,35 @@ def forward(
             "under this config"
         )
     # without a workspace (inference) each layer allocates arrays that die with it
-    buffers = zip(ws.cols, ws.normalized, ws.act) if ws is not None else [(None,) * 3] * 3
+    buffers = zip(ws.cols, ws.normalized) if ws is not None else [(None, None)] * 3
     h = x[:, :, None]  # (B, L, 1): channel-last from the first layer
     bn_caches: list[layers.BatchNormCache] = []
     weights, biases = params.conv_weights, params.conv_biases
     running_mean, running_var = params.bn_running_mean, params.bn_running_var
-    for i, (cols, normalized, act) in enumerate(buffers):
+    for i, (cols, normalized) in enumerate(buffers):
         stride = config.strides[i]
         if not training:  # batch norm folded into the conv weights and bias
             w, b = layers.batchnorm_infer(weights[i], biases[i], running_mean[i], running_var[i])
-            z = layers.conv1d_forward(h, w, b, stride, cols=cols, out=normalized)
+            h = layers.conv1d_forward(h, w, b, stride, cols=cols, out=normalized, relu=i > 0)
         else:
             if i == 0:  # data input, Rf-wide patches: statistics from the patches
                 z, cache, mean, var = layers.conv_batchnorm_train(
                     h, weights[i], biases[i], stride, cols=cols, out=normalized
                 )
             else:  # batch norm cancels the conv bias; it reaches only the running mean
-                z = layers.conv1d_forward(h, weights[i], None, stride, cols=cols, out=normalized)
+                z = layers.conv1d_forward(
+                    h, weights[i], None, stride, cols=cols, out=normalized, relu=True
+                )
                 z, cache, mean, var = layers.batchnorm_train(z, out=z)
                 mean += biases[i]
             running_mean[i][...] = layers.update_running_stat(running_mean[i], mean)
             running_var[i][...] = layers.update_running_stat(running_var[i], var)
             bn_caches.append(cache)
-        h = layers.relu(z, out=z if act is None else act)  # inference keeps no x_hat
-    # flatten in (kernel, position) order, the order fc1.weight's rows are stored in
+            h = z  # the batch-norm output x_hat, which backward reads before the ReLU
+    # flatten in (kernel, position) order, the order fc1.weight's rows are stored
+    # in, applying conv3's ReLU
     flat = ws.flat if ws is not None else np.empty((batch, config.flatten_width))
-    np.copyto(flat.reshape(batch, h.shape[2], h.shape[1]), h.transpose(0, 2, 1))
+    np.maximum(h.transpose(0, 2, 1), 0.0, out=flat.reshape(batch, h.shape[2], h.shape[1]))
     fc1_pre = layers.dense_forward(flat, params.fc1_weight, params.fc1_bias)
     hidden = layers.relu(fc1_pre)
     dropped, mask = layers.dropout_forward(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -52,11 +52,16 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators over the learnable vector plus step count."""
+    """First/second-moment accumulators over the learnable vector plus step
+    count, and two vectors like them that ``adam_step`` works in."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_adam_state(params: NetworkParameters) -> AdamState:
@@ -72,7 +77,8 @@ def adam_step(
     """One Adam update of the whole learnable vector, in place.
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2; bias-corrected m_hat/v_hat;
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). Every intermediate
+    lives in ``state.scratch``, so a step allocates nothing.
     """
     if grads.config != params.config:
         raise ValueError("gradient was built for another model config than the parameters")
@@ -80,11 +86,15 @@ def adam_step(
     bias1 = 1.0 - config.beta1 ** state.t
     bias2 = 1.0 - config.beta2 ** state.t
     g, m, v = grads.learnable, state.m, state.v
+    a, b = state.scratch
     m *= config.beta1
-    m += (1.0 - config.beta1) * g
+    m += np.multiply(1.0 - config.beta1, g, out=a)
     v *= config.beta2
-    v += (1.0 - config.beta2) * (g * g)
-    params.learnable -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    np.multiply(g, g, out=a)
+    v += np.multiply(1.0 - config.beta2, a, out=a)
+    np.multiply(config.learning_rate, np.divide(m, bias1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), config.eps, out=b)
+    params.learnable -= np.divide(a, b, out=a)
     return params, state
 
 
@@ -100,23 +110,23 @@ def train(
     windows: WindowSet,
     config: TrainingConfig,
 ) -> tuple[NetworkParameters, list[EpochStats]]:
-    """Train a freshly initialized network on pre-normalized windows.
+    """Train a freshly initialized network on a window set.
 
     Per epoch: shuffle with a seeded generator, batch, forward in training
     mode, backprop, Adam step. Deterministic for fixed (config, windows);
     the shuffle and dropout generators derive from config.seed. Input
     windows are never mutated.
-    One workspace per batch size met (the full batch and the last, partial
-    one) holds the activations, so batches reuse their buffers. A non-finite
-    loss or gradient raises ValueError naming the epoch and batch, before the
-    Adam step that would spread it into the parameters.
+    One workspace holds each batch (gathered by ``windows.batch``) and its
+    activations; the last, partial batch runs on its leading rows. A
+    non-finite loss or gradient raises ValueError naming the epoch and batch,
+    before the Adam step that would spread it into the parameters.
     """
-    X, y = windows.values, windows.labels
+    y = windows.labels
     if y.size == 0:
         raise ValueError("empty training window set")
-    if X.shape[1] != model_config.input_length:
+    if windows.window != model_config.input_length:
         raise ValueError(
-            f"windows have length {X.shape[1]}, model expects {model_config.input_length}"
+            f"windows have length {windows.window}, model expects {model_config.input_length}"
         )
     if y.min() < 0 or y.max() >= model_config.num_classes:
         raise ValueError(
@@ -138,18 +148,16 @@ def train(
     )
 
     history: list[EpochStats] = []
-    workspaces: dict[int, Workspace] = {}
     n = y.size
+    workspace = Workspace(model_config, min(config.batch_size, n))
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         total_loss = 0.0
         correct = 0
         for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
-            if idx.size not in workspaces:
-                workspaces[idx.size] = Workspace(model_config, idx.size)
-            ws = workspaces[idx.size]
-            xb, yb = np.take(X, idx, axis=0, out=ws.windows), y[idx]
+            ws = workspace.head(idx.size)
+            xb, yb = windows.batch(idx, out=ws.windows), y[idx]
             probs, trace = forward(
                 model_config, params, xb, training=True, dropout_rng=dropout_rng,
                 workspace=ws,

@@ -28,6 +28,16 @@ def count_windows(signal_length: int, window: int, stride: int) -> int:
     return (signal_length - window) // stride + 1
 
 
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and scale (population std, at least NORM_EPS) of each window along
+    the last axis, kept as (..., 1) columns."""
+    if x.size == 0:
+        raise ValueError("cannot normalize an empty sequence")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot normalize a non-finite (nan or inf) sample")
+    return x.mean(axis=-1, keepdims=True), np.maximum(x.std(axis=-1, keepdims=True), NORM_EPS)
+
+
 def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Zero-mean, unit-variance scaling with population std and an eps guard.
 
@@ -37,12 +47,8 @@ def normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     inf sample raises ValueError.
     """
     x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("cannot normalize an empty sequence")
-    if not np.isfinite(x).all():
-        raise ValueError("cannot normalize a non-finite (nan or inf) sample")
-    std = x.std(axis=-1, keepdims=True)
-    return (x - x.mean(axis=-1, keepdims=True)) / np.maximum(std, NORM_EPS)
+    shift, scale = _moments(x)
+    return (x - shift) / scale
 
 
 @dataclass(frozen=True)
@@ -88,31 +94,63 @@ def get_scheme(scheme_id: int) -> SchemeSpec:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Normalized training windows stacked row-wise, with labels and provenance.
+    """Training windows as views of their records, with labels and provenance.
 
-    Row i of ``values`` (n, window) has class ``labels[i]`` and was cut from
-    ``origins[i]`` = (record id, sample offset). ``len()`` is the window count.
+    ``samples`` holds the training records once, end to end. Window i is
+    ``samples[starts[i] : starts[i] + window]`` normalized by its own mean
+    ``shifts[i]`` and scale ``scales[i]``; it has class ``labels[i]`` and was
+    cut from ``origins[i]`` = (record id, sample offset). ``batch`` gathers
+    normalized windows; no (n, window) matrix is ever built. ``len()`` is the
+    window count.
     """
 
-    values: np.ndarray
+    samples: np.ndarray
+    starts: np.ndarray
+    shifts: np.ndarray
+    scales: np.ndarray
     labels: np.ndarray
     origins: tuple[tuple[str, int], ...]
+    window: int = WINDOW_SIZE
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        samples = np.asarray(self.samples, dtype=np.float64)
+        starts = np.asarray(self.starts, dtype=np.int64)
+        shifts = np.asarray(self.shifts, dtype=np.float64)
+        scales = np.asarray(self.scales, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         n = labels.size
-        if values.ndim != 2 or labels.ndim != 1 or not values.shape[0] == n == len(self.origins):
+        columns = (starts, shifts, scales, labels)
+        if samples.ndim != 1 or any(a.shape != (n,) for a in columns) or len(self.origins) != n:
             raise ValueError(
-                f"expected (n, window) values with n labels and n origins, got "
-                f"values {values.shape}, labels {labels.shape}, {len(self.origins)} origins"
+                f"expected a sample vector and n starts, shifts, scales, labels and "
+                f"origins, got samples {samples.shape}, starts {starts.shape}, shifts "
+                f"{shifts.shape}, scales {scales.shape}, labels {labels.shape}, "
+                f"{len(self.origins)} origins"
             )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if n and (starts.min() < 0 or starts.max() > samples.size - self.window):
+            raise ValueError(f"a window start lies outside the {samples.size} samples")
+        names = ("samples", "starts", "shifts", "scales", "labels")
+        for name, value in zip(names, (samples, *columns)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "origins", tuple(self.origins))
 
     def __len__(self) -> int:
         return int(self.labels.size)
+
+    def batch(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Windows ``rows``, in that order, normalized as ``normalize`` would:
+        (slice - shift) / scale. Written into ``out``, a (len(rows), window)
+        array, or a fresh one."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if out is None:
+            out = np.empty((rows.size, self.window))
+        if rows.size:
+            views = sliding_window_view(self.samples, self.window)
+            np.subtract(views[self.starts[rows]], self.shifts[rows][:, None], out=out)
+            out /= self.scales[rows][:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,20 +189,35 @@ def augment_training(
     """Slide the training window over each record; every window is one instance.
 
     Windows start at offsets 0, stride, 2*stride, ... and are normalized
-    independently with their own statistics. Labels come from the case map.
+    independently with their own statistics, computed here by ``normalize``'s
+    reductions; the samples are kept once and each window stays a view of
+    them until ``WindowSet.batch`` gathers it. Labels come from the case map.
     """
     records = list(records)
     labels = np.array([_class_of(record, case) for record in records], dtype=np.int64)
     counts = [count_windows(len(record), scheme.window, scheme.train_stride) for record in records]
-    values = np.empty((sum(counts), scheme.window))
+    starts = np.empty(sum(counts), dtype=np.int64)
+    shifts, scales = np.empty(starts.size), np.empty(starts.size)
     origins: list[tuple[str, int]] = []
-    start = 0
+    row = offset = 0
     for record, n in zip(records, counts):
         views = sliding_window_view(record.samples, scheme.window)[:: scheme.train_stride]
-        values[start : start + n] = normalize(views)
+        shift, scale = _moments(views)
+        shifts[row : row + n], scales[row : row + n] = shift[:, 0], scale[:, 0]
+        starts[row : row + n] = offset + scheme.train_stride * np.arange(n)
         origins.extend((record.record_id, j * scheme.train_stride) for j in range(n))
-        start += n
-    return WindowSet(values=values, labels=np.repeat(labels, counts), origins=tuple(origins))
+        row += n
+        offset += len(record)
+    samples = np.concatenate([record.samples for record in records]) if records else np.empty(0)
+    return WindowSet(
+        samples=samples,
+        starts=starts,
+        shifts=shifts,
+        scales=scales,
+        labels=np.repeat(labels, counts),
+        origins=tuple(origins),
+        window=scheme.window,
+    )
 
 
 def segment_signal(samples: np.ndarray, scheme: SchemeSpec) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from pyrseiz.dataset import BandSpec, synthesize_dataset
 from pyrseiz.network import ModelConfig
-from pyrseiz.windowing import WindowSet
+from helpers import rows_window_set
 
 
 @pytest.fixture
@@ -24,8 +24,8 @@ def tiny_config():
 def toy_windows():
     """Linearly separable two-class windows: constant +1 vs constant -1."""
     signs = np.where(np.arange(24) % 2 == 0, 1.0, -1.0)
-    return WindowSet(
-        values=np.repeat(signs[:, None], 64, axis=1),
+    return rows_window_set(
+        np.repeat(signs[:, None], 64, axis=1),
         labels=(signs < 0).astype(np.int64),
         origins=tuple((f"T{i:03d}", 0) for i in range(24)),
     )

@@ -131,6 +131,31 @@ def adam_per_tensor_reference(tensors, grads, m, v, t, lr, beta1, beta2, eps):
         tensor -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
 
 
+def adam_step_allocating(params, grads, state, config):
+    """The Adam update as one expression per moment and one for the step,
+    each allocating its intermediates."""
+    state.t += 1
+    bias1 = 1.0 - config.beta1 ** state.t
+    bias2 = 1.0 - config.beta2 ** state.t
+    g, m, v = grads.learnable, state.m, state.v
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (g * g)
+    params.learnable -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+
+
+def window_matrix(records, stride, window=512):
+    """Every training window of ``records``, normalized and stacked row-wise:
+    the (n, window) matrix a WindowSet's rows are gathered from."""
+    from pyrseiz.windowing import normalize
+
+    return np.concatenate([
+        normalize(np.lib.stride_tricks.sliding_window_view(samples, window)[::stride])
+        for samples in records
+    ])
+
+
 def read_samples_by_line(path):
     """Sample-file parser one line at a time: blank lines skipped, the first
     non-numeric or non-finite sample raises ValueError with its ``path:line``."""

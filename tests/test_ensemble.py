@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import all_rows, rows_window_set
 from oracles import vote_oracle
 from pyrseiz.ensemble import (
     INFER_BATCH,
@@ -20,7 +21,6 @@ from pyrseiz.windowing import (
     SCHEME_2,
     SchemeSpec,
     TestInstance as SignalInstance,
-    WindowSet,
 )
 
 
@@ -132,11 +132,7 @@ def trained_toy():
         values = np.sin(2 * np.pi * cycles * t / 512 + rng.uniform(0, 2 * np.pi))
         values += 0.05 * rng.standard_normal(512)
         rows.append(values)
-    windows = WindowSet(
-        values=np.stack(rows),
-        labels=np.arange(40) % 2,
-        origins=tuple((f"W{i:03d}", 0) for i in range(40)),
-    )
+    windows = rows_window_set(np.stack(rows), labels=np.arange(40) % 2)
     params, _ = train(cfg, windows, TrainingConfig(epochs=4, batch_size=16, seed=0))
     return cfg, params, windows
 
@@ -144,7 +140,7 @@ def trained_toy():
 class TestClassify:
     def test_returns_argmax_of_probabilities(self, trained_toy):
         cfg, params, windows = trained_toy
-        records = classify(params, cfg, windows.values[:6].reshape(2, 3, 512))
+        records = classify(params, cfg, all_rows(windows)[:6].reshape(2, 3, 512))
         assert len(records) == 2
         for record in records:
             assert record.probabilities.shape == (3, 2)
@@ -156,7 +152,7 @@ class TestClassify:
         cfg, params, windows = trained_toy
         zeroed = params.copy()
         zeroed.learnable[:] = 0.0
-        (record,) = classify(zeroed, cfg, windows.values[None, :3])
+        (record,) = classify(zeroed, cfg, all_rows(windows)[None, :3])
         assert np.allclose(record.probabilities, 0.5)
         assert record.votes == (0, 0, 0)  # argmax ties resolve to the lowest class index
         assert (record.final, record.tie_broken) == (0, False)
@@ -164,7 +160,7 @@ class TestClassify:
     def test_independent_of_batch_composition(self, trained_toy):
         """Running-stat inference: batch neighbors change nothing beyond BLAS ulps."""
         cfg, params, windows = trained_toy
-        stacked = windows.values[:6]
+        stacked = all_rows(windows)[:6]
         batch_probs, _ = forward(cfg, params, stacked, training=False)
         for i in (0, 3, 5):
             (solo,) = classify(params, cfg, stacked[i][None, None])
@@ -192,9 +188,9 @@ class TestClassify:
 
     def test_records_are_never_overwritten(self, trained_toy):
         cfg, params, windows = trained_toy
-        first = classify(params, cfg, windows.values[:6].reshape(2, 3, 512))
+        first = classify(params, cfg, all_rows(windows)[:6].reshape(2, 3, 512))
         kept = [r.probabilities.copy() for r in first]
-        classify(params, cfg, windows.values[6:12].reshape(2, 3, 512))
+        classify(params, cfg, all_rows(windows)[6:12].reshape(2, 3, 512))
         for record, probs in zip(first, kept):
             assert np.array_equal(record.probabilities, probs)
 
@@ -207,9 +203,9 @@ class TestPredictInstance:
     def test_unanimous_agreement(self, trained_toy):
         """When every window votes alike, the fused decision is that vote."""
         cfg, params, windows = trained_toy
-        preds = np.array([r.votes[0] for r in classify(params, cfg, windows.values[:, None])])
+        preds = np.array([r.votes[0] for r in classify(params, cfg, all_rows(windows)[:, None])])
         majority_class = int(np.bincount(preds).argmax())
-        chosen = windows.values[preds == majority_class][:3]
+        chosen = all_rows(windows)[preds == majority_class][:3]
         assert len(chosen) == 3
         instance = _instance_from(chosen, majority_class, 3)
         record = predict_instance(params, cfg, instance, SCHEME_1)
@@ -219,7 +215,7 @@ class TestPredictInstance:
 
     def test_scheme2_records_five_votes(self, trained_toy):
         cfg, params, windows = trained_toy
-        instance = _instance_from(windows.values[windows.labels == 1], 1, 5)
+        instance = _instance_from(all_rows(windows)[windows.labels == 1], 1, 5)
         record = predict_instance(params, cfg, instance, SCHEME_2)
         assert len(record.votes) == 5
         assert record.probabilities.shape == (5, 2)
@@ -227,7 +223,7 @@ class TestPredictInstance:
 
     def test_width_mismatch_rejected(self, trained_toy):
         cfg, params, windows = trained_toy
-        instance = _instance_from(windows.values, int(windows.labels[0]), 3)
+        instance = _instance_from(all_rows(windows), int(windows.labels[0]), 3)
         with pytest.raises(ValueError, match="expects 5"):
             predict_instance(params, cfg, instance, SCHEME_2)
 
@@ -235,7 +231,7 @@ class TestPredictInstance:
         cfg, params, windows = trained_toy
         solo_scheme = SchemeSpec(id=1, train_stride=64, test_window_stride=513)
         assert solo_scheme.ensemble_width == 1
-        instance = _instance_from(windows.values, int(windows.labels[0]), 1)
+        instance = _instance_from(all_rows(windows), int(windows.labels[0]), 1)
         record = predict_instance(params, cfg, instance, solo_scheme)
         probs, _ = forward(cfg, params, instance.windows[0], training=False)
         assert record.final == int(probs[0].argmax()) and record.tie_broken is False
@@ -243,7 +239,7 @@ class TestPredictInstance:
 
 def test_vote_log_csv(tmp_path, trained_toy):
     cfg, params, windows = trained_toy
-    instance = _instance_from(windows.values, int(windows.labels[0]), 3)
+    instance = _instance_from(all_rows(windows), int(windows.labels[0]), 3)
     record = predict_instance(params, cfg, instance, SCHEME_1)
     path = tmp_path / "votes.csv"
     write_vote_log([record], path)

@@ -147,6 +147,17 @@ class TestRunCv:
         b = run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), plan)
         assert report_to_dict(a) == report_to_dict(b)
 
+    def test_battery_template_rejected_with_one_line(self, cv_setup):
+        """A spec without a case (a battery template) fails before any fold
+        runs, pointing at RunSpec.for_case."""
+        records, case, plan, training = cv_setup
+        template = RunSpec(None, SCHEME_1, TINY_MODEL, training)
+        one_line = r"^run_cv needs a spec with a case; derive one with RunSpec\.for_case$"
+        with pytest.raises(ValueError, match=one_line):
+            run_cv(records, template, plan)
+        report = run_cv(records, template.for_case(case), plan)
+        assert report.case == case.name
+
     def test_leakage_guard(self, cv_setup):
         records, case, plan, training = cv_setup
         ids = plan.assignments["A"]

@@ -81,6 +81,21 @@ class TestConvForward:
         assert np.array_equal(cols, layers.im2col(x, 5, 2))
         assert np.array_equal(out, layers.conv1d_forward(x, w, b, 2))
 
+    def test_relu_rectifies_the_input_as_it_unfolds(self):
+        """With relu, the patches and the output are bitwise those of
+        max(x, 0); the input itself is left as it was."""
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 17, 3))
+        before = x.copy()
+        w = rng.standard_normal((4, 3, 5))
+        b = rng.standard_normal(4)
+        rectified = np.maximum(x, 0.0)
+        cols = np.empty((2, 7, 15))
+        out = layers.conv1d_forward(x, w, b, 2, cols=cols, relu=True)
+        assert np.array_equal(cols, layers.im2col(rectified, 5, 2))
+        assert np.array_equal(out, layers.conv1d_forward(rectified, w, b, 2))
+        assert np.array_equal(x, before)
+
     def test_input_shorter_than_kernel(self):
         with pytest.raises(ValueError, match="shorter than the receptive field"):
             layers.conv1d_forward(np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1)

@@ -311,7 +311,7 @@ def _perturbed(cfg, seed):
 
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
-    lists = (ws.cols, ws.normalized, ws.act, ws.grad_act)
+    lists = (ws.cols, ws.normalized, ws.grad_act)
     return [b for buffers in lists for b in buffers] + [ws.flat, ws.windows, ws.scratch]
 
 
@@ -370,7 +370,7 @@ class TestChannelLastLayout:
         for name in ("fc1_input", "fc1_pre", "fc2_input", "logits", "probs"):
             assert getattr(trace, name).flags.c_contiguous, name
         ws = trace.workspace
-        for buffers in (ws.cols, ws.normalized, ws.act):
+        for buffers in (ws.cols, ws.normalized):
             assert all(b.flags.c_contiguous for b in buffers)
 
     def test_reused_workspace_matches_fresh_arrays(self, tiny_config):
@@ -414,7 +414,7 @@ class TestChannelLastLayout:
         grads = backward(tiny_config, params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 3 * 4 + 3
+        assert len(buffers) == 3 * 3 + 3
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, probs) and not np.shares_memory(a, grads.flat)
@@ -423,10 +423,39 @@ class TestChannelLastLayout:
         for i in (1, 2):
             pad, patches = ws.grad_buffers(i)
             scratch = ws.bn_scratch(i)
-            assert scratch.shape == ws.act[i].shape
+            assert scratch.shape == ws.normalized[i].shape
             for view in (pad, patches, scratch):
                 assert view.flags.c_contiguous and view.base is ws.scratch
             assert not np.shares_memory(pad, patches)
+
+    def test_head_runs_a_smaller_batch_on_leading_rows(self, tiny_config):
+        """Training and inference passes of 3 windows through the head of a
+        5-window workspace give bitwise what a 3-window workspace gives; the
+        head's buffers are the leading rows of its base's."""
+        cfg = tiny_config
+        x = np.random.default_rng(4).standard_normal((3, 64))
+        y = np.array([0, 1, 1])
+        base = Workspace(cfg, 5)
+        head = base.head(3)
+        assert base.head(5) is base
+        results = []
+        for ws in (head, Workspace(cfg, 3)):
+            params = init_parameters(cfg, seed=4)
+            probs, trace = forward(cfg, params, x, training=True, workspace=ws)
+            _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
+            grads = backward(cfg, params, trace, grad_logits)
+            infer, _ = forward(cfg, params, x, workspace=ws)
+            results.append((probs, grads.flat, params.flat, infer))
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+        for a, b in zip(_workspace_buffers(head), _workspace_buffers(base)):
+            if a is not b:  # the shared backward scratch is carved, not sliced
+                assert a.shape[0] == 3 and b.shape[0] == 5
+                assert np.shares_memory(a, b) and a.ctypes.data == b.ctypes.data
+        assert head.scratch is base.scratch
+        for bad in (0, 6):
+            with pytest.raises(ValueError, match=f"no head of {bad}"):
+                base.head(bad)
 
     def test_workspace_must_fit_the_batch(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)

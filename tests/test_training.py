@@ -1,4 +1,5 @@
 import base64
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adam_per_tensor_reference, adam_scalar_reference, save_checkpoint_v1
+from helpers import all_rows, rows_window_set
+from oracles import (
+    adam_per_tensor_reference,
+    adam_scalar_reference,
+    adam_step_allocating,
+    save_checkpoint_v1,
+)
 from pyrseiz.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pyrseiz.network import (
     ModelConfig,
@@ -23,14 +30,16 @@ from pyrseiz.training import (
     train,
     write_history_csv,
 )
-from pyrseiz.windowing import WindowSet
 
 
 def _take(windows, rows):
     """The rows of a WindowSet picked by an index array, in that order."""
     rows = np.asarray(rows, dtype=np.int64)
-    return WindowSet(
-        values=windows.values[rows],
+    return replace(
+        windows,
+        starts=windows.starts[rows],
+        shifts=windows.shifts[rows],
+        scales=windows.scales[rows],
         labels=windows.labels[rows],
         origins=tuple(windows.origins[i] for i in rows),
     )
@@ -141,6 +150,45 @@ class TestAdamStep:
             assert np.array_equal(flat, np.concatenate([tensors[n].ravel() for n in names]))
 
 
+    def test_in_place_step_equals_allocating_oracle_bitwise(self):
+        """50 steps on M4 (5 classes, 41,229 learnable values) with gradients
+        spanning eight orders of magnitude: parameters and both moments equal
+        the allocating formula's bitwise."""
+        cfg = model_config("M4", 5)
+        config = TrainingConfig(learning_rate=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        params = init_parameters(cfg, seed=8)
+        assert params.learnable.size == 41229
+        ref = params.copy()
+        state, ref_state = init_adam_state(params), init_adam_state(ref)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            grads = NetworkParameters(cfg)
+            size = grads.learnable.size
+            grads.learnable[:] = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 4, size)
+            adam_step(params, grads, state, config)
+            adam_step_allocating(ref, grads, ref_state, config)
+        assert state.t == ref_state.t == 50
+        for a, b in ((params.flat, ref.flat), (state.m, ref_state.m), (state.v, ref_state.v)):
+            assert np.array_equal(a, b)
+
+    def test_step_allocates_no_vector(self):
+        """Every intermediate of a step lives in the state's two scratch
+        vectors: the traced peak of a step stays under one vector's bytes."""
+        cfg = model_config("M4", 5)
+        params = init_parameters(cfg, seed=8)
+        state = init_adam_state(params)
+        grads = NetworkParameters(cfg)
+        grads.learnable[:] = 1e-3
+        adam_step(params, grads, state, TrainingConfig())
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, TrainingConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.learnable.nbytes // 8
+
+
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self, tiny_config, toy_windows):
         config = TrainingConfig(epochs=5, batch_size=8, seed=0)
@@ -172,8 +220,8 @@ class TestTrain:
             train(tiny_config, only_class0, TrainingConfig(epochs=1))
 
     def test_label_outside_model_classes_rejected(self, tiny_config):
-        windows = WindowSet(
-            values=np.stack([np.ones(64), -np.ones(64)]),
+        windows = rows_window_set(
+            np.stack([np.ones(64), -np.ones(64)]),
             labels=np.array([0, 2]),
             origins=(("T1", 0), ("T2", 0)),
         )
@@ -181,10 +229,12 @@ class TestTrain:
             train(tiny_config, windows, TrainingConfig(epochs=1))
 
     def test_inputs_never_mutated(self, tiny_config, toy_windows):
-        values, labels = toy_windows.values.copy(), toy_windows.labels.copy()
+        values, labels = all_rows(toy_windows), toy_windows.labels.copy()
+        samples = toy_windows.samples.copy()
         train(tiny_config, toy_windows, TrainingConfig(epochs=2, seed=1))
-        assert np.array_equal(toy_windows.values, values)
+        assert np.array_equal(all_rows(toy_windows), values)
         assert np.array_equal(toy_windows.labels, labels)
+        assert np.array_equal(toy_windows.samples, samples)
 
     def test_active_dropout_changes_training(self, tiny_config, toy_windows):
         """Rate 0.5 against rate 0 under one seed: same init, different weights."""
@@ -255,6 +305,22 @@ class TestTrain:
         assert np.array_equal(params_a.flat, params_b.flat)
         assert hist_a == hist_b
 
+    def test_one_workspace_per_run(self, tiny_config, toy_windows, monkeypatch):
+        """24 windows in batches of 7 over 3 epochs build one workspace, of
+        7 windows: the partial batches of 3 run on its head."""
+        import pyrseiz.training as training
+
+        built = []
+
+        class CountingWorkspace(training.Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((self.batch, self.base is None))
+
+        monkeypatch.setattr(training, "Workspace", CountingWorkspace)
+        train(tiny_config, toy_windows, TrainingConfig(epochs=3, batch_size=7, seed=3))
+        assert built == [(7, True)]
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_window_stops_training_before_the_update(
         self, tiny_config, toy_windows, monkeypatch
@@ -267,9 +333,9 @@ class TestTrain:
         # the shuffle generator train() derives from seed 0
         shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(1,)))
         row = shuffle_rng.permutation(len(toy_windows))[10]
-        values = toy_windows.values.copy()
+        values = all_rows(toy_windows)
         values[row, 5] = np.inf
-        bad = WindowSet(values=values, labels=toy_windows.labels, origins=toy_windows.origins)
+        bad = rows_window_set(values, toy_windows.labels, toy_windows.origins)
         steps = []
 
         def checked_step(params, grads, state, config):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_offsets
+from helpers import all_rows
+from oracles import count_offsets, window_matrix
 from pyrseiz.dataset import (
     BandSpec,
     EegRecord,
@@ -134,7 +135,7 @@ class TestAugmentTraining:
         case = define_case("A-E")
         windows = augment_training(_records_one_class(1), case, SCHEME_1)
         assert len(windows) == 57
-        assert windows.values.shape == (57, 512) and windows.labels.shape == (57,)
+        assert all_rows(windows).shape == (57, 512) and windows.labels.shape == (57,)
         assert [o[1] for o in windows.origins] == [64 * j for j in range(57)]
         assert windows.origins[-1] == ("A001", 3584)
 
@@ -161,7 +162,7 @@ class TestAugmentTraining:
         for scheme in (SCHEME_1, SCHEME_2):
             windows = augment_training(records, case, scheme)
             assert len(windows) == 2 * count_windows(4097, 512, scheme.train_stride)
-            for row, (record_id, offset) in zip(windows.values, windows.origins):
+            for row, (record_id, offset) in zip(all_rows(windows), windows.origins):
                 raw = samples[record_id][offset : offset + 512]
                 assert np.array_equal(row, normalize(raw))
 
@@ -174,7 +175,42 @@ class TestAugmentTraining:
 
     def test_no_records_give_an_empty_set(self):
         windows = augment_training([], define_case("A-E"), SCHEME_1)
-        assert len(windows) == 0 and windows.values.shape == (0, 512)
+        assert len(windows) == 0 and windows.batch([]).shape == (0, 512)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+        window=st.integers(1, 40),
+        stride=st.integers(1, 48),
+        scales=st.lists(st.sampled_from([0.0, 1e-9, 1.0, 1e6]), min_size=4, max_size=4),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_batch_rows_equal_normalize_of_their_slices(
+        self, lengths, window, stride, scales, seed, data
+    ):
+        """Any rows gathered in any order, with or without an ``out``, equal
+        bitwise the rows of the normalized window matrix and ``normalize``
+        of each window's own slice. Scale 0 gives constant records (the eps
+        guard), 1e-9 records under it."""
+        rng = np.random.default_rng(seed)
+        records = [
+            EegRecord("A", i + 1, 3.0 + scale * rng.standard_normal(window + length))
+            for i, (length, scale) in enumerate(zip(lengths, scales))
+        ]
+        scheme = SchemeSpec(id=1, train_stride=stride, test_window_stride=1,
+                            window=window, test_instance_length=window)
+        windows = augment_training(records, define_case("A-E"), scheme)
+        order = np.array(data.draw(st.permutations(range(len(windows)))), dtype=np.int64)
+        rows = order[: data.draw(st.integers(1, len(order)))]
+        expected = window_matrix([r.samples for r in records], stride, window)[rows]
+        out = np.full((rows.size, window), np.nan)
+        for got in (windows.batch(rows), windows.batch(rows, out=out)):
+            assert np.array_equal(got, expected)
+        samples = {r.record_id: r.samples for r in records}
+        for got, i in zip(out, rows):
+            record_id, offset = windows.origins[i]
+            assert np.array_equal(got, normalize(samples[record_id][offset : offset + window]))
 
 
 def _expected_windows(samples, scheme):
