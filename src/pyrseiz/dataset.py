@@ -303,6 +303,8 @@ def load_bonn_set(
 
     Set directories may be named by letter (A..E) or by the archive's native
     prefix (Z/O/N/F/S); record indices are parsed from filename digits.
+    Hidden entries (names starting with ".") are skipped, among them the
+    temporaries an interrupted ``write_atomic`` leaves behind.
     """
     root = Path(root)
     set_dir = _set_directory(root, letter)
@@ -310,7 +312,9 @@ def load_bonn_set(
         raise FileNotFoundError(
             f"no directory for set {letter} (or alias {BONN_ALIASES.get(letter)}) under {root}"
         )
-    files = sorted(p for p in set_dir.iterdir() if p.is_file())
+    files = sorted(
+        p for p in set_dir.iterdir() if p.is_file() and not p.name.startswith(".")
+    )
     if not files:
         raise FileNotFoundError(f"set directory {set_dir} contains no record files")
     records = []

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -227,23 +226,27 @@ def _run_fold(
     training_set = augment_training(train_records, case, scheme)
     fold_config = replace(spec.training, seed=spec.training.seed + fold)
     params, _ = train(spec.model, training_set, fold_config)
+    del training_set
 
-    instances = [
-        instance for record in test_records for instance in segment_testing(record, case, scheme)
-    ]
-    votes = classify(params, spec.model, np.stack([inst.windows for inst in instances]))
+    # one record at a time, so the test side never holds more than one
+    # record's windows
     cm = np.zeros((case.num_classes, case.num_classes), dtype=np.int64)
-    window_correct = 0
-    for inst, vote in zip(instances, votes):
-        cm[inst.label, vote.final] += 1
-        window_correct += vote.votes.count(inst.label)
-    window_acc = window_correct / (len(instances) * scheme.ensemble_width)
+    window_correct = ties = 0
+    for record in test_records:
+        instances = segment_testing(record, case, scheme)
+        votes = classify(params, spec.model, np.stack([inst.windows for inst in instances]))
+        for inst, vote in zip(instances, votes):
+            cm[inst.label, vote.final] += 1
+            window_correct += vote.votes.count(inst.label)
+            ties += vote.tie_broken
     # compute_metrics scores the voted instances, so its accuracy is acc_v
     voted = compute_metrics(cm).values()
+    # the confusion matrix counts each test instance once
+    window_acc = window_correct / (int(cm.sum()) * scheme.ensemble_width)
     return FoldResult(
         fold=fold + 1,
         metrics=dict(zip(METRIC_KEYS, (window_acc, *voted))),
-        ties=sum(vote.tie_broken for vote in votes),
+        ties=ties,
         confusion=cm,
         params=params if keep_params else None,
     )
@@ -291,6 +294,10 @@ def run_cv(
             )
     fold_args = (range(plan.k), repeat(spec), repeat(plan), repeat(by_set), repeat(keep_params))
     if jobs > 1:
+        # imported here so that no serial run, predict included, loads
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             folds = list(pool.map(_run_fold, *fold_args))
     else:

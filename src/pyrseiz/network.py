@@ -239,6 +239,14 @@ class Workspace:
             return [a[: self.batch] for a in self.base.grad_act]
         return [np.empty_like(a) for a in self.normalized]
 
+    @cached_property
+    def relu_mask(self) -> np.ndarray:
+        """One bool vector as long as the largest conv output, where each
+        conv layer's backward makes its ReLU mask; a head uses its base's."""
+        if self.base is not None:
+            return self.base.relu_mask
+        return np.empty(max(a.size for a in self.normalized), dtype=bool)
+
     def _input_gradient_shapes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Shapes of conv layer i's padded output gradient and of its patches."""
         cfg = self.config
@@ -408,7 +416,8 @@ def backward(
     np.copyto(g, d.reshape(g.shape[0], g.shape[2], g.shape[1]).transpose(0, 2, 1))
     for i in (2, 1):
         g = layers.batchnorm_backward(
-            trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i)
+            trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i),
+            mask=ws.relu_mask,
         )
         grad_pad, grad_patches = ws.grad_buffers(i)
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
@@ -416,7 +425,8 @@ def backward(
             grad_x=ws.grad_act[i - 1], grad_pad=grad_pad, grad_patches=grad_patches,
         )
     grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
-        trace.bn_caches[0], trace.conv_cols[0], params.conv_weights[0], g, out=g
+        trace.bn_caches[0], trace.conv_cols[0], params.conv_weights[0], g, out=g,
+        mask=ws.relu_mask,
     )
     return grads
 

@@ -94,61 +94,67 @@ def get_scheme(scheme_id: int) -> SchemeSpec:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Training windows as views of their records, with labels and provenance.
+    """Training windows as slices of their records, with labels.
 
-    ``samples`` holds the training records once, end to end. Window i is
-    ``samples[starts[i] : starts[i] + window]`` normalized by its own mean
-    ``shifts[i]`` and scale ``scales[i]``; it has class ``labels[i]`` and was
-    cut from ``origins[i]`` = (record id, sample offset). ``batch`` gathers
-    normalized windows; no (n, window) matrix is ever built. ``len()`` is the
-    window count.
+    ``samples`` holds each training record's sample array as it is, one per
+    record, never concatenated. Window i is
+    ``samples[sources[i]][starts[i] : starts[i] + window]`` normalized by its
+    own mean ``shifts[i]`` and scale ``scales[i]``; it has class
+    ``labels[i]``. ``batch`` gathers normalized windows; no (n, window)
+    matrix is ever built. ``len()`` is the window count.
     """
 
-    samples: np.ndarray
+    samples: tuple[np.ndarray, ...]
+    sources: np.ndarray
     starts: np.ndarray
     shifts: np.ndarray
     scales: np.ndarray
     labels: np.ndarray
-    origins: tuple[tuple[str, int], ...]
     window: int = WINDOW_SIZE
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = tuple(np.asarray(s, dtype=np.float64) for s in self.samples)
+        sources = np.asarray(self.sources, dtype=np.int64)
         starts = np.asarray(self.starts, dtype=np.int64)
         shifts = np.asarray(self.shifts, dtype=np.float64)
         scales = np.asarray(self.scales, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         n = labels.size
-        columns = (starts, shifts, scales, labels)
-        if samples.ndim != 1 or any(a.shape != (n,) for a in columns) or len(self.origins) != n:
+        columns = (sources, starts, shifts, scales, labels)
+        if any(s.ndim != 1 for s in samples) or any(a.shape != (n,) for a in columns):
             raise ValueError(
-                f"expected a sample vector and n starts, shifts, scales, labels and "
-                f"origins, got samples {samples.shape}, starts {starts.shape}, shifts "
-                f"{shifts.shape}, scales {scales.shape}, labels {labels.shape}, "
-                f"{len(self.origins)} origins"
+                f"expected 1-D sample arrays and n sources, starts, shifts, scales and "
+                f"labels, got samples of shapes {[s.shape for s in samples]}, sources "
+                f"{sources.shape}, starts {starts.shape}, shifts {shifts.shape}, scales "
+                f"{scales.shape}, labels {labels.shape}"
             )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if n and (starts.min() < 0 or starts.max() > samples.size - self.window):
-            raise ValueError(f"a window start lies outside the {samples.size} samples")
-        names = ("samples", "starts", "shifts", "scales", "labels")
+        if n:
+            if sources.min() < 0 or sources.max() >= len(samples):
+                raise ValueError(f"a window source lies outside the {len(samples)} records")
+            lengths = np.array([s.size for s in samples], dtype=np.int64)
+            if starts.min() < 0 or np.any(starts > lengths[sources] - self.window):
+                raise ValueError("a window start lies outside its record's samples")
+        names = ("samples", "sources", "starts", "shifts", "scales", "labels")
         for name, value in zip(names, (samples, *columns)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "origins", tuple(self.origins))
 
     def __len__(self) -> int:
         return int(self.labels.size)
 
     def batch(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Windows ``rows``, in that order, normalized as ``normalize`` would:
-        (slice - shift) / scale. Written into ``out``, a (len(rows), window)
-        array, or a fresh one."""
+        (slice - shift) / scale. Each row is copied from its record's slice
+        into ``out``, a (len(rows), window) array, or a fresh one."""
         rows = np.asarray(rows, dtype=np.int64)
         if out is None:
             out = np.empty((rows.size, self.window))
         if rows.size:
-            views = sliding_window_view(self.samples, self.window)
-            np.subtract(views[self.starts[rows]], self.shifts[rows][:, None], out=out)
+            spans = zip(self.sources[rows].tolist(), self.starts[rows].tolist())
+            for j, (source, start) in enumerate(spans):
+                out[j] = self.samples[source][start : start + self.window]
+            out -= self.shifts[rows][:, None]
             out /= self.scales[rows][:, None]
         return out
 
@@ -190,32 +196,30 @@ def augment_training(
 
     Windows start at offsets 0, stride, 2*stride, ... and are normalized
     independently with their own statistics, computed here by ``normalize``'s
-    reductions; the samples are kept once and each window stays a view of
-    them until ``WindowSet.batch`` gathers it. Labels come from the case map.
+    reductions; the records' sample arrays are referenced, not copied, and
+    each window stays a slice of its record until ``WindowSet.batch`` gathers
+    it. Window i comes from ``records[sources[i]]`` at offset ``starts[i]``.
+    Labels come from the case map.
     """
     records = list(records)
     labels = np.array([_class_of(record, case) for record in records], dtype=np.int64)
     counts = [count_windows(len(record), scheme.window, scheme.train_stride) for record in records]
     starts = np.empty(sum(counts), dtype=np.int64)
     shifts, scales = np.empty(starts.size), np.empty(starts.size)
-    origins: list[tuple[str, int]] = []
-    row = offset = 0
+    row = 0
     for record, n in zip(records, counts):
         views = sliding_window_view(record.samples, scheme.window)[:: scheme.train_stride]
         shift, scale = _moments(views)
         shifts[row : row + n], scales[row : row + n] = shift[:, 0], scale[:, 0]
-        starts[row : row + n] = offset + scheme.train_stride * np.arange(n)
-        origins.extend((record.record_id, j * scheme.train_stride) for j in range(n))
+        starts[row : row + n] = scheme.train_stride * np.arange(n)
         row += n
-        offset += len(record)
-    samples = np.concatenate([record.samples for record in records]) if records else np.empty(0)
     return WindowSet(
-        samples=samples,
+        samples=tuple(record.samples for record in records),
+        sources=np.repeat(np.arange(len(records)), counts),
         starts=starts,
         shifts=shifts,
         scales=scales,
         labels=np.repeat(labels, counts),
-        origins=tuple(origins),
         window=scheme.window,
     )
 

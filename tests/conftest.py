@@ -27,7 +27,6 @@ def toy_windows():
     return rows_window_set(
         np.repeat(signs[:, None], 64, axis=1),
         labels=(signs < 0).astype(np.int64),
-        origins=tuple((f"T{i:03d}", 0) for i in range(24)),
     )
 
 

@@ -167,6 +167,23 @@ class TestCv:
         assert rc == 0
         assert (out / "cv_A-B_scheme1_M5_seed4.json").is_file()
 
+    def test_leftover_atomic_temporary_changes_no_report(self, tmp_path):
+        """A copy of A001 saved as a write_atomic temporary is not a fifth
+        record: the cv report is byte-identical to the one without it."""
+        root = _synth(tmp_path)
+        reports = []
+        for run in ("clean", "stray"):
+            if run == "stray":
+                (root / "A" / ".A001.txt.4242.tmp").write_text(
+                    (root / "A" / "A001.txt").read_text()
+                )
+            out = tmp_path / run
+            argv = ["cv", "--data-root", str(root), "--case", "A-B", "--folds", "2",
+                    "--epochs", "1", "--seed", "4", "--format", "json", "--out", str(out)]
+            assert main(argv) == 0
+            reports.append((out / "cv_A-B_scheme1_M5_seed4.json").read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", [["cv", "--case", "A-B"], ["battery"]])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1_with_one_line(self, tmp_path, capsys, command, jobs):
@@ -410,3 +427,19 @@ def test_python_dash_m_runs_the_command_line():
     )
     assert result.returncode == 0, result.stderr
     assert "8326" in result.stdout
+
+
+def test_importing_the_command_line_loads_no_process_pool():
+    """Only a cv or battery run with --jobs above 1 needs a process pool, so
+    no process, predict included, pays for importing multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, pyrseiz.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

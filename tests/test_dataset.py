@@ -379,6 +379,19 @@ class TestBonnLayout:
             load_bonn_root(tmp_path, letters=("A", "B"), expected_length=3)
         assert str(bad) in str(info.value)
 
+    def test_leftover_atomic_temporary_is_not_a_record(self, tmp_path):
+        """A write_atomic temporary left by a killed process, here a copy of
+        A001 named as one, is skipped: the set loads the same records."""
+        profiles = [BandSpec(2, 4), BandSpec(20, 30)]
+        write_bonn_dataset(synthesize_dataset(3, profiles, length=600, seed=2), tmp_path)
+        before = load_bonn_set(tmp_path, "A", expected_length=600)
+        stray = tmp_path / "A" / ".A001.txt.4242.tmp"
+        stray.write_text((tmp_path / "A" / "A001.txt").read_text())
+        after = load_bonn_set(tmp_path, "A", expected_length=600)
+        assert [r.index for r in after] == [r.index for r in before] == [1, 2, 3]
+        for a, b in zip(before, after):
+            assert np.array_equal(a.samples, b.samples)
+
     def test_missing_set_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no directory for set"):
             load_bonn_set(tmp_path, "E")

@@ -1,4 +1,4 @@
-"""Traced memory bounds: training holds its records once, inference one pass.
+"""Traced memory bounds: a fold holds its records once, inference one pass.
 
 Peaks are read with ``tracemalloc``, which numpy reports its array buffers
 to, so they count the arrays a call makes and not the interpreter's heap.
@@ -8,16 +8,23 @@ import tracemalloc
 
 import numpy as np
 
-from pyrseiz.dataset import EegRecord, define_case
+from pyrseiz.dataset import EegRecord, FoldPlan, define_case
 from pyrseiz.ensemble import classify
+from pyrseiz.evaluation import RunSpec, _run_fold
 from pyrseiz.network import ModelConfig, Workspace, init_parameters, model_config
 from pyrseiz.training import TrainingConfig, train
 from pyrseiz.windowing import SCHEME_1, augment_training
 
-# Per-window bookkeeping (start, shift, scale, label, origin tuple, shuffle
-# slot) of the extra records' 684 windows: about 2.7 times the 140 KB
-# measured on CPython 3.11, so object sizes of other versions fit.
+TINY = ModelConfig(kernel_counts=(2, 2, 2), fc1_width=4, dropout_rate=0.0, num_classes=2)
+# Per-window bookkeeping (source, start, shift, scale, label, shuffle slot)
+# of the extra records' 684 windows, with room to spare for the objects of
+# other Python and numpy versions.
 TRAIN_ALLOWANCE = 384 * 1024
+# The columns a WindowSet keeps per window: source, start, shift, scale, label.
+WINDOW_COLUMN_BYTES = 5 * 8
+# Per-record lists and arrays beside the columns: about 18 KB are measured
+# for 12 extra records on CPython 3.11.
+AUGMENT_ALLOWANCE = 64 * 1024
 # Probabilities, vote records and per-pass temporaries beside the workspace.
 INFER_ALLOWANCE = 512 * 1024
 
@@ -41,16 +48,50 @@ def test_training_peak_grows_by_the_extra_samples_only():
     records' bytes, plus TRAIN_ALLOWANCE, above 4 records: the windows stay
     views of the samples. A window matrix would add about 7 times those
     bytes (57 overlapping 512-sample windows per 4,097-sample record)."""
-    cfg = ModelConfig(kernel_counts=(2, 2, 2), fc1_width=4, dropout_rate=0.0, num_classes=2)
     case = define_case("A-E")
     config = TrainingConfig(epochs=1, seed=0)
     small, large = _records(4), _records(16)
     peaks = [
-        _traced_peak(lambda: train(cfg, augment_training(records, case, SCHEME_1), config))
+        _traced_peak(lambda: train(TINY, augment_training(records, case, SCHEME_1), config))
         for records in (small, large)
     ]
     extra_bytes = sum(r.samples.nbytes for r in large) - sum(r.samples.nbytes for r in small)
     assert peaks[1] - peaks[0] < extra_bytes + TRAIN_ALLOWANCE
+
+
+def test_augment_peak_grows_by_the_window_columns_only():
+    """Windowing 16 records peaks at most the extra 684 windows' columns,
+    plus AUGMENT_ALLOWANCE, above 4 records: the records' samples are
+    referenced, not copied. Concatenating them would add the 12 extra
+    records' 393 KB."""
+    case = define_case("A-E")
+    small, large = _records(4), _records(16)
+    sets, peaks = [], []
+    for records in (small, large):
+        peaks.append(_traced_peak(lambda: sets.append(augment_training(records, case, SCHEME_1))))
+    extra_windows = len(sets[1]) - len(sets[0])
+    assert extra_windows == 12 * 57
+    assert peaks[1] - peaks[0] < extra_windows * WINDOW_COLUMN_BYTES + AUGMENT_ALLOWANCE
+
+
+def test_fold_test_side_peak_does_not_grow_with_its_records():
+    """A fold that tests on 4 times the records (16 against 4, the same 4
+    training records) peaks less than the 12 extra records' sample bytes
+    higher: the test side is scored one record at a time. Holding every
+    test window, once as instances and once stacked, would add about 2.6
+    times those bytes under scheme 1."""
+    records = _records(20)
+    by_set: dict = {}
+    for record in records:
+        by_set.setdefault(record.set_label, {})[record.index] = record
+    spec = RunSpec(define_case("A-E"), SCHEME_1, TINY, TrainingConfig(epochs=1, seed=0))
+    peaks = []
+    for n_test in (2, 8):
+        test_ids = tuple(range(3, 3 + n_test))
+        plan = FoldPlan(k=2, seed=0, assignments={s: (test_ids, (1, 2)) for s in "AE"})
+        peaks.append(_traced_peak(lambda: _run_fold(0, spec, plan, by_set, False)))
+    extra_bytes = 12 * records[0].samples.nbytes
+    assert peaks[1] - peaks[0] < extra_bytes
 
 
 def test_inference_peak_is_one_pass():

@@ -312,7 +312,9 @@ def _perturbed(cfg, seed):
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
     lists = (ws.cols, ws.normalized, ws.grad_act)
-    return [b for buffers in lists for b in buffers] + [ws.flat, ws.windows, ws.scratch]
+    return [b for buffers in lists for b in buffers] + [
+        ws.flat, ws.windows, ws.scratch, ws.relu_mask
+    ]
 
 
 class TestChannelLastLayout:
@@ -414,7 +416,9 @@ class TestChannelLastLayout:
         grads = backward(tiny_config, params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 3 * 3 + 3
+        assert len(buffers) == 3 * 3 + 4
+        assert ws.relu_mask.dtype == bool
+        assert ws.relu_mask.size == max(a.size for a in ws.normalized)
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, probs) and not np.shares_memory(a, grads.flat)
@@ -452,7 +456,7 @@ class TestChannelLastLayout:
             if a is not b:  # the shared backward scratch is carved, not sliced
                 assert a.shape[0] == 3 and b.shape[0] == 5
                 assert np.shares_memory(a, b) and a.ctypes.data == b.ctypes.data
-        assert head.scratch is base.scratch
+        assert head.scratch is base.scratch and head.relu_mask is base.relu_mask
         for bad in (0, 6):
             with pytest.raises(ValueError, match=f"no head of {bad}"):
                 base.head(bad)

@@ -37,11 +37,11 @@ def _take(windows, rows):
     rows = np.asarray(rows, dtype=np.int64)
     return replace(
         windows,
+        sources=windows.sources[rows],
         starts=windows.starts[rows],
         shifts=windows.shifts[rows],
         scales=windows.scales[rows],
         labels=windows.labels[rows],
-        origins=tuple(windows.origins[i] for i in rows),
     )
 
 
@@ -223,18 +223,19 @@ class TestTrain:
         windows = rows_window_set(
             np.stack([np.ones(64), -np.ones(64)]),
             labels=np.array([0, 2]),
-            origins=(("T1", 0), ("T2", 0)),
         )
         with pytest.raises(ValueError, match="outside the model"):
             train(tiny_config, windows, TrainingConfig(epochs=1))
 
     def test_inputs_never_mutated(self, tiny_config, toy_windows):
         values, labels = all_rows(toy_windows), toy_windows.labels.copy()
-        samples = toy_windows.samples.copy()
+        samples = [s.copy() for s in toy_windows.samples]
         train(tiny_config, toy_windows, TrainingConfig(epochs=2, seed=1))
         assert np.array_equal(all_rows(toy_windows), values)
         assert np.array_equal(toy_windows.labels, labels)
-        assert np.array_equal(toy_windows.samples, samples)
+        assert len(toy_windows.samples) == len(samples)
+        for got, expected in zip(toy_windows.samples, samples):
+            assert np.array_equal(got, expected)
 
     def test_active_dropout_changes_training(self, tiny_config, toy_windows):
         """Rate 0.5 against rate 0 under one seed: same init, different weights."""
@@ -335,7 +336,7 @@ class TestTrain:
         row = shuffle_rng.permutation(len(toy_windows))[10]
         values = all_rows(toy_windows)
         values[row, 5] = np.inf
-        bad = rows_window_set(values, toy_windows.labels, toy_windows.origins)
+        bad = rows_window_set(values, toy_windows.labels)
         steps = []
 
         def checked_step(params, grads, state, config):

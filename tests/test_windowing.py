@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_rows
+from helpers import all_rows, origins
 from oracles import count_offsets, window_matrix
 from pyrseiz.dataset import (
     BandSpec,
@@ -16,6 +16,7 @@ from pyrseiz.windowing import (
     SCHEME_1,
     SCHEME_2,
     SchemeSpec,
+    WindowSet,
     augment_training,
     count_windows,
     get_scheme,
@@ -133,11 +134,49 @@ def _records_one_class(n, length=4097, seed=0):
 class TestAugmentTraining:
     def test_one_record_offsets(self):
         case = define_case("A-E")
-        windows = augment_training(_records_one_class(1), case, SCHEME_1)
+        records = _records_one_class(1)
+        windows = augment_training(records, case, SCHEME_1)
         assert len(windows) == 57
         assert all_rows(windows).shape == (57, 512) and windows.labels.shape == (57,)
-        assert [o[1] for o in windows.origins] == [64 * j for j in range(57)]
-        assert windows.origins[-1] == ("A001", 3584)
+        assert [o[1] for o in origins(windows, records)] == [64 * j for j in range(57)]
+        assert origins(windows, records)[-1] == ("A001", 3584)
+
+    def test_records_are_referenced_not_copied(self):
+        """The set holds each record's own sample array, in record order, and
+        each window's source indexes it."""
+        records = _records_one_class(3)
+        windows = augment_training(records, define_case("A-E"), SCHEME_2)
+        assert len(windows.samples) == 3
+        assert all(a is r.samples for a, r in zip(windows.samples, records))
+        assert windows.sources.tolist() == [i for i in range(3) for _ in range(29)]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sources": [0, 2]}, "source lies outside the 2 records"),
+            ({"sources": [0, -1]}, "source lies outside"),
+            ({"starts": [0, 5]}, "start lies outside its record"),
+            ({"starts": [-1, 0]}, "start lies outside its record"),
+            ({"labels": [0, 1, 1]}, "expected 1-D sample arrays"),
+            ({"samples": (np.zeros(8), np.zeros((2, 4)))}, "expected 1-D sample arrays"),
+            ({"window": 0}, "window must be >= 1"),
+        ],
+    )
+    def test_window_set_rejects_windows_outside_its_records(self, change, message):
+        """Each window must lie inside the record its source names; the
+        second record has 8 samples, so a 4-sample window starts at most at 4."""
+        fields = dict(
+            samples=(np.zeros(6), np.zeros(8)),
+            sources=[0, 1],
+            starts=[2, 4],
+            shifts=[0.0, 0.0],
+            scales=[1.0, 1.0],
+            labels=[0, 1],
+            window=4,
+        )
+        WindowSet(**fields)
+        with pytest.raises(ValueError, match=message):
+            WindowSet(**{**fields, **change})
 
     def test_ninety_records_scheme1(self):
         case = define_case("A-E")
@@ -162,7 +201,7 @@ class TestAugmentTraining:
         for scheme in (SCHEME_1, SCHEME_2):
             windows = augment_training(records, case, scheme)
             assert len(windows) == 2 * count_windows(4097, 512, scheme.train_stride)
-            for row, (record_id, offset) in zip(all_rows(windows), windows.origins):
+            for row, (record_id, offset) in zip(all_rows(windows), origins(windows, records)):
                 raw = samples[record_id][offset : offset + 512]
                 assert np.array_equal(row, normalize(raw))
 
@@ -208,8 +247,9 @@ class TestAugmentTraining:
         for got in (windows.batch(rows), windows.batch(rows, out=out)):
             assert np.array_equal(got, expected)
         samples = {r.record_id: r.samples for r in records}
+        provenance = origins(windows, records)
         for got, i in zip(out, rows):
-            record_id, offset = windows.origins[i]
+            record_id, offset = provenance[i]
             assert np.array_equal(got, normalize(samples[record_id][offset : offset + window]))
 
 
@@ -309,6 +349,6 @@ def test_no_train_window_comes_from_a_test_record(seed, k):
             r for r in records if (r.set_label, r.index) not in test_ids
         ]
         windows = augment_training(train_records, case, scheme)
-        train_origin_records = {record_id for record_id, _ in windows.origins}
+        train_origin_records = {record_id for record_id, _ in origins(windows, train_records)}
         test_record_ids = {f"{s}{i:03d}" for s, i in test_ids}
         assert not train_origin_records & test_record_ids
