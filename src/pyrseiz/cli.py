@@ -223,7 +223,7 @@ def _add_scheme_option(parser: argparse.ArgumentParser, default: int | None = 1,
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODEL_NAMES, default="M5")
+    parser.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
     parser.add_argument("--fc1", type=int, choices=(20, 40), default=None)
     parser.add_argument("--dropout", type=float, default=None, metavar="R")
 

@@ -263,6 +263,8 @@ def synthesize_dataset(
         raise ValueError(f"record length must be >= 512, got {length}")
     if num_records_per_class < 1:
         raise ValueError("num_records_per_class must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64) / float(sample_rate)
     records: list[EegRecord] = []

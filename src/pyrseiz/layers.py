@@ -39,12 +39,6 @@ def _view(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return a.reshape(shape)
 
 
-def _positive(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """x > 0 as a bool array, written into the leading x.size elements of
-    ``mask``, a flat bool buffer, when one is given."""
-    return np.greater(x, 0.0, out=None if mask is None else mask[: x.size].reshape(x.shape))
-
-
 def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
     """(K, C, Rf) kernels as a (K, Rf*C) matrix in im2col's patch order."""
     k, c, rf = weights.shape
@@ -276,15 +270,13 @@ def batchnorm_backward(
     relu: bool = False,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backprop through the standardization, including the stats' dependence on x.
 
     With ``relu`` the gradient arrives at relu(y) instead of y, and the ReLU
     mask (y > 0) is applied here: the fused BN+ReLU backward. ``out`` may be
     ``grad_out`` itself; ``scratch``, shaped like it, takes the x_hat term
-    and ``mask``, a flat bool buffer at least as long, the ReLU mask (fresh
-    arrays without them).
+    (a fresh array without it).
     """
     channels = cache.x_hat.shape[-1]
     x_hat = cache.x_hat.reshape(-1, channels)
@@ -293,7 +285,7 @@ def batchnorm_backward(
         out = np.empty_like(grad_out)
     res = _view(out, g.shape)
     if relu:
-        np.multiply(g, _positive(x_hat, mask), out=res)
+        np.multiply(g, x_hat > 0.0, out=res)
     else:
         np.copyto(res, g)
     n = cache.count
@@ -367,14 +359,12 @@ def conv_batchnorm_backward(
     weights: np.ndarray,
     grad_out: np.ndarray,
     out: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(grad_weights, grad_bias) through relu(conv_batchnorm_train(...)).
 
     ``cols`` are the centred patches conv_batchnorm_train left behind and
-    grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask, made
-    in ``mask`` as batchnorm_backward makes it, is applied into ``out``
-    (which may be grad_out; fresh without it). With g
+    grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask is
+    applied into ``out`` (which may be grad_out; fresh without it). With g
     the masked gradient, s1 and s2 the per-channel sums of g and g*x_hat,
     the gradient dz at the convolution output is
     (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W / sigma)^T, s2 is
@@ -396,7 +386,7 @@ def conv_batchnorm_backward(
     if out is None:
         out = np.empty_like(grad_out)
     g = _view(out, (count, k))
-    np.multiply(grad_out.reshape(count, k), _positive(x_hat, mask), out=g)
+    np.multiply(grad_out.reshape(count, k), x_hat > 0.0, out=g)
     sum_g = _channel_sums(g)
     mean_g = sum_g / count
     scaled = _kernel_matrix(weights) * cache.inv_std[:, None]

@@ -193,9 +193,9 @@ class Workspace:
     """Activation and gradient buffers for one batch size, reused pass to pass.
 
     Every array is C-contiguous and channel-last. ``forward`` and
-    ``backward`` write into the buffers with ``out=``, so a trace made with a
-    workspace is valid only until the next pass that uses the same
-    workspace. Buffers only training needs are allocated on first use.
+    ``backward`` write into the buffers with ``out=``, so a trace is valid
+    only until the next pass through its workspace. Buffers only training
+    needs are allocated on first use.
     ``head(b)`` is a workspace for a smaller batch on the leading rows of
     these buffers; it allocates nothing of its own.
     """
@@ -239,14 +239,6 @@ class Workspace:
             return [a[: self.batch] for a in self.base.grad_act]
         return [np.empty_like(a) for a in self.normalized]
 
-    @cached_property
-    def relu_mask(self) -> np.ndarray:
-        """One bool vector as long as the largest conv output, where each
-        conv layer's backward makes its ReLU mask; a head uses its base's."""
-        if self.base is not None:
-            return self.base.relu_mask
-        return np.empty(max(a.size for a in self.normalized), dtype=bool)
-
     def _input_gradient_shapes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Shapes of conv layer i's padded output gradient and of its patches."""
         cfg = self.config
@@ -289,16 +281,17 @@ class Workspace:
 
 @dataclass
 class ForwardTrace:
-    """Intermediates cached by a training-mode forward pass for backprop."""
+    """Intermediates cached by a training-mode forward pass for backprop.
 
-    conv_cols: list[np.ndarray]  # im2col patches of each conv input; conv1's centred
+    The conv stack's im2col patches (conv1's centred) and its flattened
+    output stay in ``workspace.cols`` and ``workspace.flat``.
+    """
+
     bn_caches: list[layers.BatchNormCache]  # x_hat: the batch-norm outputs feeding each ReLU
-    fc1_input: np.ndarray  # flattened conv stack output
     fc1_pre: np.ndarray  # FC1 pre-activation
     dropout_mask: np.ndarray | None
     fc2_input: np.ndarray
     logits: np.ndarray
-    probs: np.ndarray
     workspace: Workspace
 
 
@@ -318,9 +311,10 @@ def forward(
     statistics into each layer's conv weights and bias
     (``layers.batchnorm_infer``) and applies no dropout. Each conv layer's
     ReLU is applied where its output is read: by the next layer's im2col and
-    by the flatten. Activations are written into ``workspace``; without one,
-    training makes a fresh workspace and inference allocates as it goes. The
-    returned probabilities are always a fresh array.
+    by the flatten. Activations are written into ``workspace``, a fresh one
+    for the batch without it; ``ensemble.classify`` runs large inference
+    batches in bounded passes. The returned probabilities are always a fresh
+    array.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim == 1:
@@ -330,19 +324,17 @@ def forward(
             f"expected windows of length {config.input_length}, got shape {x.shape}"
         )
     batch = x.shape[0]
-    ws = Workspace(config, batch) if workspace is None and training else workspace
-    if ws is not None and (ws.config != config or ws.batch != batch):
+    ws = Workspace(config, batch) if workspace is None else workspace
+    if ws.config != config or ws.batch != batch:
         raise ValueError(
             f"workspace for {ws.batch} windows does not fit a batch of {batch} "
             "under this config"
         )
-    # without a workspace (inference) each layer allocates arrays that die with it
-    buffers = zip(ws.cols, ws.normalized) if ws is not None else [(None, None)] * 3
     h = x[:, :, None]  # (B, L, 1): channel-last from the first layer
     bn_caches: list[layers.BatchNormCache] = []
     weights, biases = params.conv_weights, params.conv_biases
     running_mean, running_var = params.bn_running_mean, params.bn_running_var
-    for i, (cols, normalized) in enumerate(buffers):
+    for i, (cols, normalized) in enumerate(zip(ws.cols, ws.normalized)):
         stride = config.strides[i]
         if not training:  # batch norm folded into the conv weights and bias
             w, b = layers.batchnorm_infer(weights[i], biases[i], running_mean[i], running_var[i])
@@ -364,7 +356,7 @@ def forward(
             h = z  # the batch-norm output x_hat, which backward reads before the ReLU
     # flatten in (kernel, position) order, the order fc1.weight's rows are stored
     # in, applying conv3's ReLU
-    flat = ws.flat if ws is not None else np.empty((batch, config.flatten_width))
+    flat = ws.flat
     np.maximum(h.transpose(0, 2, 1), 0.0, out=flat.reshape(batch, h.shape[2], h.shape[1]))
     fc1_pre = layers.dense_forward(flat, params.fc1_weight, params.fc1_bias)
     hidden = layers.relu(fc1_pre)
@@ -376,14 +368,11 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        conv_cols=ws.cols,
         bn_caches=bn_caches,
-        fc1_input=flat,
         fc1_pre=fc1_pre,
         dropout_mask=mask,
         fc2_input=dropped,
         logits=logits,
-        probs=probs,
         workspace=ws,
     )
     return probs, trace
@@ -410,23 +399,21 @@ def backward(
     d = layers.dropout_backward(trace.dropout_mask, config.dropout_rate, d)
     d = layers.relu_backward(trace.fc1_pre, d)
     d, grads.fc1_weight[...], grads.fc1_bias[...] = layers.dense_backward(
-        trace.fc1_input, params.fc1_weight, d
+        ws.flat, params.fc1_weight, d
     )
     g = ws.grad_act[2]
     np.copyto(g, d.reshape(g.shape[0], g.shape[2], g.shape[1]).transpose(0, 2, 1))
     for i in (2, 1):
         g = layers.batchnorm_backward(
-            trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i),
-            mask=ws.relu_mask,
+            trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i)
         )
         grad_pad, grad_patches = ws.grad_buffers(i)
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
-            trace.conv_cols[i], params.conv_weights[i], config.strides[i], g,
+            ws.cols[i], params.conv_weights[i], config.strides[i], g,
             grad_x=ws.grad_act[i - 1], grad_pad=grad_pad, grad_patches=grad_patches,
         )
     grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
-        trace.bn_caches[0], trace.conv_cols[0], params.conv_weights[0], g, out=g,
-        mask=ws.relu_mask,
+        trace.bn_caches[0], ws.cols[0], params.conv_weights[0], g, out=g
     )
     return grads
 

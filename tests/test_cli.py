@@ -387,6 +387,40 @@ class TestBattery:
         assert any(line.startswith("A-E,") for line in comp_lines)
 
 
+class TestOptionValues:
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            (["train"], "train_A-B_scheme1_M5_seed3.ckpt"),
+            (["cv", "--folds", "2"], "cv_A-B_scheme1_M5_seed3.csv"),
+        ],
+    )
+    def test_lowercase_model_name_runs_the_grid_model(self, tmp_path, command, artifact):
+        """--model m5 writes byte for byte what --model M5 writes, under M5's name."""
+        root = _synth(tmp_path)
+        written = []
+        for model in ("M5", "m5"):
+            out = tmp_path / model
+            assert main([*command, "--data-root", str(root), "--case", "A-B", "--model", model,
+                         "--epochs", "1", "--seed", "3", "--out", str(out)]) == 0
+            written.append((out / artifact).read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "command", [["synth"], ["train", "--case", "A-B"], ["cv", "--case", "A-B"], ["battery"]]
+    )
+    def test_negative_seed_exits_1_with_one_line(self, tmp_path, capsys, command):
+        root = _synth(tmp_path, classes=5, records=2)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        data = [] if command == ["synth"] else ["--data-root", str(root), "--epochs", "1"]
+        assert main([*command, *data, "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestDispatch:
     @pytest.mark.parametrize(
         "handler, argv",

@@ -323,6 +323,10 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             BandSpec(4, 2)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            synthesize_dataset(3, [BandSpec(2, 4), BandSpec(8, 12)], seed=-1)
+
 
 _SET_NAMES = st.sampled_from(
     [*SET_LETTERS, *(c.lower() for c in SET_LETTERS), *BONN_ALIASES.values(),

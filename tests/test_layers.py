@@ -289,30 +289,6 @@ class TestBatchNorm:
         assert layers.batchnorm_backward(cache, in_place, relu=True, out=in_place) is in_place
         assert np.array_equal(in_place, gx)
 
-    def test_relu_mask_buffer_is_bitwise_the_allocating_form(self):
-        """Both fused backwards give bitwise the same results with the ReLU
-        mask made in a longer bool buffer holding stale values as with a
-        fresh mask."""
-        rng = np.random.default_rng(24)
-        x = rng.standard_normal((4, 9, 3))
-        r = rng.standard_normal((4, 9, 3))
-        mask = np.ones(x.size + 7, dtype=bool)
-        _, cache, _, _ = layers.batchnorm_train(x)
-        fresh = layers.batchnorm_backward(cache, r, relu=True)
-        buffered = layers.batchnorm_backward(cache, r, relu=True, mask=mask)
-        assert np.array_equal(buffered.view(np.int64), fresh.view(np.int64))
-        assert np.array_equal(mask[: x.size], (cache.x_hat > 0.0).ravel())
-
-        w, b = rng.standard_normal((3, 1, 5)), rng.standard_normal(3)
-        signal = rng.standard_normal((4, 21, 1))
-        grads = []
-        for buffer in (None, np.ones(x.size + 5, dtype=bool)):
-            cols = np.empty((4, 9, 5))
-            _, cache, _, _ = layers.conv_batchnorm_train(signal, w, b, 2, cols=cols)
-            grads.append(layers.conv_batchnorm_backward(cache, cols, w, r, mask=buffer))
-        for fresh, buffered in zip(*grads):
-            assert np.array_equal(buffered.view(np.int64), fresh.view(np.int64))
-
     @staticmethod
     def _folded_conv(x, running_mean, running_var, **kwargs):
         """Batch norm of channel-last x by running statistics, as inference

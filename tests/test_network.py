@@ -6,6 +6,7 @@ import pytest
 
 from oracles import backward_reference, central_difference, forward_reference, max_relative_error
 from pyrseiz import layers
+from pyrseiz.ensemble import INFER_BATCH, classify
 from pyrseiz.network import (
     MODEL_GRID,
     MODEL_NAMES,
@@ -312,9 +313,7 @@ def _perturbed(cfg, seed):
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
     lists = (ws.cols, ws.normalized, ws.grad_act)
-    return [b for buffers in lists for b in buffers] + [
-        ws.flat, ws.windows, ws.scratch, ws.relu_mask
-    ]
+    return [b for buffers in lists for b in buffers] + [ws.flat, ws.windows, ws.scratch]
 
 
 class TestChannelLastLayout:
@@ -360,19 +359,20 @@ class TestChannelLastLayout:
     def test_trace_activations_are_channel_last_and_contiguous(self, tiny_config):
         cfg = tiny_config
         params = init_parameters(cfg, seed=0)
-        _, trace = forward(cfg, params, np.random.default_rng(0).standard_normal((5, 64)),
-                           training=True)
+        probs, trace = forward(cfg, params, np.random.default_rng(0).standard_normal((5, 64)),
+                               training=True)
+        ws = trace.workspace
         in_channels = (1,) + cfg.kernel_counts[:2]
         for i, m in enumerate(cfg.conv_lengths()):
             k, rf = cfg.kernel_counts[i], cfg.receptive_fields[i]
-            assert trace.conv_cols[i].shape == (5, m, rf * in_channels[i])
+            assert ws.cols[i].shape == (5, m, rf * in_channels[i])
             assert trace.bn_caches[i].x_hat.shape == (5, m, k)
-            assert trace.conv_cols[i].flags.c_contiguous
             assert trace.bn_caches[i].x_hat.flags.c_contiguous
-        for name in ("fc1_input", "fc1_pre", "fc2_input", "logits", "probs"):
+        assert ws.flat.shape == (5, cfg.flatten_width)
+        for name in ("fc1_pre", "fc2_input", "logits"):
             assert getattr(trace, name).flags.c_contiguous, name
-        ws = trace.workspace
-        for buffers in (ws.cols, ws.normalized):
+        assert probs.flags.c_contiguous
+        for buffers in (ws.cols, ws.normalized, [ws.flat]):
             assert all(b.flags.c_contiguous for b in buffers)
 
     def test_reused_workspace_matches_fresh_arrays(self, tiny_config):
@@ -416,9 +416,7 @@ class TestChannelLastLayout:
         grads = backward(tiny_config, params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 3 * 3 + 4
-        assert ws.relu_mask.dtype == bool
-        assert ws.relu_mask.size == max(a.size for a in ws.normalized)
+        assert len(buffers) == 3 * 3 + 3
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, probs) and not np.shares_memory(a, grads.flat)
@@ -456,7 +454,7 @@ class TestChannelLastLayout:
             if a is not b:  # the shared backward scratch is carved, not sliced
                 assert a.shape[0] == 3 and b.shape[0] == 5
                 assert np.shares_memory(a, b) and a.ctypes.data == b.ctypes.data
-        assert head.scratch is base.scratch and head.relu_mask is base.relu_mask
+        assert head.scratch is base.scratch
         for bad in (0, 6):
             with pytest.raises(ValueError, match=f"no head of {bad}"):
                 base.head(bad)
@@ -477,6 +475,43 @@ class TestChannelLastLayout:
             forward(tiny_config, params, rng.standard_normal((6, 64)))
             forward(tiny_config, params, rng.standard_normal((6, 64)), training=True)
         assert np.array_equal(first, kept)
+
+
+class TestInferencePath:
+    """Inference runs through a workspace whether or not the caller passes one."""
+
+    def test_without_workspace_is_bitwise_a_reused_one(self, tiny_config):
+        """A call without a workspace gives bitwise what a call through a
+        reused workspace gives, whose buffers first held nan."""
+        cfg = tiny_config
+        params = _perturbed(cfg, seed=8)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((6, 64))
+        ws = Workspace(cfg, 6)
+        forward(cfg, params, rng.standard_normal((6, 64)), workspace=ws)
+        for buffer in ws.cols + ws.normalized + [ws.flat]:
+            buffer.fill(np.nan)
+        fresh, _ = forward(cfg, params, x)
+        reused, _ = forward(cfg, params, x, workspace=ws)
+        assert np.array_equal(reused.view(np.int64), fresh.view(np.int64))
+
+    @pytest.mark.parametrize("instances, n_passes", [(10, 1), (33, 4)])
+    def test_classify_is_forward_pass_by_pass(self, instances, n_passes):
+        """classify's probabilities on M5 windows, three per instance, are
+        bitwise forward's without a workspace on the same passes: all 30
+        windows in one pass, or 99 in passes of INFER_BATCH and a last
+        partial one."""
+        cfg = model_config("M5", 3)
+        params = _perturbed(cfg, seed=9)
+        windows = np.random.default_rng(9).standard_normal((instances, 3, 512))
+        rows = windows.reshape(-1, 512)
+        passes = range(0, len(rows), INFER_BATCH)
+        assert len(passes) == n_passes
+        expected = np.concatenate(
+            [forward(cfg, params, rows[s : s + INFER_BATCH])[0] for s in passes]
+        )
+        probs = np.concatenate([r.probabilities for r in classify(params, cfg, windows)])
+        assert np.array_equal(probs.view(np.int64), expected.view(np.int64))
 
 
 # Set before measuring: the fold divides the weights where the oracle divides

@@ -66,6 +66,11 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             TrainingConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainingConfig(seed=-1)
+        assert TrainingConfig(seed=0).seed == 0
+
 
 class TestAdamStep:
     def test_zero_gradient_is_a_fixed_point(self, tiny_config):
