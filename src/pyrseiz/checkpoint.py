@@ -69,7 +69,10 @@ def save_checkpoint(
 ) -> None:
     """Write parameters, their config and, when given, the case spec and
     scheme id they were trained with; the on-disk order is fixed and the file
-    is replaced atomically."""
+    is replaced atomically. ``config`` must be ``params.config``; nothing is
+    written when it is not."""
+    if config != params.config:
+        raise ValueError("config differs from params.config, the network's own")
     lines = [CHECKPOINT_VERSION]
     for key, value in asdict(config).items():
         values = value if isinstance(value, tuple) else (value,)

@@ -58,7 +58,11 @@ def _data_root(args: argparse.Namespace) -> Path:
 
 def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> RunSpec:
     """The run the model, training and scheme options describe; without a
-    case, the battery's template (two classes until ``for_case``)."""
+    case, the battery's template (two classes until ``for_case``). A run of
+    no epochs would report the untrained initial weights as a result, so the
+    command line asks for at least one."""
+    if args.epochs < 1:
+        raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
     model = model_config(
         args.model,
         2 if case is None else case.num_classes,
@@ -82,11 +86,10 @@ def cmd_params(args: argparse.Namespace) -> int:
         )
     print(f"{'model':<6}{'family':<13}{'fc1':>4}{'dropout':>9}{'params(2)':>11}{'params(3)':>11}")
     for name in names:
-        variant = MODEL_GRID[name.upper()]
         two, three = model_config(name, 2), model_config(name, 3)
         print(
-            f"{variant.name:<6}{two.family:<13}{variant.fc1_width:>4}"
-            f"{variant.dropout_rate:>9}{count_parameters(two):>11}{count_parameters(three):>11}"
+            f"{name.upper():<6}{two.family:<13}{two.fc1_width:>4}"
+            f"{two.dropout_rate:>9}{count_parameters(two):>11}{count_parameters(three):>11}"
         )
     return 0
 
@@ -187,7 +190,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     samples = read_samples(args.input)
     stem = Path(args.input).stem
     vote_records = []
-    records = classify(params, config, segment_signal(samples, scheme))  # all instances at once
+    records = classify(params, segment_signal(samples, scheme))  # all instances at once
     for sub_index, record in enumerate(records):
         record = replace(record, origin=(stem, sub_index))
         vote_records.append(record)

@@ -59,11 +59,7 @@ def majority_vote(
     return winners[0], True
 
 
-def classify(
-    params: NetworkParameters,
-    config: ModelConfig,
-    windows: np.ndarray,
-) -> list[VoteRecord]:
+def classify(params: NetworkParameters, windows: np.ndarray) -> list[VoteRecord]:
     """Classify every expert window of each test instance and fuse by majority vote.
 
     ``windows`` is (n_instances, width, input_length). Every expert is the
@@ -75,7 +71,7 @@ def classify(
     if x.ndim != 3:
         raise ValueError(f"expected (instances, width, window) windows, got shape {x.shape}")
     n, width, length = x.shape
-    probs = _infer(params, config, x.reshape(n * width, length)).reshape(n, width, -1)
+    probs = _infer(params, x.reshape(n * width, length)).reshape(n, width, -1)
     records = []
     for votes, instance_probs in zip(probs.argmax(axis=2).tolist(), probs):
         final, tie_broken = majority_vote(votes, instance_probs)
@@ -90,17 +86,15 @@ def classify(
     return records
 
 
-def _infer(params: NetworkParameters, config: ModelConfig, windows: np.ndarray) -> np.ndarray:
+def _infer(params: NetworkParameters, windows: np.ndarray) -> np.ndarray:
     """Class probabilities of (n, input_length) windows, INFER_BATCH windows
     per pass; the last, partial pass runs on the workspace's leading rows."""
     n = len(windows)
-    probs = np.empty((n, config.num_classes))
-    workspace = Workspace(config, min(INFER_BATCH, n)) if n else None
+    probs = np.empty((n, params.config.num_classes))
+    workspace = Workspace(params.config, min(INFER_BATCH, n)) if n else None
     for start in range(0, n, INFER_BATCH):
         chunk = windows[start : start + INFER_BATCH]
-        probs[start : start + len(chunk)], _ = forward(
-            config, params, chunk, training=False, workspace=workspace.head(len(chunk))
-        )
+        probs[start : start + len(chunk)], _ = forward(params, chunk, workspace.head(len(chunk)))
     return probs
 
 
@@ -111,14 +105,17 @@ def predict_instance(
     scheme: SchemeSpec,
 ) -> VoteRecord:
     """Classify each window of a test instance with the one trained model and
-    fuse the window decisions by majority vote."""
+    fuse the window decisions by majority vote. ``config`` must be
+    ``params.config``."""
+    if config != params.config:
+        raise ValueError("config differs from params.config, the network's own")
     width = scheme.ensemble_width
     if len(instance.windows) != width:
         raise ValueError(
             f"instance has {len(instance.windows)} windows, scheme {scheme.id} "
             f"expects {width}"
         )
-    (record,) = classify(params, config, instance.windows[None])
+    (record,) = classify(params, instance.windows[None])
     return replace(record, origin=instance.origin)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -118,11 +117,7 @@ class FoldResult:
 
 @dataclass
 class MetricsReport:
-    """Per-fold and aggregate metrics of one cross-validation run.
-
-    ``runtime_seconds`` is informational only and never serialized, so
-    reports from identical runs are byte-identical.
-    """
+    """Per-fold and aggregate metrics of one cross-validation run."""
 
     case: str
     scheme_id: int
@@ -133,7 +128,6 @@ class MetricsReport:
     mean_confusion: np.ndarray
     ties_total: int
     settings: dict[str, object]
-    runtime_seconds: float = 0.0
 
 
 def _aggregate(folds: Sequence[FoldResult]) -> tuple[dict[str, float | None], dict[str, float | None]]:
@@ -234,7 +228,7 @@ def _run_fold(
     window_correct = ties = 0
     for record in test_records:
         instances = segment_testing(record, case, scheme)
-        votes = classify(params, spec.model, np.stack([inst.windows for inst in instances]))
+        votes = classify(params, np.stack([inst.windows for inst in instances]))
         for inst, vote in zip(instances, votes):
             cm[inst.label, vote.final] += 1
             window_correct += vote.votes.count(inst.label)
@@ -273,7 +267,6 @@ def run_cv(
     groups train. Fold training seeds are spec.training.seed + fold. Folds
     run in ``jobs`` processes (serially at 1).
     """
-    start = time.perf_counter()
     _check_jobs(jobs)
     case = spec.case
     if case is None:
@@ -314,7 +307,6 @@ def run_cv(
         mean_confusion=mean_confusion,
         ties_total=sum(f.ties for f in folds),
         settings=spec.settings(plan),
-        runtime_seconds=time.perf_counter() - start,
     )
 
 
@@ -389,7 +381,8 @@ def _report_row(
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """JSON-ready view of a report; runtime is intentionally omitted."""
+    """JSON-ready view of a report. It holds no timing, so the reports of
+    identical runs are byte-identical."""
     return {
         "case": report.case,
         "scheme": report.scheme_id,

@@ -7,7 +7,7 @@ No pooling; downsampling comes from the convolution strides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,29 +75,20 @@ class ModelConfig:
         return "custom"
 
 
-@dataclass(frozen=True)
-class ModelVariant:
-    """One named entry of the M1..M8 grid."""
-
-    name: str
-    kernel_counts: tuple[int, int, int]
-    fc1_width: int
-    dropout_rate: float
-
-
 # M1-M4 traditional, M5-M8 pyramid; within a family the grid order is
 # (FC1=20, DO=0), (20, 0.5), (40, 0), (40, 0.5). M5 is pinned to the
 # pyramid/FC1=20/dropout=0.5 settings (same as M6); pass dropout_rate=0
-# explicitly to run the dropout-free sibling.
-MODEL_GRID: dict[str, ModelVariant] = {
-    "M1": ModelVariant("M1", TRADITIONAL_KERNELS, 20, 0.0),
-    "M2": ModelVariant("M2", TRADITIONAL_KERNELS, 20, 0.5),
-    "M3": ModelVariant("M3", TRADITIONAL_KERNELS, 40, 0.0),
-    "M4": ModelVariant("M4", TRADITIONAL_KERNELS, 40, 0.5),
-    "M5": ModelVariant("M5", PYRAMID_KERNELS, 20, 0.5),
-    "M6": ModelVariant("M6", PYRAMID_KERNELS, 20, 0.5),
-    "M7": ModelVariant("M7", PYRAMID_KERNELS, 40, 0.0),
-    "M8": ModelVariant("M8", PYRAMID_KERNELS, 40, 0.5),
+# explicitly to run the dropout-free sibling. Each entry is the 2-class
+# config; ``model_config`` sets the class count.
+MODEL_GRID: dict[str, ModelConfig] = {
+    "M1": ModelConfig(TRADITIONAL_KERNELS, fc1_width=20, dropout_rate=0.0),
+    "M2": ModelConfig(TRADITIONAL_KERNELS, fc1_width=20, dropout_rate=0.5),
+    "M3": ModelConfig(TRADITIONAL_KERNELS, fc1_width=40, dropout_rate=0.0),
+    "M4": ModelConfig(TRADITIONAL_KERNELS, fc1_width=40, dropout_rate=0.5),
+    "M5": ModelConfig(PYRAMID_KERNELS, fc1_width=20, dropout_rate=0.5),
+    "M6": ModelConfig(PYRAMID_KERNELS, fc1_width=20, dropout_rate=0.5),
+    "M7": ModelConfig(PYRAMID_KERNELS, fc1_width=40, dropout_rate=0.0),
+    "M8": ModelConfig(PYRAMID_KERNELS, fc1_width=40, dropout_rate=0.5),
 }
 
 MODEL_NAMES = tuple(MODEL_GRID)
@@ -111,15 +102,15 @@ def model_config(
 ) -> ModelConfig:
     """Resolve a model name (M1..M8) into a ModelConfig, with optional overrides."""
     try:
-        variant = MODEL_GRID[name.upper()]
+        entry = MODEL_GRID[name.upper()]
     except KeyError:
         raise ValueError(
             f"unknown model {name!r}; valid names: {', '.join(MODEL_NAMES)}"
         ) from None
-    return ModelConfig(
-        kernel_counts=variant.kernel_counts,
-        fc1_width=variant.fc1_width if fc1_width is None else fc1_width,
-        dropout_rate=variant.dropout_rate if dropout_rate is None else dropout_rate,
+    return replace(
+        entry,
+        fc1_width=entry.fc1_width if fc1_width is None else fc1_width,
+        dropout_rate=entry.dropout_rate if dropout_rate is None else dropout_rate,
         num_classes=num_classes,
     )
 
@@ -296,26 +287,27 @@ class ForwardTrace:
 
 
 def forward(
-    config: ModelConfig,
     params: NetworkParameters,
     windows: np.ndarray,
+    workspace: Workspace,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace | None]:
-    """Run a window batch through the network; returns (probs, trace).
+    """Run a window batch through the network ``params.config`` describes;
+    returns (probs, trace).
 
-    ``windows`` is (B, input_length) or a single window. The trace is None at
-    inference. Training mode normalizes by batch statistics and updates the
-    running statistics in place in ``params``; inference folds the running
-    statistics into each layer's conv weights and bias
-    (``layers.batchnorm_infer``) and applies no dropout. Each conv layer's
-    ReLU is applied where its output is read: by the next layer's im2col and
-    by the flatten. Activations are written into ``workspace``, a fresh one
-    for the batch without it; ``ensemble.classify`` runs large inference
-    batches in bounded passes. The returned probabilities are always a fresh
-    array.
+    ``windows`` is (B, input_length) or a single window, and ``workspace``
+    must be built for that config and B windows: activations are written
+    into it, and ``ensemble.classify`` runs large inference batches in
+    bounded passes through one. The trace is None at inference. Training
+    mode normalizes by batch statistics and updates the running statistics
+    in place in ``params``; inference folds the running statistics into each
+    layer's conv weights and bias (``layers.batchnorm_infer``) and applies no
+    dropout. Each conv layer's ReLU is applied where its output is read: by
+    the next layer's im2col and by the flatten. The returned probabilities
+    are always a fresh array.
     """
+    config = params.config
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -324,17 +316,16 @@ def forward(
             f"expected windows of length {config.input_length}, got shape {x.shape}"
         )
     batch = x.shape[0]
-    ws = Workspace(config, batch) if workspace is None else workspace
-    if ws.config != config or ws.batch != batch:
+    if workspace.config != config or workspace.batch != batch:
         raise ValueError(
-            f"workspace for {ws.batch} windows does not fit a batch of {batch} "
+            f"workspace for {workspace.batch} windows does not fit a batch of {batch} "
             "under this config"
         )
     h = x[:, :, None]  # (B, L, 1): channel-last from the first layer
     bn_caches: list[layers.BatchNormCache] = []
     weights, biases = params.conv_weights, params.conv_biases
     running_mean, running_var = params.bn_running_mean, params.bn_running_var
-    for i, (cols, normalized) in enumerate(zip(ws.cols, ws.normalized)):
+    for i, (cols, normalized) in enumerate(zip(workspace.cols, workspace.normalized)):
         stride = config.strides[i]
         if not training:  # batch norm folded into the conv weights and bias
             w, b = layers.batchnorm_infer(weights[i], biases[i], running_mean[i], running_var[i])
@@ -356,7 +347,7 @@ def forward(
             h = z  # the batch-norm output x_hat, which backward reads before the ReLU
     # flatten in (kernel, position) order, the order fc1.weight's rows are stored
     # in, applying conv3's ReLU
-    flat = ws.flat
+    flat = workspace.flat
     np.maximum(h.transpose(0, 2, 1), 0.0, out=flat.reshape(batch, h.shape[2], h.shape[1]))
     fc1_pre = layers.dense_forward(flat, params.fc1_weight, params.fc1_bias)
     hidden = layers.relu(fc1_pre)
@@ -373,24 +364,25 @@ def forward(
         dropout_mask=mask,
         fc2_input=dropped,
         logits=logits,
-        workspace=ws,
+        workspace=workspace,
     )
     return probs, trace
 
 
 def backward(
-    config: ModelConfig,
     params: NetworkParameters,
     trace: ForwardTrace,
     grad_logits: np.ndarray,
 ) -> NetworkParameters:
-    """Gradients of a scalar loss w.r.t. every learnable tensor.
+    """Gradients of a scalar loss w.r.t. every learnable tensor of the
+    network ``params.config`` describes.
 
     ``grad_logits`` is the loss gradient at the FC2 output (already scaled by
     any batch averaging). Conv-stack gradients are written into the trace's
     workspace; the result is a fresh ``NetworkParameters`` laid out like
     ``params``, whose batch-norm buffer slots stay zero.
     """
+    config = params.config
     ws = trace.workspace
     grads = NetworkParameters(config)
     d, grads.fc2_weight[...], grads.fc2_bias[...] = layers.dense_backward(

@@ -160,12 +160,9 @@ def train(
             idx = order[start : start + config.batch_size]
             ws = workspace.head(idx.size)
             xb, yb = windows.batch(idx, out=ws.windows), y[idx]
-            probs, trace = forward(
-                model_config, params, xb, training=True, dropout_rng=dropout_rng,
-                workspace=ws,
-            )
+            probs, trace = forward(params, xb, ws, training=True, dropout_rng=dropout_rng)
             losses, _, grad_logits = layers.softmax_cross_entropy(trace.logits, yb)
-            grads = backward(model_config, params, trace, grad_logits / idx.size)
+            grads = backward(params, trace, grad_logits / idx.size)
             if not (np.isfinite(losses).all() and np.isfinite(grads.learnable).all()):
                 raise ValueError(
                     f"training diverged at epoch {epoch + 1}, batch {batch}: "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pyrseiz.network import forward, init_parameters
+from pyrseiz.network import Workspace, forward, init_parameters
 
 KINK_MARGIN = 1e-3
 
@@ -28,7 +28,7 @@ def draw_generic_scenario(cfg, rng, batch_size=3, max_tries=50):
         params.learnable += rng.normal(0.0, 0.1, size=params.learnable.shape)
         batch = rng.standard_normal((batch_size, cfg.input_length))
         labels = rng.integers(0, cfg.num_classes, size=batch_size)
-        _, trace = forward(cfg, params, batch, training=True)
+        _, trace = forward(params, batch, Workspace(cfg, batch_size), training=True)
         if _min_relu_distance(trace) > KINK_MARGIN:
             return params, batch, labels
     raise RuntimeError("could not draw a kink-free gradient-check scenario")

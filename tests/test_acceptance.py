@@ -36,6 +36,7 @@ from pyrseiz.evaluation import RunSpec, compute_metrics, run_battery, run_cv
 from pyrseiz.network import (
     ModelConfig,
     NetworkParameters,
+    Workspace,
     backward,
     forward,
     model_config,
@@ -194,13 +195,13 @@ def test_criterion_3_gradient_correctness():
             params, batch, labels = draw_generic_scenario(cfg, rng)
 
             def mean_loss():
-                _, trace = forward(cfg, params, batch, training=True)
+                _, trace = forward(params, batch, Workspace(cfg, len(batch)), training=True)
                 losses, _, _ = layers.softmax_cross_entropy(trace.logits, labels)
                 return float(losses.mean())
 
-            _, trace = forward(cfg, params, batch, training=True)
+            _, trace = forward(params, batch, Workspace(cfg, len(batch)), training=True)
             _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, labels)
-            grads = backward(cfg, params, trace, grad_logits / labels.size)
+            grads = backward(params, trace, grad_logits / labels.size)
             fd = NetworkParameters(cfg)
             fd.learnable[:] = central_difference(mean_loss, params.learnable)
             for name, grad in grads.tensors.items():  # buffer slots: zero on both sides

@@ -420,6 +420,19 @@ class TestOptionValues:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["train", "--case", "A-B"], ["cv", "--case", "A-B"],
+                                         ["battery"]])
+    def test_zero_epochs_exits_1_with_one_line(self, tmp_path, capsys, command):
+        """A run of no epochs would report the untrained initial weights."""
+        root = _synth(tmp_path, classes=5, records=2)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert main([*command, "--data-root", str(root), "--epochs", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --epochs must be >= 1, got 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDispatch:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pyrseiz.ensemble import (
     predict_instance,
     write_vote_log,
 )
-from pyrseiz.network import forward, init_parameters, model_config
+from pyrseiz.network import Workspace, forward, init_parameters, model_config
 from pyrseiz.training import TrainingConfig, train
 from pyrseiz.windowing import (
     SCHEME_1,
@@ -140,7 +141,7 @@ def trained_toy():
 class TestClassify:
     def test_returns_argmax_of_probabilities(self, trained_toy):
         cfg, params, windows = trained_toy
-        records = classify(params, cfg, all_rows(windows)[:6].reshape(2, 3, 512))
+        records = classify(params, all_rows(windows)[:6].reshape(2, 3, 512))
         assert len(records) == 2
         for record in records:
             assert record.probabilities.shape == (3, 2)
@@ -152,7 +153,7 @@ class TestClassify:
         cfg, params, windows = trained_toy
         zeroed = params.copy()
         zeroed.learnable[:] = 0.0
-        (record,) = classify(zeroed, cfg, all_rows(windows)[None, :3])
+        (record,) = classify(zeroed, all_rows(windows)[None, :3])
         assert np.allclose(record.probabilities, 0.5)
         assert record.votes == (0, 0, 0)  # argmax ties resolve to the lowest class index
         assert (record.final, record.tie_broken) == (0, False)
@@ -161,15 +162,16 @@ class TestClassify:
         """Running-stat inference: batch neighbors change nothing beyond BLAS ulps."""
         cfg, params, windows = trained_toy
         stacked = all_rows(windows)[:6]
-        batch_probs, _ = forward(cfg, params, stacked, training=False)
+        ws = Workspace(cfg, 6)
+        batch_probs, _ = forward(params, stacked, ws, training=False)
         for i in (0, 3, 5):
-            (solo,) = classify(params, cfg, stacked[i][None, None])
+            (solo,) = classify(params, stacked[i][None, None])
             assert np.allclose(solo.probabilities[0], batch_probs[i], rtol=0.0, atol=1e-12)
-        grouped = classify(params, cfg, stacked.reshape(2, 3, 512))
+        grouped = classify(params, stacked.reshape(2, 3, 512))
         fused = np.concatenate([record.probabilities for record in grouped])
         assert np.allclose(fused, batch_probs, rtol=0.0, atol=1e-12)
         # identical calls are bitwise identical
-        again, _ = forward(cfg, params, stacked, training=False)
+        again, _ = forward(params, stacked, ws, training=False)
         assert np.array_equal(batch_probs, again)
 
 
@@ -180,17 +182,19 @@ class TestClassify:
         cfg = model_config(name, 2)
         params = init_parameters(cfg, seed=4)
         windows = np.random.default_rng(4).standard_normal((200, 5, 512))
-        records = classify(params, cfg, windows)
-        one_batch, _ = forward(cfg, params, windows.reshape(1000, 512), training=False)
+        records = classify(params, windows)
+        one_batch, _ = forward(
+            params, windows.reshape(1000, 512), Workspace(cfg, 1000), training=False
+        )
         chunked = np.concatenate([r.probabilities for r in records])
         assert 1000 > INFER_BATCH
         assert np.allclose(chunked, one_batch, rtol=0.0, atol=1e-12)
 
     def test_records_are_never_overwritten(self, trained_toy):
         cfg, params, windows = trained_toy
-        first = classify(params, cfg, all_rows(windows)[:6].reshape(2, 3, 512))
+        first = classify(params, all_rows(windows)[:6].reshape(2, 3, 512))
         kept = [r.probabilities.copy() for r in first]
-        classify(params, cfg, all_rows(windows)[6:12].reshape(2, 3, 512))
+        classify(params, all_rows(windows)[6:12].reshape(2, 3, 512))
         for record, probs in zip(first, kept):
             assert np.array_equal(record.probabilities, probs)
 
@@ -203,7 +207,7 @@ class TestPredictInstance:
     def test_unanimous_agreement(self, trained_toy):
         """When every window votes alike, the fused decision is that vote."""
         cfg, params, windows = trained_toy
-        preds = np.array([r.votes[0] for r in classify(params, cfg, all_rows(windows)[:, None])])
+        preds = np.array([r.votes[0] for r in classify(params, all_rows(windows)[:, None])])
         majority_class = int(np.bincount(preds).argmax())
         chosen = all_rows(windows)[preds == majority_class][:3]
         assert len(chosen) == 3
@@ -221,6 +225,12 @@ class TestPredictInstance:
         assert record.probabilities.shape == (5, 2)
         assert record.origin == ("R001", 0)
 
+    def test_another_config_rejected(self, trained_toy):
+        cfg, params, windows = trained_toy
+        instance = _instance_from(all_rows(windows), int(windows.labels[0]), 3)
+        with pytest.raises(ValueError, match="params.config"):
+            predict_instance(params, replace(cfg, dropout_rate=0.5), instance, SCHEME_1)
+
     def test_width_mismatch_rejected(self, trained_toy):
         cfg, params, windows = trained_toy
         instance = _instance_from(all_rows(windows), int(windows.labels[0]), 3)
@@ -233,7 +243,7 @@ class TestPredictInstance:
         assert solo_scheme.ensemble_width == 1
         instance = _instance_from(all_rows(windows), int(windows.labels[0]), 1)
         record = predict_instance(params, cfg, instance, solo_scheme)
-        probs, _ = forward(cfg, params, instance.windows[0], training=False)
+        probs, _ = forward(params, instance.windows[0], Workspace(cfg, 1), training=False)
         assert record.final == int(probs[0].argmax()) and record.tie_broken is False
 
 

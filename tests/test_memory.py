@@ -103,4 +103,4 @@ def test_inference_peak_is_one_pass():
     ws = Workspace(cfg, 32)
     pass_bytes = sum(a.nbytes for a in ws.cols + ws.normalized) + ws.flat.nbytes
     del ws
-    assert _traced_peak(lambda: classify(params, cfg, windows)) < pass_bytes + INFER_ALLOWANCE
+    assert _traced_peak(lambda: classify(params, windows)) < pass_bytes + INFER_ALLOWANCE

@@ -1,4 +1,6 @@
+import inspect
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -224,49 +226,58 @@ class TestForward:
         params = init_parameters(tiny_config, seed=0)
         params.learnable[:] = 0.0
         x = np.random.default_rng(0).standard_normal((4, 64))
-        probs, trace = forward(tiny_config, params, x, training=True)
+        ws = Workspace(tiny_config, 4)
+        probs, trace = forward(params, x, ws, training=True)
         assert np.allclose(probs, 1.0 / tiny_config.num_classes)
         assert trace is not None
-        probs_inf, trace_inf = forward(tiny_config, params, x, training=False)
+        probs_inf, trace_inf = forward(params, x, ws, training=False)
         assert np.allclose(probs_inf, 1.0 / tiny_config.num_classes)
         assert trace_inf is None
 
     def test_probabilities_form_a_simplex(self, tiny_config):
         rng = np.random.default_rng(1)
         params = init_parameters(tiny_config, seed=1)
-        probs, _ = forward(tiny_config, params, rng.standard_normal((8, 64)), training=True)
+        probs, _ = forward(
+            params, rng.standard_normal((8, 64)), Workspace(tiny_config, 8), training=True
+        )
         assert np.all(probs >= 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_window_length_mismatch(self, tiny_config):
         params = init_parameters(tiny_config, seed=0)
         with pytest.raises(ValueError, match="expected windows of length"):
-            forward(tiny_config, params, np.zeros((2, 63)))
+            forward(params, np.zeros((2, 63)), Workspace(tiny_config, 2))
 
     def test_inference_independent_of_batch_composition(self, tiny_config):
         rng = np.random.default_rng(2)
         params = init_parameters(tiny_config, seed=2)
         # train one batch so running stats are informative
-        forward(tiny_config, params, rng.standard_normal((16, 64)), training=True)
+        forward(params, rng.standard_normal((16, 64)), Workspace(tiny_config, 16), training=True)
         x = rng.standard_normal((5, 64))
-        full, _ = forward(tiny_config, params, x, training=False)
-        alone, _ = forward(tiny_config, params, x[2], training=False)
+        ws = Workspace(tiny_config, 5)
+        full, _ = forward(params, x, ws, training=False)
+        alone, _ = forward(params, x[2], Workspace(tiny_config, 1), training=False)
         # BLAS kernel choice may differ across batch shapes; anything beyond
         # ulp noise would mean batch statistics leaked into inference
         assert np.allclose(full[2], alone[0], rtol=0.0, atol=1e-12)
-        again, _ = forward(tiny_config, params, x, training=False)
+        again, _ = forward(params, x, ws, training=False)
         assert np.array_equal(full, again)
+
+    def test_training_is_the_fourth_parameter(self):
+        """Callers may pass ``training`` positionally after the workspace, as
+        the benchmark's span names do when they read it from the arguments."""
+        assert list(inspect.signature(forward).parameters)[3] == "training"
 
     def test_training_mode_updates_running_stats(self, tiny_config):
         rng = np.random.default_rng(3)
         params = init_parameters(tiny_config, seed=3)
         before = [m.copy() for m in params.bn_running_mean]
-        forward(tiny_config, params, rng.standard_normal((8, 64)), training=True)
+        forward(params, rng.standard_normal((8, 64)), Workspace(tiny_config, 8), training=True)
         assert any(not np.array_equal(b, a) for b, a in zip(before, params.bn_running_mean))
 
 
 def _mean_loss_and_trace(cfg, params, x, y):
-    _, trace = forward(cfg, params, x, training=True)
+    _, trace = forward(params, x, Workspace(cfg, len(x)), training=True)
     losses, _, _ = layers.softmax_cross_entropy(trace.logits, y)
     return float(losses.mean()), trace
 
@@ -288,9 +299,9 @@ class TestEndToEndGradients:
                 input_length=64,
             )
             params, x, y = draw_generic_scenario(cfg, rng)
-            _, trace = forward(cfg, params, x, training=True)
+            _, trace = forward(params, x, Workspace(cfg, len(x)), training=True)
             _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
-            grads = backward(cfg, params, trace, grad_logits / y.size)
+            grads = backward(params, trace, grad_logits / y.size)
             fd = NetworkParameters(cfg)
             fd.learnable[:] = central_difference(
                 lambda: _mean_loss_and_trace(cfg, params, x, y)[0], params.learnable
@@ -329,13 +340,12 @@ class TestChannelLastLayout:
         params = _perturbed(cfg, seed=6)
         reference = params.copy()
 
-        probs, _ = forward(cfg, params, x, training=False)
+        ws = Workspace(cfg, 32)
+        probs, _ = forward(params, x, ws, training=False)
         ref_probs, _ = forward_reference(cfg, reference, x, training=False)
         assert np.max(np.abs(probs - ref_probs)) <= 1e-12
 
-        probs, trace = forward(
-            cfg, params, x, training=True, dropout_rng=np.random.default_rng(7)
-        )
+        probs, trace = forward(params, x, ws, training=True, dropout_rng=np.random.default_rng(7))
         ref_probs, ref_trace = forward_reference(
             cfg, reference, x, training=True, dropout_rng=np.random.default_rng(7)
         )
@@ -344,7 +354,7 @@ class TestChannelLastLayout:
         assert np.max(np.abs(params.flat - reference.flat)) <= 1e-12
 
         _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
-        grads = backward(cfg, params, trace, grad_logits / y.size)
+        grads = backward(params, trace, grad_logits / y.size)
         _, _, ref_grad_logits = layers.softmax_cross_entropy(ref_trace["logits"], y)
         ref_grads = backward_reference(cfg, reference, ref_trace, ref_grad_logits / y.size)
         assert sorted(ref_grads) == sorted(n for n in grads.tensors if not n.startswith("bn"))
@@ -359,8 +369,8 @@ class TestChannelLastLayout:
     def test_trace_activations_are_channel_last_and_contiguous(self, tiny_config):
         cfg = tiny_config
         params = init_parameters(cfg, seed=0)
-        probs, trace = forward(cfg, params, np.random.default_rng(0).standard_normal((5, 64)),
-                               training=True)
+        x = np.random.default_rng(0).standard_normal((5, 64))
+        probs, trace = forward(params, x, Workspace(cfg, 5), training=True)
         ws = trace.workspace
         in_channels = (1,) + cfg.kernel_counts[:2]
         for i, m in enumerate(cfg.conv_lengths()):
@@ -385,13 +395,14 @@ class TestChannelLastLayout:
         y = np.array([0, 1, 1, 0])
         ws = Workspace(cfg, 4)
         results = []
-        for workspace in (ws, None):
+        for reuse in (True, False):
             params = init_parameters(cfg, seed=1)
             step = []
             for x in (x1, x2):
-                probs, trace = forward(cfg, params, x, training=True, workspace=workspace)
+                workspace = ws if reuse else Workspace(cfg, 4)
+                probs, trace = forward(params, x, workspace, training=True)
                 _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
-                step.append((probs, backward(cfg, params, trace, grad_logits)))
+                step.append((probs, backward(params, trace, grad_logits)))
                 for buffer in _workspace_buffers(trace.workspace):
                     buffer.fill(np.nan)
             results.append(step)
@@ -411,9 +422,9 @@ class TestChannelLastLayout:
         is written."""
         params = init_parameters(tiny_config, seed=3)
         x = np.random.default_rng(3).standard_normal((4, 64))
-        probs, trace = forward(tiny_config, params, x, training=True)
+        probs, trace = forward(params, x, Workspace(tiny_config, 4), training=True)
         _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, np.array([0, 1, 0, 1]))
-        grads = backward(tiny_config, params, trace, grad_logits)
+        grads = backward(params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
         assert len(buffers) == 3 * 3 + 3
@@ -443,10 +454,10 @@ class TestChannelLastLayout:
         results = []
         for ws in (head, Workspace(cfg, 3)):
             params = init_parameters(cfg, seed=4)
-            probs, trace = forward(cfg, params, x, training=True, workspace=ws)
+            probs, trace = forward(params, x, ws, training=True)
             _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
-            grads = backward(cfg, params, trace, grad_logits)
-            infer, _ = forward(cfg, params, x, workspace=ws)
+            grads = backward(params, trace, grad_logits)
+            infer, _ = forward(params, x, ws)
             results.append((probs, grads.flat, params.flat, infer))
         for a, b in zip(*results):
             assert np.array_equal(a, b)
@@ -460,46 +471,50 @@ class TestChannelLastLayout:
                 base.head(bad)
 
     def test_workspace_must_fit_the_batch(self, tiny_config):
+        """A workspace for 4 windows, or for 3 windows of a network that
+        differs only in its dropout rate, does not take this 3-window batch."""
         params = init_parameters(tiny_config, seed=0)
-        with pytest.raises(ValueError, match="workspace for 4 windows"):
-            forward(tiny_config, params, np.zeros((3, 64)), training=True,
-                    workspace=Workspace(tiny_config, 4))
+        for workspace in (Workspace(tiny_config, 4),
+                          Workspace(replace(tiny_config, dropout_rate=0.5), 3)):
+            with pytest.raises(ValueError, match=f"workspace for {workspace.batch} windows"):
+                forward(params, np.zeros((3, 64)), workspace, training=True)
 
     def test_inference_results_are_never_overwritten(self, tiny_config):
         """Probabilities one inference call returns survive later calls."""
         rng = np.random.default_rng(2)
         params = _perturbed(tiny_config, seed=2)
-        first, _ = forward(tiny_config, params, rng.standard_normal((6, 64)))
+        ws = Workspace(tiny_config, 6)
+        first, _ = forward(params, rng.standard_normal((6, 64)), ws)
         kept = first.copy()
         for _ in range(3):
-            forward(tiny_config, params, rng.standard_normal((6, 64)))
-            forward(tiny_config, params, rng.standard_normal((6, 64)), training=True)
+            forward(params, rng.standard_normal((6, 64)), ws)
+            forward(params, rng.standard_normal((6, 64)), ws, training=True)
         assert np.array_equal(first, kept)
 
 
 class TestInferencePath:
-    """Inference runs through a workspace whether or not the caller passes one."""
+    """Inference reads nothing a workspace held before the call."""
 
-    def test_without_workspace_is_bitwise_a_reused_one(self, tiny_config):
-        """A call without a workspace gives bitwise what a call through a
-        reused workspace gives, whose buffers first held nan."""
+    def test_fresh_workspace_is_bitwise_a_reused_one(self, tiny_config):
+        """A call through a fresh workspace gives bitwise what a call through
+        a reused workspace gives, whose buffers first held nan."""
         cfg = tiny_config
         params = _perturbed(cfg, seed=8)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 64))
         ws = Workspace(cfg, 6)
-        forward(cfg, params, rng.standard_normal((6, 64)), workspace=ws)
+        forward(params, rng.standard_normal((6, 64)), ws)
         for buffer in ws.cols + ws.normalized + [ws.flat]:
             buffer.fill(np.nan)
-        fresh, _ = forward(cfg, params, x)
-        reused, _ = forward(cfg, params, x, workspace=ws)
+        fresh, _ = forward(params, x, Workspace(cfg, 6))
+        reused, _ = forward(params, x, ws)
         assert np.array_equal(reused.view(np.int64), fresh.view(np.int64))
 
     @pytest.mark.parametrize("instances, n_passes", [(10, 1), (33, 4)])
     def test_classify_is_forward_pass_by_pass(self, instances, n_passes):
         """classify's probabilities on M5 windows, three per instance, are
-        bitwise forward's without a workspace on the same passes: all 30
-        windows in one pass, or 99 in passes of INFER_BATCH and a last
+        bitwise forward's through a fresh workspace on the same passes: all
+        30 windows in one pass, or 99 in passes of INFER_BATCH and a last
         partial one."""
         cfg = model_config("M5", 3)
         params = _perturbed(cfg, seed=9)
@@ -507,10 +522,11 @@ class TestInferencePath:
         rows = windows.reshape(-1, 512)
         passes = range(0, len(rows), INFER_BATCH)
         assert len(passes) == n_passes
+        chunks = [rows[s : s + INFER_BATCH] for s in passes]
         expected = np.concatenate(
-            [forward(cfg, params, rows[s : s + INFER_BATCH])[0] for s in passes]
+            [forward(params, chunk, Workspace(cfg, len(chunk)))[0] for chunk in chunks]
         )
-        probs = np.concatenate([r.probabilities for r in classify(params, cfg, windows)])
+        probs = np.concatenate([r.probabilities for r in classify(params, windows)])
         assert np.array_equal(probs.view(np.int64), expected.view(np.int64))
 
 
@@ -529,6 +545,6 @@ def test_folded_inference_matches_unfolded_oracle(name):
     assert all(np.ptp(var) > 0.1 and np.abs(mean).max() > 0.1 for mean, var in
                zip(params.bn_running_mean, params.bn_running_var))
     x = np.random.default_rng(12).standard_normal((16, 512))
-    probs, _ = forward(cfg, params, x, training=False)
+    probs, _ = forward(params, x, Workspace(cfg, 16), training=False)
     ref_probs, _ = forward_reference(cfg, params.copy(), x, training=False)
     assert np.max(np.abs(probs - ref_probs)) <= FOLD_TOLERANCE

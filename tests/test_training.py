@@ -18,6 +18,7 @@ from pyrseiz.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pyrseiz.network import (
     ModelConfig,
     NetworkParameters,
+    Workspace,
     forward,
     init_parameters,
     model_config,
@@ -268,7 +269,7 @@ class TestTrain:
     def test_loss_decreases_over_first_five_steps(self, tiny_config):
         """Fixed-batch loss falls strictly for 5 Adam steps; >= 9 of 10 seeds."""
         from pyrseiz import layers
-        from pyrseiz.network import backward, forward as net_forward
+        from pyrseiz.network import Workspace, backward, forward as net_forward
 
         rng = np.random.default_rng(0)
         t = np.arange(64)
@@ -281,6 +282,7 @@ class TestTrain:
             rows.append(values)
         X, y = np.stack(rows), np.arange(32) % 2
 
+        ws = Workspace(tiny_config, 32)
         passed = 0
         for seed in range(10):
             params = init_parameters(tiny_config, seed=seed)
@@ -288,11 +290,11 @@ class TestTrain:
             config = TrainingConfig(seed=seed)
             losses = []
             for step in range(6):
-                _, trace = net_forward(tiny_config, params, X, training=True)
+                _, trace = net_forward(params, X, ws, training=True)
                 step_losses, _, grad = layers.softmax_cross_entropy(trace.logits, y)
                 losses.append(float(step_losses.mean()))
                 if step < 5:
-                    grads = backward(tiny_config, params, trace, grad / y.size)
+                    grads = backward(params, trace, grad / y.size)
                     adam_step(params, grads, state, config)
             if all(b < a for a, b in zip(losses, losses[1:])):
                 passed += 1
@@ -372,9 +374,25 @@ class TestCheckpointRoundTrip:
         assert config == tiny_config
         rng = np.random.default_rng(0)
         x = rng.standard_normal((100, 64))
-        probs_a, _ = forward(tiny_config, params, x, training=False)
-        probs_b, _ = forward(config, loaded, x, training=False)
+        probs_a, _ = forward(params, x, Workspace(tiny_config, 100), training=False)
+        probs_b, _ = forward(loaded, x, Workspace(config, 100), training=False)
         assert np.array_equal(probs_a, probs_b)
+
+    def test_another_config_raises_and_writes_nothing(self, tiny_config, tmp_path):
+        """A config that differs from the parameters' only in its dropout
+        rate would give a file that loads cleanly; it is refused before
+        anything is written, and an existing file keeps its bytes."""
+        params = init_parameters(tiny_config, seed=8)
+        other = replace(tiny_config, dropout_rate=0.5)
+        missing, existing = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(params, tiny_config, existing)
+        before = existing.read_bytes()
+        for path in (missing, existing):
+            with pytest.raises(ValueError, match="params.config"):
+                save_checkpoint(params, other, path)
+        assert not missing.exists()
+        assert existing.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ckpt"]
 
     def test_values_exact(self, tiny_config, tmp_path):
         params = init_parameters(tiny_config, seed=8)
