@@ -9,6 +9,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# One BLAS thread unless the user chose a count. A second OpenBLAS thread
+# busy-waits between the small GEMMs of a training step: it doubles the CPU
+# for no gain in wall time, and forked --jobs workers would each inherit it.
+# The count is read when numpy loads, so it is set here, before the imports
+# below load numpy, and only if nothing has loaded it yet.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(THREAD_VARIABLES, "1"))
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     BONN_RECORD_LENGTH,
@@ -60,9 +69,14 @@ def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> R
     """The run the model, training and scheme options describe; without a
     case, the battery's template (two classes until ``for_case``). A run of
     no epochs would report the untrained initial weights as a result, so the
-    command line asks for at least one."""
+    command line asks for at least one. Bad training options are named by
+    their flags."""
     if args.epochs < 1:
         raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
+    if args.batch < 1:
+        raise ValueError(f"--batch must be >= 1, got {args.batch}")
+    if args.lr <= 0:
+        raise ValueError(f"--lr must be positive, got {args.lr}")
     model = model_config(
         args.model,
         2 if case is None else case.num_classes,

@@ -6,7 +6,7 @@ matrix: convolution is one im2col copy plus one GEMM, and batch-norm
 statistics are reductions over that matrix's rows. Convolution is valid (no
 padding) cross-correlation; batch normalization carries no learnable
 scale/shift, only running statistics. Functions taking ``out`` write their
-result there (C-contiguous buffers a caller reuses) and allocate without it.
+result there: a C-contiguous buffer their caller owns and they never allocate.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def im2col(
     x: np.ndarray,
     receptive_field: int,
     stride: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
     relu: bool = False,
 ) -> np.ndarray:
     """Sliding patches of a channel-last batch: (B, L, C) -> (B, m, Rf*C).
@@ -66,8 +66,6 @@ def im2col(
     """
     batch, length, channels = x.shape
     m = conv_output_length(length, receptive_field, stride)
-    if out is None:
-        out = np.empty((batch, m, receptive_field * channels))
     sb, sl, sc = x.strides
     patches = as_strided(
         x, (batch, m, receptive_field, channels), (sb, stride * sl, sl, sc), writeable=False
@@ -84,8 +82,8 @@ def conv1d_forward(
     weights: np.ndarray,
     bias: np.ndarray | None,
     stride: int,
-    cols: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    cols: np.ndarray,
+    out: np.ndarray,
     relu: bool = False,
 ) -> np.ndarray:
     """Valid strided cross-correlation of a channel-last batch.
@@ -94,10 +92,9 @@ def conv1d_forward(
     out[b, j, k] = bias[k] + sum_{c,e} weights[k, c, e] * x[b, j*stride + e, c].
     A None bias adds nothing: batch norm in training cancels it. The patches
     are unfolded into ``cols`` (B, m, Rf*C), which a training pass keeps for
-    conv1d_backward, and the (B*m, K) GEMM result is written into ``out``;
-    fresh arrays are used for whichever is not given. With ``relu`` the
-    input is convolved as max(x, 0), the ReLU of the layer before applied by
-    the unfold.
+    conv1d_backward, and the (B*m, K) GEMM result is written into ``out``.
+    With ``relu`` the input is convolved as max(x, 0), the ReLU of the layer
+    before applied by the unfold.
     """
     k, c, rf = weights.shape
     if x.ndim != 3 or x.shape[2] != c:
@@ -108,8 +105,6 @@ def conv1d_forward(
         raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
     cols = im2col(x, rf, stride, out=cols, relu=relu)
     batch, m = cols.shape[0], cols.shape[1]
-    if out is None:
-        out = np.empty((batch, m, k))
     np.matmul(
         cols.reshape(batch * m, rf * c), _kernel_matrix(weights).T,
         out=_view(out, (batch * m, k)),
@@ -147,8 +142,8 @@ def conv1d_backward(
     stride: int,
     grad_out: np.ndarray,
     grad_x: np.ndarray,
-    grad_pad: np.ndarray | None = None,
-    grad_patches: np.ndarray | None = None,
+    grad_pad: np.ndarray,
+    grad_patches: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
@@ -161,8 +156,7 @@ def conv1d_backward(
     correlation of the zero-padded output gradient: one im2col of the padded
     gradient and one GEMM with the re-blocked kernels, written straight into
     grad_x (see ``input_gradient_blocks`` for the shapes). ``grad_pad`` and
-    ``grad_patches`` hold the padded gradient and its patches; fresh arrays
-    are used for whichever is not given.
+    ``grad_patches`` hold the padded gradient and its patches.
     """
     k, c, rf = weights.shape
     batch, m, width = cols.shape
@@ -188,8 +182,6 @@ def conv1d_backward(
         raise ValueError(f"grad_x shape {grad_x.shape} does not match the columns")
     length = grad_x.shape[1]
     rows, taps = input_gradient_blocks(length, rf, stride)
-    if grad_pad is None:
-        grad_pad = np.empty((batch, rows + taps - 1, k))
     if grad_pad.shape != (batch, rows + taps - 1, k):
         raise ValueError(f"grad_pad shape {grad_pad.shape} does not match the columns")
     grad_pad[:, : taps - 1] = 0.0
@@ -214,7 +206,7 @@ class BatchNormCache:
 
 
 def batchnorm_train(
-    x: np.ndarray, eps: float = BN_EPS, out: np.ndarray | None = None
+    x: np.ndarray, out: np.ndarray, eps: float = BN_EPS
 ) -> tuple[np.ndarray, BatchNormCache, np.ndarray, np.ndarray]:
     """Normalize channel-last (B, L, C) by the batch's per-channel mean/variance.
 
@@ -229,8 +221,6 @@ def batchnorm_train(
     channels = x.shape[2]
     rows = x.reshape(-1, channels)
     count = rows.shape[0]
-    if out is None:
-        out = np.empty_like(x)
     centered = _view(out, rows.shape)
     mean = _channel_sums(rows) / count
     np.subtract(rows, mean, out=centered)
@@ -267,22 +257,19 @@ def batchnorm_infer(
 def batchnorm_backward(
     cache: BatchNormCache,
     grad_out: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
     relu: bool = False,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backprop through the standardization, including the stats' dependence on x.
 
     With ``relu`` the gradient arrives at relu(y) instead of y, and the ReLU
     mask (y > 0) is applied here: the fused BN+ReLU backward. ``out`` may be
-    ``grad_out`` itself; ``scratch``, shaped like it, takes the x_hat term
-    (a fresh array without it).
+    ``grad_out`` itself; ``scratch``, shaped like it, takes the x_hat term.
     """
     channels = cache.x_hat.shape[-1]
     x_hat = cache.x_hat.reshape(-1, channels)
     g = grad_out.reshape(-1, channels)
-    if out is None:
-        out = np.empty_like(grad_out)
     res = _view(out, g.shape)
     if relu:
         np.multiply(g, x_hat > 0.0, out=res)
@@ -292,9 +279,7 @@ def batchnorm_backward(
     mean_g = _channel_sums(res) / n
     mean_gx = np.einsum("ij,ij->j", res, x_hat) / n
     res -= mean_g
-    res -= np.multiply(
-        x_hat, mean_gx, out=None if scratch is None else _view(scratch, res.shape)
-    )
+    res -= np.multiply(x_hat, mean_gx, out=_view(scratch, res.shape))
     res *= cache.inv_std
     return out
 
@@ -313,9 +298,9 @@ def conv_batchnorm_train(
     weights: np.ndarray,
     bias: np.ndarray,
     stride: int,
+    cols: np.ndarray,
+    out: np.ndarray,
     eps: float = BN_EPS,
-    cols: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ConvBatchNormCache, np.ndarray, np.ndarray]:
     """batchnorm_train(conv1d_forward(x, ...)) from the statistics of the patches.
 
@@ -344,8 +329,6 @@ def conv_batchnorm_train(
     # S is positive semi-definite; round-off must not make a variance negative
     var = np.maximum(np.einsum("kj,kj->k", w @ scatter, w) / count, 0.0)
     inv_std = 1.0 / np.sqrt(var + eps)
-    if out is None:
-        out = np.empty((batch, m, k))
     np.matmul(centered, (w * inv_std[:, None]).T, out=_view(out, (count, k)))
     cache = ConvBatchNormCache(
         x_hat=out, inv_std=inv_std, count=count, patch_mean=patch_mean, scatter=scatter
@@ -358,13 +341,13 @@ def conv_batchnorm_backward(
     cols: np.ndarray,
     weights: np.ndarray,
     grad_out: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(grad_weights, grad_bias) through relu(conv_batchnorm_train(...)).
 
     ``cols`` are the centred patches conv_batchnorm_train left behind and
     grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask is
-    applied into ``out`` (which may be grad_out; fresh without it). With g
+    applied into ``out`` (which may be grad_out). With g
     the masked gradient, s1 and s2 the per-channel sums of g and g*x_hat,
     the gradient dz at the convolution output is
     (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W / sigma)^T, s2 is
@@ -383,8 +366,6 @@ def conv_batchnorm_backward(
             f"{cache.x_hat.shape}"
         )
     centered = cols.reshape(count, rf * c)
-    if out is None:
-        out = np.empty_like(grad_out)
     g = _view(out, (count, k))
     np.multiply(grad_out.reshape(count, k), x_hat > 0.0, out=g)
     sum_g = _channel_sums(g)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,17 @@ from .layers import conv_output_length
 
 PYRAMID_KERNELS = (24, 16, 8)
 TRADITIONAL_KERNELS = (8, 16, 24)
+
+
+class ConvLayer(NamedTuple):
+    """One conv layer's geometry: in_channels x input_length -> kernels x output_length."""
+
+    in_channels: int
+    kernels: int
+    receptive_field: int
+    stride: int
+    input_length: int
+    output_length: int
 
 
 @dataclass(frozen=True)
@@ -50,20 +62,25 @@ class ModelConfig:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_length < 1:
             raise ValueError(f"input_length must be >= 1, got {self.input_length}")
-        self.conv_lengths()  # raises if the conv chain does not fit
+        self.conv_layers  # raises if the conv chain does not fit
+
+    @cached_property
+    def conv_layers(self) -> tuple[ConvLayer, ...]:
+        """The conv stack's geometry, the one table its tensor and buffer shapes read."""
+        table, channels, length = [], 1, self.input_length
+        for k, rf, stride in zip(self.kernel_counts, self.receptive_fields, self.strides):
+            out = conv_output_length(length, rf, stride)
+            table.append(ConvLayer(channels, k, rf, stride, length, out))
+            channels, length = k, out
+        return tuple(table)
 
     def conv_lengths(self) -> tuple[int, int, int]:
         """Per-layer output lengths under the valid strided sweep."""
-        lengths = []
-        z = self.input_length
-        for rf, stride in zip(self.receptive_fields, self.strides):
-            z = conv_output_length(z, rf, stride)
-            lengths.append(z)
-        return tuple(lengths)
+        return tuple(layer.output_length for layer in self.conv_layers)
 
     @property
     def flatten_width(self) -> int:
-        return self.kernel_counts[2] * self.conv_lengths()[2]
+        return self.conv_layers[2].kernels * self.conv_layers[2].output_length
 
     @property
     def family(self) -> str:
@@ -131,7 +148,7 @@ def _layout(config: ModelConfig) -> tuple[tuple[tuple[str, slice, tuple[int, ...
 
 
 def _views(template: str) -> property:
-    return property(lambda self: tuple(self.tensors[template.format(i)] for i in (1, 2, 3)))
+    return property(lambda self: self._per_layer[template])
 
 
 def _view(name: str) -> property:
@@ -171,6 +188,8 @@ class NetworkParameters:
         self.flat = flat
         self.learnable = flat[:learnable]
         self.tensors = {name: flat[where].reshape(shape) for name, where, shape in slices}
+        per_layer = ("conv{}.weight", "conv{}.bias", "bn{}.running_mean", "bn{}.running_var")
+        self._per_layer = {t: tuple(self.tensors[t.format(i)] for i in "123") for t in per_layer}
 
     def copy(self) -> "NetworkParameters":
         return NetworkParameters(self.config, self.flat.copy())
@@ -181,34 +200,29 @@ class NetworkParameters:
 
 
 class Workspace:
-    """Activation and gradient buffers for one batch size, reused pass to pass.
+    """Every array a pass writes, for one batch size, reused pass to pass.
 
-    Every array is C-contiguous and channel-last. ``forward`` and
-    ``backward`` write into the buffers with ``out=``, so a trace is valid
-    only until the next pass through its workspace. Buffers only training
-    needs are allocated on first use.
-    ``head(b)`` is a workspace for a smaller batch on the leading rows of
-    these buffers; it allocates nothing of its own.
+    Every array is C-contiguous and channel-last, shaped by ``conv_layers``.
+    ``forward`` and ``backward`` write into them with ``out=``, so a trace,
+    and the gradients ``backward`` returns, are valid only until the next
+    pass through the workspace. Arrays only training needs are allocated on
+    first use. ``head(b)`` is a workspace for a smaller batch on the leading
+    rows of these arrays; it allocates nothing of its own.
     """
 
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
         self.config = config
         self.batch = batch
         self.base = base
-        if base is not None:
-            self.cols = [a[:batch] for a in base.cols]
-            self.normalized = [a[:batch] for a in base.normalized]
-            self.flat = base.flat[:batch]
-            return
-        self.cols: list[np.ndarray] = []  # im2col patches, kept for backward
-        self.normalized: list[np.ndarray] = []  # conv output, batch-normalized in place
-        in_channels = (1,) + config.kernel_counts[:2]
-        for m, k, c, rf in zip(
-            config.conv_lengths(), config.kernel_counts, in_channels, config.receptive_fields
-        ):
-            self.cols.append(np.empty((batch, m, rf * c)))
-            self.normalized.append(np.empty((batch, m, k)))
-        self.flat = np.empty((batch, config.flatten_width))
+        self._capacity, self._store = (base._capacity, base._store) if base else (batch, {})
+        # each layer's im2col patches, kept for backward, and its output; allocated
+        # layer by layer, which measured fewer page faults per call than kind by kind
+        self.cols, self.normalized = [], []
+        for i, c in enumerate(config.conv_layers):
+            m = c.output_length
+            self.cols.append(self._rows(f"cols{i}", (m, c.receptive_field * c.in_channels)))
+            self.normalized.append(self._rows(f"normalized{i}", (m, c.kernels)))
+        self.flat = self._rows("flat", (config.flatten_width,))
 
     def head(self, batch: int) -> Workspace:
         """This workspace for the first ``batch`` rows: itself at full size."""
@@ -216,29 +230,32 @@ class Workspace:
             raise ValueError(f"a workspace for {self.batch} windows has no head of {batch}")
         return self if batch == self.batch else Workspace(self.config, batch, base=self)
 
+    def _shared(self, key: str, make):
+        """The one array ``key`` of this workspace and its heads, ``make()`` on first use."""
+        if key not in self._store:
+            self._store[key] = make()
+        return self._store[key]
+
+    def _rows(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        """This workspace's leading rows of the (base batch, *shape) array ``key``."""
+        return self._shared(key, lambda: np.empty((self._capacity, *shape)))[: self.batch]
+
     @cached_property
     def windows(self) -> np.ndarray:
         """Where a training loop gathers its (batch, input_length) batch."""
-        if self.base is not None:
-            return self.base.windows[: self.batch]
-        return np.empty((self.batch, self.config.input_length))
+        return self._rows("windows", (self.config.input_length,))
 
     @cached_property
     def grad_act(self) -> list[np.ndarray]:
-        """Loss gradient at each conv layer's ReLU output; allocated by the first backward."""
-        if self.base is not None:
-            return [a[: self.batch] for a in self.base.grad_act]
-        return [np.empty_like(a) for a in self.normalized]
+        """Loss gradient at each conv layer's ReLU output."""
+        return [self._rows(f"grad_act{i}", (c.output_length, c.kernels))
+                for i, c in enumerate(self.config.conv_layers)]
 
-    def _input_gradient_shapes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _input_gradient_shapes(self, i: int, batch: int) -> tuple[tuple[int, ...], ...]:
         """Shapes of conv layer i's padded output gradient and of its patches."""
-        cfg = self.config
-        length = (cfg.input_length,) + cfg.conv_lengths()
-        rows, taps = layers.input_gradient_blocks(
-            length[i], cfg.receptive_fields[i], cfg.strides[i]
-        )
-        k = cfg.kernel_counts[i]
-        return (self.batch, rows + taps - 1, k), (self.batch, rows, taps * k)
+        c = self.config.conv_layers[i]
+        rows, taps = layers.input_gradient_blocks(c.input_length, c.receptive_field, c.stride)
+        return (batch, rows + taps - 1, c.kernels), (batch, rows, taps * c.kernels)
 
     @cached_property
     def scratch(self) -> np.ndarray:
@@ -246,13 +263,16 @@ class Workspace:
         and ``grad_buffers``. Each use ends before the next begins (layer by
         layer, batch norm before convolution), so they share one vector; a
         head carves it from its base's."""
-        if self.base is not None:
-            return self.base.scratch
-        sizes = [self.normalized[i].size for i in (1, 2)]
+        sizes = [self._capacity * c.output_length * c.kernels for c in self.config.conv_layers[1:]]
         for i in (1, 2):
-            pad, patches = self._input_gradient_shapes(i)
+            pad, patches = self._input_gradient_shapes(i, self._capacity)
             sizes.append(math.prod(pad) + math.prod(patches))
-        return np.empty(max(sizes))
+        return self._shared("scratch", lambda: np.empty(max(sizes)))
+
+    @cached_property
+    def grads(self) -> NetworkParameters:
+        """The gradients ``backward`` writes and returns, batch-norm slots zero."""
+        return self._shared("grads", lambda: NetworkParameters(self.config))
 
     def bn_scratch(self, i: int) -> np.ndarray:
         """Where conv layer i's batch-norm backward puts its x_hat term."""
@@ -262,7 +282,7 @@ class Workspace:
     def grad_buffers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Conv layer i's padded output gradient and its patches; conv1's
         input is data and has no input gradient."""
-        pad, patches = self._input_gradient_shapes(i)
+        pad, patches = self._input_gradient_shapes(i, self.batch)
         split = math.prod(pad)
         return (
             self.scratch[:split].reshape(pad),
@@ -378,13 +398,13 @@ def backward(
     network ``params.config`` describes.
 
     ``grad_logits`` is the loss gradient at the FC2 output (already scaled by
-    any batch averaging). Conv-stack gradients are written into the trace's
-    workspace; the result is a fresh ``NetworkParameters`` laid out like
-    ``params``, whose batch-norm buffer slots stay zero.
+    any batch averaging). Every gradient is written into the trace's
+    workspace: the result is its ``grads``, laid out like ``params``, valid
+    until the next backward through it, with the batch-norm slots zero.
     """
     config = params.config
     ws = trace.workspace
-    grads = NetworkParameters(config)
+    grads = ws.grads
     d, grads.fc2_weight[...], grads.fc2_bias[...] = layers.dense_backward(
         trace.fc2_input, params.fc2_weight, grad_logits
     )
@@ -419,18 +439,16 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     statistics (``bn*``) come last.
     """
     shapes: dict[str, tuple[int, ...]] = {}
-    c_in = 1
-    for i, (k, rf) in enumerate(zip(config.kernel_counts, config.receptive_fields), start=1):
-        shapes[f"conv{i}.weight"] = (k, c_in, rf)
-        shapes[f"conv{i}.bias"] = (k,)
-        c_in = k
+    for i, c in enumerate(config.conv_layers, start=1):
+        shapes[f"conv{i}.weight"] = (c.kernels, c.in_channels, c.receptive_field)
+        shapes[f"conv{i}.bias"] = (c.kernels,)
     shapes["fc1.weight"] = (config.flatten_width, config.fc1_width)
     shapes["fc1.bias"] = (config.fc1_width,)
     shapes["fc2.weight"] = (config.fc1_width, config.num_classes)
     shapes["fc2.bias"] = (config.num_classes,)
-    for i, k in enumerate(config.kernel_counts, start=1):
-        shapes[f"bn{i}.running_mean"] = (k,)
-        shapes[f"bn{i}.running_var"] = (k,)
+    for i, c in enumerate(config.conv_layers, start=1):
+        shapes[f"bn{i}.running_mean"] = (c.kernels,)
+        shapes[f"bn{i}.running_var"] = (c.kernels,)
     return shapes
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from pyrseiz import layers
 from pyrseiz.windowing import WindowSet
 
 
@@ -34,3 +35,32 @@ def origins(windows, records):
         (records[source].record_id, start)
         for source, start in zip(windows.sources.tolist(), windows.starts.tolist())
     ]
+
+
+def fresh_cols(x, receptive_field, stride, relu=False):
+    """``layers.im2col`` of the channel-last batch ``x`` into a fresh array."""
+    batch, length, channels = x.shape
+    m = layers.conv_output_length(length, receptive_field, stride)
+    out = np.empty((batch, m, receptive_field * channels))
+    return layers.im2col(x, receptive_field, stride, out, relu=relu)
+
+
+def fresh_conv(x, weights, bias, stride, relu=False):
+    """``layers.conv1d_forward`` into fresh patches and output."""
+    batch, length, _ = x.shape
+    k, c, rf = weights.shape
+    m = layers.conv_output_length(length, rf, stride)
+    cols, out = np.empty((batch, m, rf * c)), np.empty((batch, m, k))
+    return layers.conv1d_forward(x, weights, bias, stride, cols, out, relu=relu)
+
+
+def fresh_conv_backward(cols, weights, stride, grad_out, grad_x):
+    """``layers.conv1d_backward`` into ``grad_x``, its padded gradient and
+    patches in fresh arrays."""
+    batch, length, _ = grad_x.shape
+    k, _, rf = weights.shape
+    rows, taps = layers.input_gradient_blocks(length, rf, stride)
+    return layers.conv1d_backward(
+        cols, weights, stride, grad_out, grad_x,
+        np.empty((batch, rows + taps - 1, k)), np.empty((batch, rows, taps * k)),
+    )

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import fresh_cols, fresh_conv, fresh_conv_backward
 from oracles import (
     central_difference,
     confusion_from_pairs,
@@ -160,21 +161,22 @@ def test_criterion_3_gradient_correctness():
         w = rng.standard_normal((3, 2, 3))
         b = rng.standard_normal(3)
         readout = rng.standard_normal((2, 3, 4)).transpose(0, 2, 1).copy()
-        conv_loss = lambda: float((layers.conv1d_forward(x, w, b, 2) * readout).sum())
-        cols = layers.im2col(x, 3, 2)
-        gx, gw, gb = layers.conv1d_backward(cols, w, 2, readout, grad_x=np.empty_like(x))
+        conv_loss = lambda: float((fresh_conv(x, w, b, 2) * readout).sum())
+        cols = fresh_cols(x, 3, 2)
+        gx, gw, gb = fresh_conv_backward(cols, w, 2, readout, grad_x=np.empty_like(x))
         assert max_relative_error(gx, central_difference(conv_loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(conv_loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(conv_loss, b)) < 1e-6
 
         xb = rng.standard_normal((4, 3, 7)).transpose(0, 2, 1).copy()
         rb = rng.standard_normal((4, 3, 7)).transpose(0, 2, 1).copy()
-        _, cache, _, _ = layers.batchnorm_train(xb)
+        _, cache, _, _ = layers.batchnorm_train(xb, np.empty_like(xb))
         def bn_loss():
-            y, _, _, _ = layers.batchnorm_train(xb)
+            y, _, _, _ = layers.batchnorm_train(xb, np.empty_like(xb))
             return float((y * rb).sum())
         assert max_relative_error(
-            layers.batchnorm_backward(cache, rb), central_difference(bn_loss, xb)
+            layers.batchnorm_backward(cache, rb, np.empty_like(rb), np.empty_like(rb)),
+            central_difference(bn_loss, xb)
         ) < 1e-6
 
         xd = rng.standard_normal((5, 4))

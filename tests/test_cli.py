@@ -433,6 +433,25 @@ class TestOptionValues:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch", "0", "--batch must be >= 1, got 0"),
+        ("--lr", "0", "--lr must be positive, got 0.0"),
+    ])
+    @pytest.mark.parametrize("command", [["train", "--case", "A-B"], ["cv", "--case", "A-B"],
+                                         ["battery"]])
+    def test_bad_training_option_is_named_by_its_flag(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        root = _synth(tmp_path, classes=5, records=2)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert main([*command, "--data-root", str(root), "--epochs", "1", flag, value,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDispatch:
     @pytest.mark.parametrize(
@@ -490,3 +509,60 @@ def test_importing_the_command_line_loads_no_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(args, **variables):
+    """Run ``python ARGS`` with ``src`` on the path, none of the three
+    thread variables set but ``variables``; its completed process."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+def test_importing_the_package_loads_no_numpy():
+    """The package namespace resolves its names on first use, so the
+    command line can set the thread count before numpy loads."""
+    probe = "import sys, pyrseiz; print('numpy' in sys.modules, pyrseiz.model_config('m5', 3))"
+    out = _python(["-c", probe]).stdout
+    assert out.startswith("False ModelConfig(")
+
+
+@pytest.mark.parametrize("prelude, variables, expected", [
+    ("", {}, ["1", "1", "1"]),
+    ("", {"OMP_NUM_THREADS": "3"}, [None, "3", None]),
+    ("", {"OPENBLAS_NUM_THREADS": ""}, ["", None, None]),
+    ("import numpy; ", {}, [None, None, None]),
+])
+def test_command_line_runs_one_blas_thread_unless_told_otherwise(prelude, variables, expected):
+    """Importing the command line sets the three variables to 1 when none
+    is set and numpy is not loaded yet; a user's value, or a numpy loaded
+    first, leaves all three alone."""
+    probe = (f"{prelude}import os, pyrseiz.cli; "
+             f"print([os.environ.get(v) for v in {THREAD_VARIABLES!r}])")
+    assert _python(["-c", probe], **variables).stdout.strip() == repr(expected)
+
+
+def test_one_blas_thread_leaves_c6_cv_outputs_unchanged(tmp_path):
+    """The C6 cv run (3x30 records, A-B-C, M5, scheme 1, 5 folds, 2 epochs,
+    seed 7) writes byte-identical reports and fold checkpoints on one BLAS
+    thread, the command line's default, and on numpy's own thread count,
+    which a process that imports numpy first keeps."""
+    data = _synth(tmp_path, classes=3, records=30, seed=7)
+    argv = ["cv", "--data-root", str(data), "--case", "A-B-C", "--model", "M5", "--scheme", "1",
+            "--folds", "5", "--epochs", "2", "--seed", "7"]
+    outputs = []
+    for name, prelude in (("default", ""), ("numpy-first", "import numpy; ")):
+        out = tmp_path / name
+        run = [*argv, "--out", str(out)]
+        probe = f"{prelude}import sys; from pyrseiz.cli import main; sys.exit(main({run!r}))"
+        _python(["-c", probe])
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 1 + 5 and outputs[0] == outputs[1]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import fresh_cols, fresh_conv, fresh_conv_backward
 from oracles import (
     central_difference,
     conv1d_input_gradient_loops,
@@ -22,33 +23,33 @@ class TestConvForward:
     def test_hand_convolution(self):
         x = np.array([[[1.0], [2.0], [3.0], [4.0], [5.0]]])
         w = np.array([[[1.0, 0.0, -1.0]]])
-        out = layers.conv1d_forward(x, w, np.zeros(1), stride=1)
+        out = fresh_conv(x, w, np.zeros(1), stride=1)
         assert out[0, :, 0].tolist() == [-2.0, -2.0, -2.0]
 
     def test_output_length_512_rf5_stride3(self):
         x = np.zeros((1, 512, 1))
         w = np.zeros((2, 1, 5))
-        out = layers.conv1d_forward(x, w, np.zeros(2), stride=3)
+        out = fresh_conv(x, w, np.zeros(2), stride=3)
         assert out.shape == (1, 170, 2)
 
     def test_identity_kernel_subsamples(self):
         x = np.array([[[7.0], [8.0], [9.0], [10.0]]])
         w = np.ones((1, 1, 1))
-        out = layers.conv1d_forward(x, w, np.zeros(1), stride=2)
+        out = fresh_conv(x, w, np.zeros(1), stride=2)
         assert out[0, :, 0].tolist() == [7.0, 9.0]
 
     def test_bias_applied_per_kernel(self):
         x = np.zeros((1, 8, 1))
         w = np.zeros((3, 1, 3))
-        out = layers.conv1d_forward(x, w, np.array([1.0, -2.0, 0.5]), stride=1)
+        out = fresh_conv(x, w, np.array([1.0, -2.0, 0.5]), stride=1)
         assert np.allclose(out[0, 0, :], [1.0, -2.0, 0.5])
 
     def test_none_bias_adds_nothing(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((2, 9, 2))
         w = rng.standard_normal((3, 2, 3))
-        out = layers.conv1d_forward(x, w, None, stride=2)
-        assert np.array_equal(out, layers.conv1d_forward(x, w, np.zeros(3), stride=2))
+        out = fresh_conv(x, w, None, stride=2)
+        assert np.array_equal(out, fresh_conv(x, w, np.zeros(3), stride=2))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -56,7 +57,7 @@ class TestConvForward:
             x = rng.standard_normal((2, 3, 17))
             w = rng.standard_normal((4, 3, 5))
             b = rng.standard_normal(4)
-            fast = layers.conv1d_forward(_channel_last(x), w, b, stride)
+            fast = fresh_conv(_channel_last(x), w, b, stride)
             slow = conv1d_loops(x, w, b, stride)
             assert np.allclose(fast, _channel_last(slow), atol=1e-12)
 
@@ -64,7 +65,7 @@ class TestConvForward:
         """im2col row j of sample b is x[b, j*stride : j*stride + Rf, :] flattened."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 11, 3))
-        cols = layers.im2col(x, 4, 3)
+        cols = fresh_cols(x, 4, 3)
         assert cols.shape == (2, 3, 12) and cols.flags.c_contiguous
         for b in range(2):
             for j in range(3):
@@ -78,8 +79,8 @@ class TestConvForward:
         cols, out = np.empty((2, 7, 15)), np.empty((2, 7, 4))
         result = layers.conv1d_forward(x, w, b, 2, cols=cols, out=out)
         assert result is out
-        assert np.array_equal(cols, layers.im2col(x, 5, 2))
-        assert np.array_equal(out, layers.conv1d_forward(x, w, b, 2))
+        assert np.array_equal(cols, fresh_cols(x, 5, 2))
+        assert np.array_equal(out, fresh_conv(x, w, b, 2))
 
     def test_relu_rectifies_the_input_as_it_unfolds(self):
         """With relu, the patches and the output are bitwise those of
@@ -91,14 +92,14 @@ class TestConvForward:
         b = rng.standard_normal(4)
         rectified = np.maximum(x, 0.0)
         cols = np.empty((2, 7, 15))
-        out = layers.conv1d_forward(x, w, b, 2, cols=cols, relu=True)
-        assert np.array_equal(cols, layers.im2col(rectified, 5, 2))
-        assert np.array_equal(out, layers.conv1d_forward(rectified, w, b, 2))
+        out = layers.conv1d_forward(x, w, b, 2, cols=cols, out=np.empty((2, 7, 4)), relu=True)
+        assert np.array_equal(cols, fresh_cols(rectified, 5, 2))
+        assert np.array_equal(out, fresh_conv(rectified, w, b, 2))
         assert np.array_equal(x, before)
 
     def test_input_shorter_than_kernel(self):
         with pytest.raises(ValueError, match="shorter than the receptive field"):
-            layers.conv1d_forward(np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1)
+            fresh_conv(np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1)
 
 
 class TestConvBackward:
@@ -106,8 +107,8 @@ class TestConvBackward:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 9, 2))
         w = rng.standard_normal((3, 2, 3))
-        cols = layers.im2col(x, 3, 2)
-        gx, gw, gb = layers.conv1d_backward(
+        cols = fresh_cols(x, 3, 2)
+        gx, gw, gb = fresh_conv_backward(
             cols, w, 2, np.zeros((2, 4, 3)), grad_x=np.full_like(x, np.nan)
         )
         assert not gx.any() and not gw.any() and not gb.any()
@@ -117,8 +118,8 @@ class TestConvBackward:
         x = rng.standard_normal((1, 6, 1))
         w = rng.standard_normal((1, 1, 1))
         g = rng.standard_normal((1, 6, 1))
-        _, gw, gb = layers.conv1d_backward(
-            layers.im2col(x, 1, 1), w, 1, g, grad_x=np.empty_like(x)
+        _, gw, gb = fresh_conv_backward(
+            fresh_cols(x, 1, 1), w, 1, g, grad_x=np.empty_like(x)
         )
         assert np.isclose(gw[0, 0, 0], (x[0, :, 0] * g[0, :, 0]).sum())
         assert np.isclose(gb[0], g.sum())
@@ -132,10 +133,10 @@ class TestConvBackward:
         r = _channel_last(rng.standard_normal((2, 3, 4)))  # random linear readout
 
         def loss():
-            return float((layers.conv1d_forward(x, w, b, 2) * r).sum())
+            return float((fresh_conv(x, w, b, 2) * r).sum())
 
-        gx, gw, gb = layers.conv1d_backward(
-            layers.im2col(x, 3, 2), w, 2, r, grad_x=np.empty_like(x)
+        gx, gw, gb = fresh_conv_backward(
+            fresh_cols(x, 3, 2), w, 2, r, grad_x=np.empty_like(x)
         )
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
@@ -150,10 +151,10 @@ class TestConvBackward:
         b = rng.standard_normal(4)
         r = rng.standard_normal((3, 4, 4))
         cols = np.empty((3, 4, 6))
-        layers.conv1d_forward(x, w, b, 2, cols=cols)
+        layers.conv1d_forward(x, w, b, 2, cols=cols, out=np.empty((3, 4, 4)))
 
         def loss():
-            return float((layers.conv1d_forward(x, w, b, 2) * r).sum())
+            return float((fresh_conv(x, w, b, 2) * r).sum())
 
         gx, gw, gb = layers.conv1d_backward(
             cols, w, 2, r, grad_x=np.empty_like(x),
@@ -166,14 +167,14 @@ class TestConvBackward:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            layers.conv1d_backward(
+            fresh_conv_backward(
                 np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 7, 1)),
                 grad_x=np.zeros((1, 9, 1)),
             )
 
     def test_input_gradient_buffer_shape_checked(self):
         with pytest.raises(ValueError, match="grad_x shape"):
-            layers.conv1d_backward(
+            fresh_conv_backward(
                 np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
                 grad_x=np.zeros((1, 12, 1)),
             )
@@ -183,6 +184,7 @@ class TestConvBackward:
             layers.conv1d_backward(
                 np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
                 grad_x=np.zeros((1, 9, 1)), grad_pad=np.zeros((1, 5, 1)),
+                grad_patches=np.zeros((1, 5, 2)),
             )
 
     @settings(max_examples=150, deadline=None)
@@ -215,7 +217,7 @@ class TestConvBackward:
         rows, taps = layers.input_gradient_blocks(length, rf, stride)
         grad_x = np.full_like(x, np.nan)
         result, _, _ = layers.conv1d_backward(
-            layers.im2col(x, rf, stride), w, stride, g, grad_x=grad_x,
+            fresh_cols(x, rf, stride), w, stride, g, grad_x=grad_x,
             grad_pad=np.full((batch, rows + taps - 1, kernels), np.nan),
             grad_patches=np.full((batch, rows, taps * kernels), np.nan),
         )
@@ -230,27 +232,27 @@ class TestConvBackward:
 class TestBatchNorm:
     def test_two_point_channel(self):
         x = np.array([[[1.0]], [[3.0]]])  # batch 2, length 1, 1 channel
-        y, _, mean, var = layers.batchnorm_train(x)
+        y, _, mean, var = layers.batchnorm_train(x, np.empty_like(x))
         assert np.allclose(y.ravel(), [-1.0, 1.0], atol=1e-4)
         assert mean[0] == 2.0 and var[0] == 1.0
 
     def test_constant_channel_guarded(self):
         x = np.full((3, 5, 2), 7.0)
-        y, _, _, var = layers.batchnorm_train(x)
+        y, _, _, var = layers.batchnorm_train(x, np.empty_like(x))
         assert np.allclose(y, 0.0)
         assert np.all(var == 0.0)
 
     def test_statistics_pool_batch_and_positions_per_channel(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 7, 3)) * [1.0, 5.0, 0.1] + [0.0, -3.0, 2.0]
-        _, _, mean, var = layers.batchnorm_train(x)
+        _, _, mean, var = layers.batchnorm_train(x, np.empty_like(x))
         assert np.allclose(mean, x.mean(axis=(0, 1)), rtol=0.0, atol=1e-14)
         assert np.allclose(var, x.var(axis=(0, 1)), rtol=1e-13, atol=0.0)
 
     def test_in_place(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((4, 7, 3))
-        expected, _, _, _ = layers.batchnorm_train(x)
+        expected, _, _, _ = layers.batchnorm_train(x, np.empty_like(x))
         y, cache, _, _ = layers.batchnorm_train(x, out=x)
         assert y is x and cache.x_hat is x
         assert np.array_equal(x, expected)
@@ -262,11 +264,11 @@ class TestBatchNorm:
         r = _channel_last(rng.standard_normal((4, 3, 7)))
 
         def loss():
-            y, _, _, _ = layers.batchnorm_train(x)
+            y, _, _, _ = layers.batchnorm_train(x, np.empty_like(x))
             return float((y * r).sum())
 
-        _, cache, _, _ = layers.batchnorm_train(x)
-        gx = layers.batchnorm_backward(cache, r)
+        _, cache, _, _ = layers.batchnorm_train(x, np.empty_like(x))
+        gx = layers.batchnorm_backward(cache, r, np.empty_like(r), np.empty_like(r))
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
 
     def test_fused_relu_backward_finite_difference(self):
@@ -276,17 +278,21 @@ class TestBatchNorm:
         r = rng.standard_normal((4, 7, 3))
 
         def loss():
-            y, _, _, _ = layers.batchnorm_train(x)
+            y, _, _, _ = layers.batchnorm_train(x, np.empty_like(x))
             return float((layers.relu(y) * r).sum())
 
-        _, cache, _, _ = layers.batchnorm_train(x)
+        _, cache, _, _ = layers.batchnorm_train(x, np.empty_like(x))
         assert np.min(np.abs(cache.x_hat)) > 1e-3  # clear of the kink at the probe step
-        gx = layers.batchnorm_backward(cache, r, relu=True)
+        gx = layers.batchnorm_backward(cache, r, np.empty_like(r), np.empty_like(r), relu=True)
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
-        unfused = layers.batchnorm_backward(cache, layers.relu_backward(cache.x_hat, r))
+        masked = layers.relu_backward(cache.x_hat, r)
+        unfused = layers.batchnorm_backward(cache, masked, masked, np.empty_like(r))
         assert np.allclose(gx, unfused, rtol=0.0, atol=1e-14)
         in_place = r.copy()
-        assert layers.batchnorm_backward(cache, in_place, relu=True, out=in_place) is in_place
+        result = layers.batchnorm_backward(
+            cache, in_place, out=in_place, scratch=np.empty_like(r), relu=True
+        )
+        assert result is in_place
         assert np.array_equal(in_place, gx)
 
     @staticmethod
@@ -298,7 +304,7 @@ class TestBatchNorm:
             np.eye(channels)[:, :, None], np.zeros(channels), running_mean, running_var,
             **kwargs,
         )
-        return layers.conv1d_forward(x, weights, bias, 1)
+        return fresh_conv(x, weights, bias, 1)
 
     def test_inference_uses_running_stats(self):
         x = np.ones((2, 4, 1))
@@ -337,11 +343,13 @@ class TestBatchNorm:
 def _unfused_first_layer(x, w, b, stride, grad_out):
     """conv1d_forward -> batchnorm_train -> relu, then batchnorm_backward(relu=True)
     -> conv1d_backward: what conv_batchnorm_train/_backward fold together."""
-    cols = layers.im2col(x, w.shape[2], stride)
-    z = layers.conv1d_forward(x, w, b, stride)
-    x_hat, cache, mean, var = layers.batchnorm_train(z)
-    dz = layers.batchnorm_backward(cache, grad_out, relu=True)
-    _, gw, gb = layers.conv1d_backward(cols, w, stride, dz, grad_x=np.empty_like(x))
+    cols = fresh_cols(x, w.shape[2], stride)
+    z = fresh_conv(x, w, b, stride)
+    x_hat, cache, mean, var = layers.batchnorm_train(z, np.empty_like(z))
+    dz = layers.batchnorm_backward(
+        cache, grad_out, np.empty_like(grad_out), np.empty_like(grad_out), relu=True
+    )
+    _, gw, gb = fresh_conv_backward(cols, w, stride, dz, grad_x=np.empty_like(x))
     return x_hat, mean, var, gw, gb
 
 
@@ -365,9 +373,11 @@ class TestConvBatchNorm:
     @staticmethod
     def _fused(x, w, b, stride, grad_out):
         cols = np.empty((x.shape[0], (x.shape[1] - w.shape[2]) // stride + 1, w.shape[2]))
-        x_hat, cache, mean, var = layers.conv_batchnorm_train(x, w, b, stride, cols=cols)
+        x_hat, cache, mean, var = layers.conv_batchnorm_train(
+            x, w, b, stride, cols=cols, out=np.empty(cols.shape[:2] + w.shape[:1])
+        )
         assert x_hat is cache.x_hat
-        centred = layers.im2col(x, w.shape[2], stride) - cache.patch_mean
+        centred = fresh_cols(x, w.shape[2], stride) - cache.patch_mean
         assert np.max(np.abs(cols - centred)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
         g = grad_out.copy()
         gw, gb = layers.conv_batchnorm_backward(cache, cols, w, g, out=g)
@@ -438,13 +448,17 @@ class TestConvBatchNorm:
         r = rng.standard_normal((3, 9, 3))
 
         def loss():
-            y, _, _, _ = layers.conv_batchnorm_train(x, w, b, 2)
+            y, _, _, _ = layers.conv_batchnorm_train(
+                x, w, b, 2, np.empty((3, 9, 8)), np.empty((3, 9, 3))
+            )
             return float((layers.relu(y) * r).sum())
 
         cols = np.empty((3, 9, 8))
-        y, cache, _, _ = layers.conv_batchnorm_train(x, w, b, 2, cols=cols)
+        y, cache, _, _ = layers.conv_batchnorm_train(
+            x, w, b, 2, cols=cols, out=np.empty((3, 9, 3))
+        )
         assert np.min(np.abs(y)) > 1e-3  # clear of the kink at the probe step
-        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r)
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r, np.empty_like(r))
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert np.max(np.abs(gb)) <= 1e-12  # batch norm cancels the bias
         assert np.max(np.abs(central_difference(loss, b))) <= 1e-8

@@ -1,6 +1,6 @@
 import inspect
 import pickle
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +105,65 @@ class TestModelGrid:
             assert int(fc1) == two.fc1_width
             assert float(dropout) == two.dropout_rate
             assert (int(params2), int(params3)) == (count_parameters(two), count_parameters(three))
+
+
+# Worked by hand from the paper's geometry on 512-sample windows: receptive
+# fields 5, 3, 3 at strides 3, 2, 2 give (512 - 5) // 3 + 1 = 170,
+# (170 - 3) // 2 + 1 = 84 and (84 - 3) // 2 + 1 = 41 positions. A patch is
+# Rf * C_in wide, and a conv layer has K * C_in * Rf weights plus K biases.
+HAND_GEOMETRY = {
+    "pyramid": {
+        "in_channels": (1, 24, 16),
+        "kernels": (24, 16, 8),
+        "patch_widths": (5, 72, 48),
+        "conv_parameters": 24 * 5 + 24 + 16 * 24 * 3 + 16 + 8 * 16 * 3 + 8,  # 1,704
+    },
+    "traditional": {
+        "in_channels": (1, 8, 16),
+        "kernels": (8, 16, 24),
+        "patch_widths": (5, 24, 48),
+        "conv_parameters": 8 * 5 + 8 + 16 * 8 * 3 + 16 + 24 * 16 * 3 + 24,  # 1,624
+    },
+}
+
+
+class TestConvGeometry:
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_table_matches_the_hand_computation(self, name, num_classes):
+        """Channels, lengths and patch widths of every grid model, and the
+        parameter count and workspace buffers that follow from them."""
+        cfg = model_config(name, num_classes)
+        hand = HAND_GEOMETRY[cfg.family]
+        table = cfg.conv_layers
+        assert [c.in_channels for c in table] == list(hand["in_channels"])
+        assert [c.kernels for c in table] == list(hand["kernels"])
+        assert [(c.receptive_field, c.stride) for c in table] == [(5, 3), (3, 2), (3, 2)]
+        assert [c.input_length for c in table] == [512, 170, 84]
+        assert [c.output_length for c in table] == [170, 84, 41]
+        assert cfg.conv_lengths() == (170, 84, 41)
+        assert [c.receptive_field * c.in_channels for c in table] == list(hand["patch_widths"])
+        flatten = hand["kernels"][2] * 41
+        assert cfg.flatten_width == flatten
+        fc1 = cfg.fc1_width
+        dense = flatten * fc1 + fc1 + fc1 * num_classes + num_classes
+        assert count_parameters(cfg) == hand["conv_parameters"] + dense
+        ws = Workspace(cfg, 2)
+        assert [a.shape for a in ws.cols] == [
+            (2, m, w) for m, w in zip((170, 84, 41), hand["patch_widths"])
+        ]
+        assert [a.shape for a in ws.normalized] == [
+            (2, m, k) for m, k in zip((170, 84, 41), hand["kernels"])
+        ]
+
+    def test_config_fields_hold_no_derived_geometry(self):
+        """The table is derived, so the config's fields, and with them the
+        checkpoint header and the settings echo, stay the seven it had."""
+        assert [f.name for f in fields(ModelConfig)] == [
+            "kernel_counts", "receptive_fields", "strides", "fc1_width", "dropout_rate",
+            "num_classes", "input_length",
+        ]
+        assert "conv_layers" not in asdict(ModelConfig())
 
 
 class TestCountParameters:
@@ -324,7 +383,8 @@ def _perturbed(cfg, seed):
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
     lists = (ws.cols, ws.normalized, ws.grad_act)
-    return [b for buffers in lists for b in buffers] + [ws.flat, ws.windows, ws.scratch]
+    singles = [ws.flat, ws.windows, ws.scratch, ws.grads.learnable]
+    return [b for buffers in lists for b in buffers] + singles
 
 
 class TestChannelLastLayout:
@@ -388,7 +448,8 @@ class TestChannelLastLayout:
     def test_reused_workspace_matches_fresh_arrays(self, tiny_config):
         """Two passes through one workspace give what fresh buffers give, also
         when every buffer, the backward scratch that holds the padded
-        gradients' zero borders included, holds nan from the pass before."""
+        gradients' zero borders and the gradient vector included, holds nan
+        from the pass before."""
         cfg = tiny_config
         rng = np.random.default_rng(1)
         x1, x2 = rng.standard_normal((2, 4, 64))
@@ -402,24 +463,24 @@ class TestChannelLastLayout:
                 workspace = ws if reuse else Workspace(cfg, 4)
                 probs, trace = forward(params, x, workspace, training=True)
                 _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
-                step.append((probs, backward(params, trace, grad_logits)))
+                step.append((probs, backward(params, trace, grad_logits).flat.copy()))
                 for buffer in _workspace_buffers(trace.workspace):
                     buffer.fill(np.nan)
             results.append(step)
         for (p_ws, g_ws), (p_fresh, g_fresh) in zip(*results):
             assert np.array_equal(p_ws, p_fresh)
-            assert np.array_equal(g_ws.flat, g_fresh.flat)
+            assert np.array_equal(g_ws, g_fresh)
         # conv2 reads 20 positions at stride 2 and conv3 9 (the odd tail row)
         assert [[b.shape for b in ws.grad_buffers(i)] for i in (1, 2)] == [
             [(4, 11, 3), (4, 10, 6)], [(4, 6, 2), (4, 5, 4)]
         ]
 
     def test_workspace_buffers_do_not_overlap(self, tiny_config):
-        """No buffer aliases another, the training-only ones included, and the
-        gradients and probabilities a step returns are not workspace memory.
-        Within the backward scratch, a layer's padded gradient and its
-        patches are disjoint; the batch-norm scratch is dead before either
-        is written."""
+        """No buffer aliases another, the training-only ones and the gradient
+        vector included, and the probabilities a step returns are not
+        workspace memory; the gradients are the workspace's own. Within the
+        backward scratch, a layer's padded gradient and its patches are
+        disjoint; the batch-norm scratch is dead before either is written."""
         params = init_parameters(tiny_config, seed=3)
         x = np.random.default_rng(3).standard_normal((4, 64))
         probs, trace = forward(params, x, Workspace(tiny_config, 4), training=True)
@@ -427,10 +488,11 @@ class TestChannelLastLayout:
         grads = backward(params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 3 * 3 + 3
+        assert len(buffers) == 3 * 3 + 4
+        assert grads is ws.grads
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
-            assert not np.shares_memory(a, probs) and not np.shares_memory(a, grads.flat)
+            assert not np.shares_memory(a, probs)
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b)
         for i in (1, 2):
@@ -469,6 +531,32 @@ class TestChannelLastLayout:
         for bad in (0, 6):
             with pytest.raises(ValueError, match=f"no head of {bad}"):
                 base.head(bad)
+
+    def test_gradients_live_in_the_workspace(self, tiny_config):
+        """Two backward passes through one workspace return its one gradient
+        vector, rewritten by the second; a second workspace's gradients are
+        its own, and the first workspace's backward leaves them as they were."""
+        params = init_parameters(tiny_config, seed=5)
+        x1, x2 = np.random.default_rng(5).standard_normal((2, 4, 64))
+        y = np.array([0, 1, 1, 0])
+
+        def gradients(ws, x):
+            _, trace = forward(params, x, ws, training=True)
+            _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
+            return backward(params, trace, grad_logits)
+
+        ws, other = Workspace(tiny_config, 4), Workspace(tiny_config, 4)
+        first = gradients(ws, x1)
+        kept = first.flat.copy()
+        independent = gradients(other, x2)
+        from_other = independent.flat.copy()
+        second = gradients(ws, x2)
+        assert first is second is ws.grads
+        assert independent is other.grads
+        assert not np.shares_memory(ws.grads.flat, other.grads.flat)
+        assert not np.array_equal(second.flat, kept)
+        assert np.array_equal(second.flat, from_other)
+        assert np.array_equal(independent.flat, from_other)
 
     def test_workspace_must_fit_the_batch(self, tiny_config):
         """A workspace for 4 windows, or for 3 windows of a network that
