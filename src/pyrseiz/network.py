@@ -74,10 +74,6 @@ class ModelConfig:
             channels, length = k, out
         return tuple(table)
 
-    def conv_lengths(self) -> tuple[int, int, int]:
-        """Per-layer output lengths under the valid strided sweep."""
-        return tuple(layer.output_length for layer in self.conv_layers)
-
     @property
     def flatten_width(self) -> int:
         return self.conv_layers[2].kernels * self.conv_layers[2].output_length
@@ -148,7 +144,7 @@ def _layout(config: ModelConfig) -> tuple[tuple[tuple[str, slice, tuple[int, ...
 
 
 def _views(template: str) -> property:
-    return property(lambda self: self._per_layer[template])
+    return property(lambda self: tuple(self.tensors[template.format(i)] for i in (1, 2, 3)))
 
 
 def _view(name: str) -> property:
@@ -188,8 +184,6 @@ class NetworkParameters:
         self.flat = flat
         self.learnable = flat[:learnable]
         self.tensors = {name: flat[where].reshape(shape) for name, where, shape in slices}
-        per_layer = ("conv{}.weight", "conv{}.bias", "bn{}.running_mean", "bn{}.running_var")
-        self._per_layer = {t: tuple(self.tensors[t.format(i)] for i in "123") for t in per_layer}
 
     def copy(self) -> "NetworkParameters":
         return NetworkParameters(self.config, self.flat.copy())
@@ -213,7 +207,6 @@ class Workspace:
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
         self.config = config
         self.batch = batch
-        self.base = base
         self._capacity, self._store = (base._capacity, base._store) if base else (batch, {})
         # each layer's im2col patches, kept for backward, and its output; allocated
         # layer by layer, which measured fewer page faults per call than kind by kind

@@ -550,19 +550,19 @@ def test_command_line_runs_one_blas_thread_unless_told_otherwise(prelude, variab
     assert _python(["-c", probe], **variables).stdout.strip() == repr(expected)
 
 
-def test_one_blas_thread_leaves_c6_cv_outputs_unchanged(tmp_path):
+def test_one_blas_thread_default_matches_a_users_one_thread_setting(tmp_path):
     """The C6 cv run (3x30 records, A-B-C, M5, scheme 1, 5 folds, 2 epochs,
-    seed 7) writes byte-identical reports and fold checkpoints on one BLAS
-    thread, the command line's default, and on numpy's own thread count,
-    which a process that imports numpy first keeps."""
+    seed 7) writes byte-identical reports and fold checkpoints under the
+    command line's default, with no thread variable set, and with the user
+    setting all three to 1 themselves, which the command line leaves alone."""
     data = _synth(tmp_path, classes=3, records=30, seed=7)
     argv = ["cv", "--data-root", str(data), "--case", "A-B-C", "--model", "M5", "--scheme", "1",
             "--folds", "5", "--epochs", "2", "--seed", "7"]
     outputs = []
-    for name, prelude in (("default", ""), ("numpy-first", "import numpy; ")):
+    for name, variables in (("default", {}), ("user", dict.fromkeys(THREAD_VARIABLES, "1"))):
         out = tmp_path / name
         run = [*argv, "--out", str(out)]
-        probe = f"{prelude}import sys; from pyrseiz.cli import main; sys.exit(main({run!r}))"
-        _python(["-c", probe])
+        probe = f"import sys; from pyrseiz.cli import main; sys.exit(main({run!r}))"
+        _python(["-c", probe], **variables)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) == 1 + 5 and outputs[0] == outputs[1]

@@ -99,7 +99,10 @@ class TestConvForward:
 
     def test_input_shorter_than_kernel(self):
         with pytest.raises(ValueError, match="shorter than the receptive field"):
-            fresh_conv(np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1)
+            layers.conv1d_forward(
+                np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1,
+                np.empty((1, 1, 5)), np.empty((1, 1, 1)),
+            )
 
 
 class TestConvBackward:
@@ -392,7 +395,7 @@ class TestConvBatchNorm:
         w = params.conv_weights[0]
         b = rng.normal(0.0, 0.5, size=w.shape[0])
         x = rng.standard_normal((batch, cfg.input_length, 1))
-        m = cfg.conv_lengths()[0]
+        m = cfg.conv_layers[0].output_length
         grad_out = rng.standard_normal((batch, m, w.shape[0]))
         return x, w, b, cfg.strides[0], grad_out
 

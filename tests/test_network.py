@@ -39,11 +39,11 @@ EXPECTED_COUNTS = {
 
 class TestModelConfig:
     def test_default_conv_lengths(self):
-        assert ModelConfig().conv_lengths() == (170, 84, 41)
+        assert [c.output_length for c in ModelConfig().conv_layers] == [170, 84, 41]
 
     def test_alternate_stride_triple_also_gives_41(self):
         cfg = ModelConfig(strides=(2, 3, 2))
-        assert cfg.conv_lengths()[2] == 41
+        assert cfg.conv_layers[2].output_length == 41
 
     def test_flatten_width_m5(self):
         assert ModelConfig(kernel_counts=(24, 16, 8)).flatten_width == 8 * 41
@@ -141,7 +141,6 @@ class TestConvGeometry:
         assert [(c.receptive_field, c.stride) for c in table] == [(5, 3), (3, 2), (3, 2)]
         assert [c.input_length for c in table] == [512, 170, 84]
         assert [c.output_length for c in table] == [170, 84, 41]
-        assert cfg.conv_lengths() == (170, 84, 41)
         assert [c.receptive_field * c.in_channels for c in table] == list(hand["patch_widths"])
         flatten = hand["kernels"][2] * 41
         assert cfg.flatten_width == flatten
@@ -433,7 +432,7 @@ class TestChannelLastLayout:
         probs, trace = forward(params, x, Workspace(cfg, 5), training=True)
         ws = trace.workspace
         in_channels = (1,) + cfg.kernel_counts[:2]
-        for i, m in enumerate(cfg.conv_lengths()):
+        for i, m in enumerate(c.output_length for c in cfg.conv_layers):
             k, rf = cfg.kernel_counts[i], cfg.receptive_fields[i]
             assert ws.cols[i].shape == (5, m, rf * in_channels[i])
             assert trace.bn_caches[i].x_hat.shape == (5, m, k)

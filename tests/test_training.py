@@ -323,11 +323,11 @@ class TestTrain:
         class CountingWorkspace(training.Workspace):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append((self.batch, self.base is None))
+                built.append((self.batch, self._capacity))
 
         monkeypatch.setattr(training, "Workspace", CountingWorkspace)
         train(tiny_config, toy_windows, TrainingConfig(epochs=3, batch_size=7, seed=3))
-        assert built == [(7, True)]
+        assert built == [(7, 7)]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_window_stops_training_before_the_update(
