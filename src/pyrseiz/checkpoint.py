@@ -14,7 +14,10 @@ Layout of ``p1dcnn-v2``, the version written:
 
 ``p1dcnn-v1`` files, which have no ``case``/``scheme`` lines and hold each
 tensor as whitespace-separated decimals (17 significant digits), still load.
-Round trips are bitwise exact, and every value must be finite.
+The loader reads the lines in the order the writer writes them, and takes a
+line only if spelling back what it read gives that exact line: a v2 file
+loads only if saving what it holds writes its bytes back. Round trips are
+bitwise exact, and every value must be finite.
 """
 
 from __future__ import annotations
@@ -60,6 +63,31 @@ class Checkpoint:
         return iter((self.params, self.config))
 
 
+def _case_name(spec: str, config: ModelConfig) -> str:
+    case = define_case(spec)
+    if case.num_classes != config.num_classes:
+        raise ValueError(f"case {spec!r} does not name {config.num_classes} classes")
+    return case.name
+
+
+# The optional training header, one ``<key> <value>`` line per row in this
+# order, v2 only. Each row maps a value, or the text after the key, to the
+# canonical value whose str() the line holds; the keys are Checkpoint fields.
+_TRAINING_LINES = {
+    "case": _case_name,
+    "scheme": lambda scheme, config: get_scheme(scheme).id,
+}
+
+
+def _config_line(key: str, value) -> str:
+    values = value if isinstance(value, tuple) else (value,)
+    return f"config {key} " + " ".join(format(v, ".17g") for v in values)
+
+
+def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
+    return f"tensor {name} " + " ".join(str(d) for d in shape)
+
+
 def save_checkpoint(
     params: NetworkParameters,
     config: ModelConfig,
@@ -69,81 +97,55 @@ def save_checkpoint(
 ) -> None:
     """Write parameters, their config and, when given, the case spec and
     scheme id they were trained with; the on-disk order is fixed and the file
-    is replaced atomically. ``config`` must be ``params.config``; nothing is
-    written when it is not."""
+    is replaced atomically. ``config`` must be ``params.config`` and a case
+    must name its ``num_classes`` classes; nothing is written otherwise."""
     if config != params.config:
         raise ValueError("config differs from params.config, the network's own")
+    training = {"case": case, "scheme": scheme}
     lines = [CHECKPOINT_VERSION]
-    for key, value in asdict(config).items():
-        values = value if isinstance(value, tuple) else (value,)
-        lines.append(f"config {key} " + " ".join(format(v, ".17g") for v in values))
-    if case is not None:
-        lines.append(f"case {define_case(case).name}")
-    if scheme is not None:
-        lines.append(f"scheme {get_scheme(scheme).id}")
+    lines += [_config_line(key, value) for key, value in asdict(config).items()]
+    for key, canonical in _TRAINING_LINES.items():
+        if training[key] is not None:
+            lines.append(f"{key} {canonical(training[key], config)}")
     for name, tensor in params.tensors.items():
-        lines.append(f"tensor {name} " + " ".join(str(d) for d in tensor.shape))
+        lines.append(_tensor_line(name, tensor.shape))
         raw = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
         lines.append(base64.b64encode(raw).decode("ascii"))
     lines.append("end")
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_config(path: Path, lines: list[str], pos: int) -> tuple[ModelConfig, int]:
-    """The ``config`` lines from ``lines[pos]`` on: the config and the
-    position after them. Every field appears once, a scalar with one value,
-    and every value is spelled as ``format(value, ".17g")`` spells it."""
+def _spelled_back(path: Path, line: str, spelling: str) -> None:
+    # int(), float() and get_scheme() also take '5_12', '+20', '03', '0.50'
+    # and non-ASCII digits; a file as save_checkpoint writes it has none
+    if line != spelling:
+        raise CheckpointError(
+            f"{path}: non-canonical value in header line {line!r}, written as {spelling!r}"
+        )
+
+
+def _parse_config(path: Path, lines: list[str]) -> ModelConfig:
+    """The config from the lines after the version line, one ``config`` line
+    per field in field order."""
     values: dict[str, object] = {}
-    while pos < len(lines) and lines[pos].startswith("config "):
-        parts = lines[pos].split()
-        default = _CONFIG_DEFAULTS.get(parts[1]) if len(parts) > 2 else None
+    for line, (key, default) in zip(lines[1:], _CONFIG_DEFAULTS.items()):
+        prefix = f"config {key} "
+        if not line.startswith(prefix):
+            raise CheckpointError(f"{path}: checkpoint config is missing {[key]}, found {line!r}")
         scalar = not isinstance(default, tuple)
-        if default is None or parts[1] in values or (scalar and len(parts) != 3):
-            raise CheckpointError(
-                f"{path}: malformed, unknown or repeated config line {lines[pos]!r}"
-            )
         convert = type(default) if scalar else type(default[0])
         try:
-            parsed = [convert(token) for token in parts[2:]]
+            parsed = tuple(convert(token) for token in line[len(prefix) :].split(" "))
         except ValueError as exc:
-            raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
-        # int() and float() also take '5_12', '+20', '03', '0.50' and non-ASCII
-        # digits; a file as save_checkpoint writes it has none of these
-        for token, value in zip(parts[2:], parsed):
-            if token != format(value, ".17g"):
-                raise CheckpointError(
-                    f"{path}: non-canonical value {token!r} in config line {lines[pos]!r}"
-                )
-        values[parts[1]] = parsed[0] if scalar else tuple(parsed)
-        pos += 1
-    missing = [key for key in _CONFIG_DEFAULTS if key not in values]
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint config is missing {missing}")
+            raise CheckpointError(
+                f"{path}: invalid checkpoint config line {line!r}: {exc}"
+            ) from None
+        values[key] = parsed[0] if scalar else parsed
+        _spelled_back(path, line, _config_line(key, values[key]))
     try:
-        return ModelConfig(**values), pos
+        return ModelConfig(**values)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
-
-
-def _parse_training_header(
-    path: Path, entries: dict[str, str], config: ModelConfig
-) -> tuple[str | None, int | None]:
-    """The ``case`` and ``scheme`` header values, checked against the config."""
-    case = entries.get("case")
-    scheme = entries.get("scheme")
-    try:
-        if case is not None:
-            spec = define_case(case)
-            if spec.name != case or spec.num_classes != config.num_classes:
-                raise ValueError(
-                    f"case {case!r} does not name {config.num_classes} classes "
-                    "in canonical form"
-                )
-        if scheme is not None:
-            scheme = get_scheme(scheme).id
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: invalid training header: {exc}") from None
-    return case, scheme
 
 
 def _decimal_block(
@@ -152,9 +154,7 @@ def _decimal_block(
     """v1: whitespace-separated decimals from ``lines[pos]`` on, possibly over
     several lines; the values and the position after the block."""
     values: list[float] = []
-    while len(values) < count:
-        if pos >= len(lines):
-            raise CheckpointError(f"{path}: truncated while reading tensor {name}")
+    while len(values) < count:  # the file's 'end' line stops it as non-numeric
         for token in lines[pos].split():
             try:
                 values.append(float(token))
@@ -174,12 +174,14 @@ def _base64_block(
     path: Path, lines: list[str], pos: int, name: str, count: int
 ) -> tuple[np.ndarray, int]:
     """v2: one line of base64 holding exactly ``count`` little-endian float64s."""
-    if pos >= len(lines):
-        raise CheckpointError(f"{path}: truncated while reading tensor {name}")
     try:
-        raw = base64.b64decode(lines[pos].strip(), validate=True)
+        raw = base64.b64decode(lines[pos], validate=True)
     except (binascii.Error, ValueError):
-        raise CheckpointError(f"{path}: invalid base64 in tensor {name}") from None
+        raw = None
+    # b64decode also takes set padding bits and surplus '=' in the last four
+    # characters, which b64encode never writes; the rest is spelled one way
+    if raw is None or lines[pos][-4:] != base64.b64encode(raw[-(len(raw) % 3 or 3) :]).decode():
+        raise CheckpointError(f"{path}: invalid base64 in tensor {name}")
     if len(raw) != 8 * count:
         raise CheckpointError(
             f"{path}: tensor {name} has {len(raw)} bytes, expected {8 * count}"
@@ -194,73 +196,53 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: not a text checkpoint") from None
-    lines = text.splitlines()
-    version = lines[0].strip() if lines else "<empty file>"
-    if version == CHECKPOINT_VERSION:
-        read_block = _base64_block
-        header_keys: tuple[str, ...] = ("case", "scheme")
-    elif version == _DECIMAL_VERSION:
-        read_block = _decimal_block
-        header_keys = ()
+    lines = text.split("\n")
+    if lines[0] == CHECKPOINT_VERSION:
+        read_block, training = _base64_block, _TRAINING_LINES
+    elif lines[0] == _DECIMAL_VERSION:
+        read_block, training = _decimal_block, {}
     else:
         raise CheckpointError(
             f"{path}: version mismatch, expected {CHECKPOINT_VERSION!r} or "
-            f"{_DECIMAL_VERSION!r}, found {version!r}"
+            f"{_DECIMAL_VERSION!r}, found {lines[0]!r}"
         )
-    config, pos = _parse_config(path, lines, 1)
-    header: dict[str, str] = {}
-    while pos < len(lines) and lines[pos].split(" ", 1)[0] in header_keys:
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] in header:
-            raise CheckpointError(f"{path}: malformed or repeated header line {lines[pos]!r}")
-        header[parts[0]] = parts[1]
-        pos += 1
-    case, scheme = _parse_training_header(path, header, config)
+    # No parse below takes the line 'end', so none reads past it.
+    if not text.endswith("\nend\n"):
+        raise CheckpointError(f"{path}: truncated or extended, 'end' is not its last line")
+    config = _parse_config(path, lines)
+    pos, header = 1 + len(_CONFIG_DEFAULTS), {}
+    for key, canonical in training.items():
+        if lines[pos].startswith(f"{key} "):
+            try:
+                header[key] = canonical(lines[pos][len(key) + 1 :], config)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"{path}: invalid training header line {lines[pos]!r}: {exc}"
+                ) from None
+            _spelled_back(path, lines[pos], f"{key} {header[key]}")
+            pos += 1
     if 2 * count_parameters(config) > len(text):  # below one digit and a separator each
         raise CheckpointError(
             f"{path}: truncated, too short for the {count_parameters(config)} "
             "values its config implies"
         )
     params = NetworkParameters(config)  # zeros until each tensor is read into its view
-
-    seen: set[str] = set()
-    while pos < len(lines):
-        line = lines[pos].strip()
-        if line == "end":
-            pos += 1
-            break
-        parts = line.split()
-        if not parts or parts[0] != "tensor":
-            raise CheckpointError(f"{path}: expected a tensor header, found {line!r}")
-        if len(parts) < 3:
-            raise CheckpointError(f"{path}: malformed tensor header {line!r}")
-        name = parts[1]
-        tensor = params.tensors.get(name)
-        if tensor is None:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if name in seen:
-            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        try:
-            shape = tuple(int(d) for d in parts[2:])
-        except ValueError:
-            raise CheckpointError(f"{path}: non-integer dimension in {line!r}") from None
-        if shape != tensor.shape:
+    for name, tensor in params.tensors.items():
+        spelling = _tensor_line(name, tensor.shape)
+        if lines[pos] != spelling:
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {shape}, config implies {tensor.shape}"
+                f"{path}: missing tensors {[name]}: expected a tensor header with its "
+                f"name and shape, {spelling!r}, found {lines[pos]!r}"
             )
         values, pos = read_block(path, lines, pos + 1, name, tensor.size)
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor {name} has a non-finite (nan or inf) value")
         tensor.reshape(-1)[:] = values
-        seen.add(name)
-    else:
-        raise CheckpointError(f"{path}: truncated, missing 'end' marker")
-    if any(lines[p].strip() for p in range(pos, len(lines))):
-        raise CheckpointError(f"{path}: trailing content after 'end' marker")
-    missing = sorted(set(params.tensors) - seen)
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {missing}")
-    return Checkpoint(params, config, case, scheme)
+    if lines[pos:] != ["end", ""]:
+        raise CheckpointError(
+            f"{path}: expected the last line, 'end', after the last tensor, found {lines[pos]!r}"
+        )
+    return Checkpoint(params, config, **header)

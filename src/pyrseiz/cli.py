@@ -78,15 +78,18 @@ def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> R
     if args.lr <= 0:
         raise ValueError(f"--lr must be positive, got {args.lr}")
     model = model_config(
-        args.model,
-        2 if case is None else case.num_classes,
-        fc1_width=args.fc1,
-        dropout_rate=args.dropout,
+        args.model, 2 if case is None else case.num_classes, dropout_rate=args.dropout
     )
     training = TrainingConfig(
         learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed
     )
     return RunSpec(case, get_scheme(args.scheme), model, training, args.model)
+
+
+def _folds(args: argparse.Namespace) -> int:
+    if args.folds < 2:
+        raise ValueError(f"--folds must be >= 2, got {args.folds}")
+    return args.folds
 
 
 def cmd_params(args: argparse.Namespace) -> int:
@@ -111,6 +114,8 @@ def cmd_params(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not 2 <= args.classes <= len(SYNTH_BANDS):
         raise ValueError(f"--classes must be in [2, {len(SYNTH_BANDS)}]")
+    if args.records < 1:
+        raise ValueError(f"--records must be >= 1, got {args.records}")
     profiles = [BandSpec(low, high) for low, high in SYNTH_BANDS[: args.classes]]
     records = synthesize_dataset(
         num_records_per_class=args.records,
@@ -149,7 +154,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     records = load_bonn_root(
         _data_root(args), letters=case.sets, expected_length=args.record_length
     )
-    plan = plan_folds(ids_by_set(records), k=args.folds, seed=args.seed)
+    plan = plan_folds(ids_by_set(records), k=_folds(args), seed=args.seed)
     report = run_cv(records, spec, plan, jobs=args.jobs, keep_params=True)
     out = Path(args.out)
     stem = spec.stem("cv")
@@ -172,7 +177,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 def cmd_battery(args: argparse.Namespace) -> int:
     template = _run_spec(args)
     records = load_bonn_root(_data_root(args), expected_length=args.record_length)
-    battery = run_battery(records, template, k=args.folds, jobs=args.jobs)
+    battery = run_battery(records, template, k=_folds(args), jobs=args.jobs)
     out = Path(args.out)
     stem = template.stem("battery")
     summary = emit_battery(battery, out / f"{stem}.{args.format}", fmt=args.format)
@@ -241,7 +246,6 @@ def _add_scheme_option(parser: argparse.ArgumentParser, default: int | None = 1,
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
-    parser.add_argument("--fc1", type=int, choices=(20, 40), default=None)
     parser.add_argument("--dropout", type=float, default=None, metavar="R")
 
 

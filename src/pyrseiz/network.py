@@ -108,12 +108,10 @@ MODEL_NAMES = tuple(MODEL_GRID)
 
 
 def model_config(
-    name: str,
-    num_classes: int,
-    fc1_width: int | None = None,
-    dropout_rate: float | None = None,
+    name: str, num_classes: int, dropout_rate: float | None = None
 ) -> ModelConfig:
-    """Resolve a model name (M1..M8) into a ModelConfig, with optional overrides."""
+    """Resolve a model name (M1..M8) into a ModelConfig, with an optional
+    dropout rate: every FC1 width is already a grid name."""
     try:
         entry = MODEL_GRID[name.upper()]
     except KeyError:
@@ -122,7 +120,6 @@ def model_config(
         ) from None
     return replace(
         entry,
-        fc1_width=entry.fc1_width if fc1_width is None else fc1_width,
         dropout_rate=entry.dropout_rate if dropout_rate is None else dropout_rate,
         num_classes=num_classes,
     )

@@ -433,6 +433,26 @@ class TestOptionValues:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["cv", "--case", "A-B"], ["battery"]])
+    def test_one_fold_exits_1_with_one_line(self, tmp_path, capsys, command):
+        root = _synth(tmp_path, classes=5, records=2)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert main([*command, "--data-root", str(root), "--epochs", "1", "--folds", "1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --folds must be >= 2, got 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_no_synthetic_records_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--records", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --records must be >= 1, got 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch", "0", "--batch must be >= 1, got 0"),
         ("--lr", "0", "--lr must be positive, got 0.0"),

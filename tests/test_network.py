@@ -77,7 +77,7 @@ class TestModelGrid:
         assert cfg.dropout_rate == 0.5
 
     def test_overrides(self):
-        cfg = model_config("M5", 2, fc1_width=40, dropout_rate=0.0)
+        cfg = replace(model_config("M5", 2, dropout_rate=0.0), fc1_width=40)
         assert cfg.fc1_width == 40 and cfg.dropout_rate == 0.0
 
     def test_unknown_name_lists_valid_ones(self):

@@ -1,6 +1,7 @@
 import base64
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,28 @@ from pyrseiz.training import (
     train,
     write_history_csv,
 )
+
+
+# init_parameters(tiny_config, 11) as written by save_checkpoint at commit
+# 0001c4c, the last p1dcnn-v1 writer, and at commit 1a55592 with case A-E and
+# scheme 2: files older writers wrote must keep loading
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _respelled(old, new):
+    return lambda lines: [new if line == old else line for line in lines]
+
+
+def _swapped(first, second, length):
+    """An edit swapping the runs of ``length`` lines that start at ``first``
+    and at ``second``."""
+
+    def edit(lines):
+        a, b = lines.index(first), lines.index(second)
+        lines[a : a + length], lines[b : b + length] = lines[b : b + length], lines[a : a + length]
+        return lines
+
+    return edit
 
 
 def _take(windows, rows):
@@ -571,7 +594,7 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize(
         "header",
         ["case A-B-C", "case a-b", "case A-Q", "scheme 3", "scheme x", "scheme 1 2",
-         "scheme 1\nscheme 1"],
+         "scheme 1\nscheme 1", "scheme 01", "scheme +1", "scheme \u0661"],
     )
     def test_bad_training_header_rejected(self, tiny_config, tmp_path, header):
         path = tmp_path / "model.ckpt"
@@ -580,6 +603,41 @@ class TestCheckpointRoundTrip:
         path.write_text(text)
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, bad_line",
+        [
+            (_respelled("tensor conv1.weight 4 1 5", "tensor conv1.weight 04 1 5"),
+             "tensor conv1.weight 04 1 5"),
+            (_swapped("config fc1_width 5", "config dropout_rate 0", 1), "config dropout_rate 0"),
+            (_swapped("tensor conv1.weight 4 1 5", "tensor conv1.bias 4", 2),
+             "tensor conv1.bias 4"),
+        ],
+        ids=["respelled-tensor-header", "config-lines-swapped", "tensor-blocks-swapped"],
+    )
+    @pytest.mark.parametrize("writer", [save_checkpoint, save_checkpoint_v1], ids=["v2", "v1"])
+    def test_line_not_in_the_writers_spelling_or_order_rejected(
+        self, tiny_config, tmp_path, writer, edit, bad_line
+    ):
+        path = tmp_path / "model.ckpt"
+        writer(init_parameters(tiny_config, seed=0), tiny_config, path)
+        path.write_text("\n".join(edit(path.read_text().split("\n"))))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert repr(bad_line) in str(info.value)
+
+    def test_committed_v1_and_v2_files_load(self, tiny_config, tmp_path):
+        v1 = load_checkpoint(GOLDEN / "tiny_v1.ckpt")
+        v2 = load_checkpoint(GOLDEN / "tiny_v2.ckpt")
+        assert v1.config == v2.config == tiny_config
+        expected = init_parameters(tiny_config, seed=11).flat.tobytes()
+        assert v1.params.flat.tobytes() == v2.params.flat.tobytes() == expected
+        assert (v1.case, v1.scheme) == (None, None)
+        assert (v2.case, v2.scheme) == ("A-E", 2)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(v2.params, v2.config, again, case=v2.case, scheme=v2.scheme)
+        assert again.read_bytes() == (GOLDEN / "tiny_v2.ckpt").read_bytes()
 
     def test_v1_file_has_no_training_header(self, tiny_config, tmp_path):
         path = tmp_path / "v1.ckpt"
@@ -697,7 +755,8 @@ def _edit(data: bytes, kind: str, at: int, chunk: bytes) -> bytes:
 )
 def test_random_edits_load_or_raise_checkpoint_error(version, edits, tmp_path_factory):
     """Whatever the damage, a checkpoint either loads whole and finite or
-    raises CheckpointError; nothing else escapes and nothing loads partly."""
+    raises CheckpointError; nothing else escapes and nothing loads partly. A
+    v2 file that loads is one the writer writes: saving it gives its bytes."""
     writer = save_checkpoint if version == "v2" else save_checkpoint_v1
     data = _saved_bytes(writer, tmp_path_factory)
     for kind, at, chunk in edits:
@@ -705,11 +764,16 @@ def test_random_edits_load_or_raise_checkpoint_error(version, edits, tmp_path_fa
     path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
     path.write_bytes(data)
     try:
-        params, config = load_checkpoint(path)
+        checkpoint = load_checkpoint(path)
     except CheckpointError:
         return
+    params, config = checkpoint
     assert params.config == config
     assert np.isfinite(params.flat).all()
+    if version == "v2":
+        again = path.with_name("again.ckpt")
+        save_checkpoint(params, config, again, case=checkpoint.case, scheme=checkpoint.scheme)
+        assert again.read_bytes() == data
 
 
 def test_history_csv_schema(tmp_path, tiny_config, toy_windows):
