@@ -21,6 +21,7 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     BONN_RECORD_LENGTH,
+    MIN_RECORD_LENGTH,
     BandSpec,
     ExperimentCase,
     define_case,
@@ -86,9 +87,17 @@ def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> R
     return RunSpec(case, get_scheme(args.scheme), model, training, args.model)
 
 
-def _folds(args: argparse.Namespace) -> int:
+def _folds(args: argparse.Namespace, groups: dict[str, list[int]]) -> int:
+    """``--folds``, which every set in ``groups`` (record ids by set letter)
+    must have records enough for."""
     if args.folds < 2:
         raise ValueError(f"--folds must be >= 2, got {args.folds}")
+    for letter, ids in sorted(groups.items()):
+        if len(ids) < args.folds:
+            raise ValueError(
+                f"set {letter} has {len(ids)} records, fewer than --folds {args.folds}; "
+                "lower --folds"
+            )
     return args.folds
 
 
@@ -116,6 +125,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError(f"--classes must be in [2, {len(SYNTH_BANDS)}]")
     if args.records < 1:
         raise ValueError(f"--records must be >= 1, got {args.records}")
+    if args.length < MIN_RECORD_LENGTH:
+        raise ValueError(f"--length must be >= {MIN_RECORD_LENGTH}, got {args.length}")
     profiles = [BandSpec(low, high) for low, high in SYNTH_BANDS[: args.classes]]
     records = synthesize_dataset(
         num_records_per_class=args.records,
@@ -154,7 +165,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
     records = load_bonn_root(
         _data_root(args), letters=case.sets, expected_length=args.record_length
     )
-    plan = plan_folds(ids_by_set(records), k=_folds(args), seed=args.seed)
+    groups = ids_by_set(records)
+    plan = plan_folds(groups, k=_folds(args, groups), seed=args.seed)
     report = run_cv(records, spec, plan, jobs=args.jobs, keep_params=True)
     out = Path(args.out)
     stem = spec.stem("cv")
@@ -177,7 +189,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 def cmd_battery(args: argparse.Namespace) -> int:
     template = _run_spec(args)
     records = load_bonn_root(_data_root(args), expected_length=args.record_length)
-    battery = run_battery(records, template, k=_folds(args), jobs=args.jobs)
+    battery = run_battery(records, template, k=_folds(args, ids_by_set(records)), jobs=args.jobs)
     out = Path(args.out)
     stem = template.stem("battery")
     summary = emit_battery(battery, out / f"{stem}.{args.format}", fmt=args.format)
@@ -206,7 +218,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(
             f"checkpoint was trained on case {checkpoint.case}, not --case {case.name}"
         )
-    samples = read_samples(args.input)
+    samples = read_samples(args.input, args.record_length)
     stem = Path(args.input).stem
     vote_records = []
     records = classify(params, segment_signal(samples, scheme))  # all instances at once
@@ -232,6 +244,10 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=f"dataset root directory (falls back to ${DATA_ENV_VAR})",
     )
+    _add_record_length_option(parser)
+
+
+def _add_record_length_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--record-length",
         type=int,
@@ -314,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="classify one record with a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--input", required=True, metavar="FILE")
+    _add_record_length_option(p)
     _add_scheme_option(p, default=None,
                        help="windowing scheme (default: the checkpoint's, else 1)")
     p.add_argument("--case", default=None, metavar="SPEC",

@@ -19,6 +19,8 @@ SET_LETTERS = ("A", "B", "C", "D", "E")
 BONN_ALIASES: dict[str, str] = {"A": "Z", "B": "O", "C": "N", "D": "F", "E": "S"}
 
 BONN_RECORD_LENGTH = 4097
+# A synthetic record holds at least one 512-sample window.
+MIN_RECORD_LENGTH = 512
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,25 @@ class EegRecord:
         return int(self.samples.size)
 
 
-def read_samples(path: str | Path) -> np.ndarray:
+def read_samples(path: str | Path, expected_length: int | None = None) -> np.ndarray:
     """Parse a sample file: plain text, one sample per line, blank lines skipped.
 
     A non-numeric or non-finite (nan, inf) sample raises with its
     ``path:line``, and a file that is not UTF-8 text raises with its path;
-    nothing downstream can classify such a signal.
+    nothing downstream can classify such a signal. So does a sample count
+    other than ``expected_length``, when one is given: the window arithmetic
+    downstream assumes the exact length, so a record is never truncated or
+    padded.
     """
-    path = Path(path)
+    samples = _parse_samples(Path(path))
+    if expected_length is not None and samples.size != expected_length:
+        raise ValueError(
+            f"{path}: wrong length, expected {expected_length} samples, found {samples.size}"
+        )
+    return samples
+
+
+def _parse_samples(path: Path) -> np.ndarray:
     if not path.is_file():
         raise FileNotFoundError(f"sample file not found: {path}")
     # One pass over the whole text. Lines are split on "\n" as file iteration
@@ -75,8 +88,8 @@ def read_samples(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: not a UTF-8 text sample file") from None
     if lines[-1] == "":
         lines.pop()
-    try:
-        values = np.array(list(map(float, lines)), dtype=np.float64)
+    try:  # numpy parses each string as float() does
+        values = np.array(lines, dtype=np.float64)
     except ValueError:
         pass  # a blank or bad line: the loop below skips or names it
     else:
@@ -103,18 +116,9 @@ def load_record(
     index: int,
     expected_length: int = BONN_RECORD_LENGTH,
 ) -> EegRecord:
-    """Parse one Bonn-format record file (see ``read_samples``).
-
-    Records whose sample count differs from ``expected_length`` are rejected,
-    never truncated or padded: the window arithmetic downstream assumes the
-    exact length.
-    """
-    samples = read_samples(path)
-    if samples.size != expected_length:
-        raise ValueError(
-            f"{path}: wrong length, expected {expected_length} samples, "
-            f"found {samples.size}"
-        )
+    """Parse one Bonn-format record file of ``expected_length`` samples
+    (see ``read_samples``)."""
+    samples = read_samples(path, expected_length)
     return EegRecord(set_label=set_label, index=index, samples=samples)
 
 
@@ -259,8 +263,8 @@ def synthesize_dataset(
         raise ValueError("need at least two class profiles")
     if len(profiles) > len(SET_LETTERS):
         raise ValueError(f"at most {len(SET_LETTERS)} class profiles supported")
-    if length < 512:
-        raise ValueError(f"record length must be >= 512, got {length}")
+    if length < MIN_RECORD_LENGTH:
+        raise ValueError(f"record length must be >= {MIN_RECORD_LENGTH}, got {length}")
     if num_records_per_class < 1:
         raise ValueError("num_records_per_class must be >= 1")
     if seed < 0:

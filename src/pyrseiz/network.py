@@ -190,29 +190,51 @@ class NetworkParameters:
         return NetworkParameters, (self.config, self.flat)
 
 
+def _carve(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """C-contiguous float64 arrays of ``shapes``, one after the other in one
+    new block. Each starts a multiple of 8 values (64 bytes) into it, so it is
+    as aligned as the block, as a separately allocated array would be."""
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + -(-size // 8) * 8)
+    block = np.empty(starts[-1])
+    return [block[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
+
+
 class Workspace:
     """Every array a pass writes, for one batch size, reused pass to pass.
 
     Every array is C-contiguous and channel-last, shaped by ``conv_layers``.
     ``forward`` and ``backward`` write into them with ``out=``, so a trace,
     and the gradients ``backward`` returns, are valid only until the next
-    pass through the workspace. Arrays only training needs are allocated on
-    first use. ``head(b)`` is a workspace for a smaller batch on the leading
-    rows of these arrays; it allocates nothing of its own.
+    pass through the workspace. The pass arrays (each layer's ``cols`` and
+    ``normalized``, then ``flat``) are carved from one block, which the C heap
+    reuses where seven separate arrays would be given back to the system and
+    faulted in again on every ``classify`` call. The arrays only training
+    needs (``windows``, ``grad_act``, ``scratch``, ``grads``) are allocated on
+    first use, each on its own: carved from a second block, they fragmented
+    the heap of a ``cv`` process, which peaked 1.5 MB higher and ran its calls
+    about 5% slower. ``head(b)`` is a workspace for a smaller batch on the
+    leading rows of these arrays; it allocates nothing of its own.
     """
 
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
         self.config = config
         self.batch = batch
-        self._capacity, self._store = (base._capacity, base._store) if base else (batch, {})
-        # each layer's im2col patches, kept for backward, and its output; allocated
-        # layer by layer, which measured fewer page faults per call than kind by kind
-        self.cols, self.normalized = [], []
-        for i, c in enumerate(config.conv_layers):
-            m = c.output_length
-            self.cols.append(self._rows(f"cols{i}", (m, c.receptive_field * c.in_channels)))
-            self.normalized.append(self._rows(f"normalized{i}", (m, c.kernels)))
-        self.flat = self._rows("flat", (config.flatten_width,))
+        self._base = base
+        if base:
+            arrays = [a[:batch] for a in base._pass]
+        else:
+            # each layer's im2col patches, kept for backward, and its output, layer by layer
+            shapes = [
+                (batch, c.output_length, width)
+                for c in config.conv_layers
+                for width in (c.receptive_field * c.in_channels, c.kernels)
+            ]
+            arrays = _carve([*shapes, (batch, config.flatten_width)])
+        self._pass = arrays
+        self.cols, self.normalized, self.flat = arrays[:-1:2], arrays[1:-1:2], arrays[-1]
 
     def head(self, batch: int) -> Workspace:
         """This workspace for the first ``batch`` rows: itself at full size."""
@@ -220,26 +242,19 @@ class Workspace:
             raise ValueError(f"a workspace for {self.batch} windows has no head of {batch}")
         return self if batch == self.batch else Workspace(self.config, batch, base=self)
 
-    def _shared(self, key: str, make):
-        """The one array ``key`` of this workspace and its heads, ``make()`` on first use."""
-        if key not in self._store:
-            self._store[key] = make()
-        return self._store[key]
-
-    def _rows(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """This workspace's leading rows of the (base batch, *shape) array ``key``."""
-        return self._shared(key, lambda: np.empty((self._capacity, *shape)))[: self.batch]
-
     @cached_property
     def windows(self) -> np.ndarray:
         """Where a training loop gathers its (batch, input_length) batch."""
-        return self._rows("windows", (self.config.input_length,))
+        if self._base:
+            return self._base.windows[: self.batch]
+        return np.empty((self.batch, self.config.input_length))
 
     @cached_property
     def grad_act(self) -> list[np.ndarray]:
         """Loss gradient at each conv layer's ReLU output."""
-        return [self._rows(f"grad_act{i}", (c.output_length, c.kernels))
-                for i, c in enumerate(self.config.conv_layers)]
+        if self._base:
+            return [a[: self.batch] for a in self._base.grad_act]
+        return [np.empty((self.batch, c.output_length, c.kernels)) for c in self.config.conv_layers]
 
     def _input_gradient_shapes(self, i: int, batch: int) -> tuple[tuple[int, ...], ...]:
         """Shapes of conv layer i's padded output gradient and of its patches."""
@@ -253,16 +268,18 @@ class Workspace:
         and ``grad_buffers``. Each use ends before the next begins (layer by
         layer, batch norm before convolution), so they share one vector; a
         head carves it from its base's."""
-        sizes = [self._capacity * c.output_length * c.kernels for c in self.config.conv_layers[1:]]
+        if self._base:
+            return self._base.scratch
+        sizes = [self.batch * c.output_length * c.kernels for c in self.config.conv_layers[1:]]
         for i in (1, 2):
-            pad, patches = self._input_gradient_shapes(i, self._capacity)
+            pad, patches = self._input_gradient_shapes(i, self.batch)
             sizes.append(math.prod(pad) + math.prod(patches))
-        return self._shared("scratch", lambda: np.empty(max(sizes)))
+        return np.empty(max(sizes))
 
     @cached_property
     def grads(self) -> NetworkParameters:
         """The gradients ``backward`` writes and returns, batch-norm slots zero."""
-        return self._shared("grads", lambda: NetworkParameters(self.config))
+        return self._base.grads if self._base else NetworkParameters(self.config)
 
     def bn_scratch(self, i: int) -> np.ndarray:
         """Where conv layer i's batch-norm backward puts its x_hat term."""

@@ -354,6 +354,37 @@ class TestPredict:
             log = out / f"predict_{record.record_id}_votes.csv"
             assert log.read_text().splitlines() == rows
 
+    @pytest.mark.parametrize("length, flags", [(3000, []), (4097, ["--record-length", "4096"])])
+    def test_wrong_record_length_rejected(self, trained, capsys, tmp_path, length, flags):
+        """A record of another length than --record-length (default 4097) fails
+        with the loaders' message before any instance is printed or logged;
+        before, a 3,000-sample file gave 2 instances and lost its last 952
+        samples."""
+        ckpt, sample = trained
+        path = tmp_path / "record.txt"
+        path.write_text("".join(f"{v}\n" for v in np.linspace(-1.0, 1.0, length)))
+        log_dir = tmp_path / "votes"
+        rc = main(["predict", "--checkpoint", str(ckpt), "--input", str(path),
+                   "--out", str(log_dir), *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        expected = 4096 if flags else 4097
+        assert captured.err == (
+            f"error: {path}: wrong length, expected {expected} samples, found {length}\n"
+        )
+        assert captured.out == ""
+        assert not log_dir.exists()
+
+    def test_record_length_option_admits_its_length(self, trained, capsys, tmp_path):
+        """With --record-length 3000 a 3,000-sample file is read: two instances
+        of three windows each."""
+        ckpt, _ = trained
+        path = tmp_path / "record.txt"
+        path.write_text("".join(f"{v}\n" for v in np.sin(np.arange(3000) / 7.0)))
+        assert main(["predict", "--checkpoint", str(ckpt), "--input", str(path),
+                     "--record-length", "3000"]) == 0
+        assert self._votes_per_instance(capsys.readouterr().out) == [3, 3]
+
     def test_missing_checkpoint(self, capsys, tmp_path):
         rc = main(
             ["predict", "--checkpoint", str(tmp_path / "no.ckpt"), "--input", "x.txt"]
@@ -442,6 +473,28 @@ class TestOptionValues:
                      "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: --folds must be >= 2, got 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["cv", "--case", "A-B"], ["battery"]])
+    def test_more_folds_than_records_named_by_the_flag(self, tmp_path, capsys, command):
+        """Four records per set cannot fill the default ten folds."""
+        classes = 2 if command[0] == "cv" else 5
+        root = _synth(tmp_path, classes=classes, records=4)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert main([*command, "--data-root", str(root), "--epochs", "1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: set A has 4 records, fewer than --folds 10; lower --folds\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_short_synthetic_records_named_by_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--length", "100", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --length must be >= 512, got 100\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -531,6 +531,19 @@ class TestChannelLastLayout:
             with pytest.raises(ValueError, match=f"no head of {bad}"):
                 base.head(bad)
 
+    @pytest.mark.parametrize("name", ["M4", "M5"])
+    def test_pass_arrays_share_one_block(self, name):
+        """A workspace's pass arrays, and its heads', are views of one block,
+        no larger than they need but for up to 64 bytes of alignment each."""
+        cfg = model_config(name, 3)
+        base = Workspace(cfg, 12)
+        block = base.flat.base
+        assert block is not None and block.flags.owndata
+        for ws in (base, base.head(5)):
+            assert all(a.base is block for a in ws.cols + ws.normalized + [ws.flat])
+        pass_bytes = sum(a.nbytes for a in base.cols + base.normalized + [base.flat])
+        assert pass_bytes <= block.nbytes < pass_bytes + 7 * 64
+
     def test_gradients_live_in_the_workspace(self, tiny_config):
         """Two backward passes through one workspace return its one gradient
         vector, rewritten by the second; a second workspace's gradients are

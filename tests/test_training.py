@@ -346,11 +346,11 @@ class TestTrain:
         class CountingWorkspace(training.Workspace):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append((self.batch, self._capacity))
+                built.append(self.batch)
 
         monkeypatch.setattr(training, "Workspace", CountingWorkspace)
         train(tiny_config, toy_windows, TrainingConfig(epochs=3, batch_size=7, seed=3))
-        assert built == [(7, 7)]
+        assert built == [7]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_window_stops_training_before_the_update(
