@@ -22,7 +22,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     BONN_RECORD_LENGTH,
     MIN_RECORD_LENGTH,
+    SET_LETTERS,
     BandSpec,
+    EegRecord,
     ExperimentCase,
     define_case,
     ids_by_set,
@@ -57,19 +59,13 @@ SYNTH_BANDS = (
 )
 
 
-def _data_root(args: argparse.Namespace) -> Path:
-    root = args.data_root or os.environ.get(DATA_ENV_VAR)
-    if not root:
-        raise ValueError(
-            f"no dataset root: pass --data-root or set {DATA_ENV_VAR}"
-        )
-    return Path(root)
-
-
-def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> RunSpec:
-    """The run the model, training and scheme options describe; without a
-    case, the battery's template (two classes until ``for_case``). A run of
-    no epochs would report the untrained initial weights as a result, so the
+def _run(
+    args: argparse.Namespace, case: ExperimentCase | None = None
+) -> tuple[RunSpec, list[EegRecord]]:
+    """The run the model, training and scheme options describe, and the
+    records it reads from the dataset root; without a case, the battery's
+    template (two classes until ``for_case``) and every set. A run of no
+    epochs would report the untrained initial weights as a result, so the
     command line asks for at least one. Bad training options are named by
     their flags."""
     if args.epochs < 1:
@@ -84,7 +80,12 @@ def _run_spec(args: argparse.Namespace, case: ExperimentCase | None = None) -> R
     training = TrainingConfig(
         learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed
     )
-    return RunSpec(case, get_scheme(args.scheme), model, training, args.model)
+    spec = RunSpec(case, get_scheme(args.scheme), model, training, args.model)
+    root = args.data_root or os.environ.get(DATA_ENV_VAR)
+    if not root:
+        raise ValueError(f"no dataset root: pass --data-root or set {DATA_ENV_VAR}")
+    letters = SET_LETTERS if case is None else case.sets
+    return spec, load_bonn_root(root, letters=letters, expected_length=args.record_length)
 
 
 def _folds(args: argparse.Namespace, groups: dict[str, list[int]]) -> int:
@@ -142,11 +143,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    spec = _run_spec(args, define_case(args.case))
+    spec, records = _run(args, define_case(args.case))
     case, scheme = spec.case, spec.scheme
-    records = load_bonn_root(
-        _data_root(args), letters=case.sets, expected_length=args.record_length
-    )
     training_set = augment_training(records, case, scheme)
     params, history = train(spec.model, training_set, spec.training)
     out = Path(args.out)
@@ -160,14 +158,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    spec = _run_spec(args, define_case(args.case))
+    spec, records = _run(args, define_case(args.case))
     case, scheme = spec.case, spec.scheme
-    records = load_bonn_root(
-        _data_root(args), letters=case.sets, expected_length=args.record_length
-    )
     groups = ids_by_set(records)
     plan = plan_folds(groups, k=_folds(args, groups), seed=args.seed)
-    report = run_cv(records, spec, plan, jobs=args.jobs, keep_params=True)
+    report = run_cv(records, spec, plan, jobs=args.jobs)
     out = Path(args.out)
     stem = spec.stem("cv")
     report_path = emit_report(report, out / f"{stem}.{args.format}", fmt=args.format)
@@ -187,8 +182,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_battery(args: argparse.Namespace) -> int:
-    template = _run_spec(args)
-    records = load_bonn_root(_data_root(args), expected_length=args.record_length)
+    template, records = _run(args)
     battery = run_battery(records, template, k=_folds(args, ids_by_set(records)), jobs=args.jobs)
     out = Path(args.out)
     stem = template.stem("battery")
@@ -238,49 +232,45 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_data_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--data-root",
-        default=None,
-        help=f"dataset root directory (falls back to ${DATA_ENV_VAR})",
-    )
-    _add_record_length_option(parser)
-
-
-def _add_record_length_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than a ``predict`` call's inference. Subcommand ``X`` runs
+    ``cmd_X``, looked up when it is called. A flag that several subcommands
+    take is declared once, in a parent parser they share."""
+    length = argparse.ArgumentParser(add_help=False)
+    length.add_argument(
         "--record-length",
         type=int,
         default=BONN_RECORD_LENGTH,
         help="expected samples per record file",
     )
 
+    run = argparse.ArgumentParser(add_help=False, parents=[length])
+    run.add_argument(
+        "--data-root",
+        default=None,
+        help=f"dataset root directory (falls back to ${DATA_ENV_VAR})",
+    )
+    run.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=1)
+    run.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
+    run.add_argument("--dropout", type=float, default=None, metavar="R")
+    run.add_argument("--lr", type=float, default=1e-3, metavar="R")
+    run.add_argument("--batch", type=int, default=32, metavar="N")
+    run.add_argument("--epochs", type=int, default=50, metavar="N")
 
-def _add_scheme_option(parser: argparse.ArgumentParser, default: int | None = 1, **kwargs) -> None:
-    parser.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=default, **kwargs)
+    case = argparse.ArgumentParser(add_help=False)
+    case.add_argument("--case", required=True, metavar="SPEC")
 
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--seed", type=int, default=0, metavar="N")
+    output.add_argument("--out", default="runs", metavar="DIR")
 
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
-    parser.add_argument("--dropout", type=float, default=None, metavar="R")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--folds", type=int, default=10, metavar="N")
+    sweep.add_argument("--jobs", type=int, default=1, metavar="N")
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
-
-def _add_training_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=float, default=1e-3, metavar="R")
-    parser.add_argument("--batch", type=int, default=32, metavar="N")
-    parser.add_argument("--epochs", type=int, default=50, metavar="N")
-
-
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
-    parser.add_argument("--out", default="runs", metavar="DIR")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: building it costs
-    more than a ``predict`` call's inference. Subcommand ``X`` runs
-    ``cmd_X``, looked up when it is called."""
     parser = argparse.ArgumentParser(
         prog="pyrseiz",
         description="Pyramidal 1D-CNN ensemble for EEG classification",
@@ -291,48 +281,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("models", nargs="*", metavar="MODEL")
     p.add_argument("--all", action="store_true", help="audit every model M1..M8")
 
-    p = sub.add_parser("synth", help="write a synthetic Bonn-layout dataset")
+    p = sub.add_parser("synth", parents=[output], help="write a synthetic Bonn-layout dataset")
     p.add_argument("--classes", type=int, default=3, metavar="N")
     p.add_argument("--records", type=int, default=20, metavar="N")
     p.add_argument("--length", type=int, default=BONN_RECORD_LENGTH, metavar="N")
     p.add_argument("--noise", type=float, default=0.05, metavar="R")
-    _add_common_options(p)
 
-    p = sub.add_parser("train", help="train one model on the full dataset")
-    _add_data_options(p)
-    p.add_argument("--case", required=True, metavar="SPEC")
-    _add_scheme_option(p)
-    _add_model_options(p)
-    _add_training_options(p)
-    _add_common_options(p)
+    sub.add_parser("train", parents=[run, case, output],
+                   help="train one model on the full dataset")
+    sub.add_parser("cv", parents=[run, case, output, sweep],
+                   help="k-fold cross-validation for one case")
+    sub.add_parser("battery", parents=[run, output, sweep], help="run all 16 benchmark cases")
 
-    p = sub.add_parser("cv", help="k-fold cross-validation for one case")
-    _add_data_options(p)
-    p.add_argument("--case", required=True, metavar="SPEC")
-    _add_scheme_option(p)
-    _add_model_options(p)
-    _add_training_options(p)
-    _add_common_options(p)
-    p.add_argument("--folds", type=int, default=10, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("battery", help="run all 16 benchmark cases")
-    _add_data_options(p)
-    _add_scheme_option(p)
-    _add_model_options(p)
-    _add_training_options(p)
-    _add_common_options(p)
-    p.add_argument("--folds", type=int, default=10, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("predict", help="classify one record with a checkpoint")
+    p = sub.add_parser("predict", parents=[length], help="classify one record with a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--input", required=True, metavar="FILE")
-    _add_record_length_option(p)
-    _add_scheme_option(p, default=None,
-                       help="windowing scheme (default: the checkpoint's, else 1)")
+    p.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=None,
+                   help="windowing scheme (default: the checkpoint's, else 1)")
     p.add_argument("--case", default=None, metavar="SPEC",
                    help="optional case spec used to label the vote output; "
                         "must match the checkpoint's")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +20,8 @@ SET_LETTERS = ("A", "B", "C", "D", "E")
 BONN_ALIASES: dict[str, str] = {"A": "Z", "B": "O", "C": "N", "D": "F", "E": "S"}
 
 BONN_RECORD_LENGTH = 4097
+# Bonn's recordings are sampled at 173.61 Hz; synthetic records share the rate.
+BONN_SAMPLE_RATE = 173.61
 # A synthetic record holds at least one 512-sample window.
 MIN_RECORD_LENGTH = 512
 
@@ -59,18 +62,17 @@ class EegRecord:
         return int(self.samples.size)
 
 
-def read_samples(path: str | Path, expected_length: int | None = None) -> np.ndarray:
+def read_samples(path: str | Path, expected_length: int) -> np.ndarray:
     """Parse a sample file: plain text, one sample per line, blank lines skipped.
 
     A non-numeric or non-finite (nan, inf) sample raises with its
     ``path:line``, and a file that is not UTF-8 text raises with its path;
     nothing downstream can classify such a signal. So does a sample count
-    other than ``expected_length``, when one is given: the window arithmetic
-    downstream assumes the exact length, so a record is never truncated or
-    padded.
+    other than ``expected_length``: the window arithmetic downstream assumes
+    the exact length, so a record is never truncated or padded.
     """
     samples = _parse_samples(Path(path))
-    if expected_length is not None and samples.size != expected_length:
+    if samples.size != expected_length:
         raise ValueError(
             f"{path}: wrong length, expected {expected_length} samples, found {samples.size}"
         )
@@ -177,11 +179,24 @@ def define_case(spec: str) -> ExperimentCase:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Per-set partition of record indices into k disjoint test groups."""
+    """Per-set partition of record indices into k disjoint test groups.
+
+    Every set has exactly k chunks and no record appears twice among them,
+    so no fold trains on a record it tests on.
+    """
 
     k: int
     seed: int
     assignments: dict[str, tuple[tuple[int, ...], ...]]
+
+    def __post_init__(self) -> None:
+        for group, chunks in sorted(self.assignments.items()):
+            if len(chunks) != self.k:
+                raise ValueError(f"set {group} has {len(chunks)} chunks, not k={self.k}")
+            counts = Counter(i for chunk in chunks for i in chunk)
+            repeated = sorted(i for i, n in counts.items() if n > 1)
+            if repeated:
+                raise ValueError(f"records {group}{repeated} appear twice in the fold plan")
 
     def test_ids(self, group: str, fold: int) -> tuple[int, ...]:
         return self.assignments[group][fold]
@@ -226,21 +241,22 @@ def plan_folds(
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
+# Sinusoids summed into each synthetic record.
+SYNTH_COMPONENTS = 3
+
+
 @dataclass(frozen=True)
 class BandSpec:
     """Frequency band (Hz) one synthetic class draws its sinusoids from."""
 
     low_hz: float
     high_hz: float
-    components: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low_hz < self.high_hz:
             raise ValueError(
                 f"need 0 < low_hz < high_hz, got ({self.low_hz}, {self.high_hz})"
             )
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
 
 
 def synthesize_dataset(
@@ -249,14 +265,14 @@ def synthesize_dataset(
     length: int = BONN_RECORD_LENGTH,
     noise_level: float = 0.05,
     seed: int = 0,
-    sample_rate: float = 173.61,
 ) -> list[EegRecord]:
     """Generate a labeled desk-scale dataset of band-limited sinusoid mixtures.
 
-    Class i is assigned set letter SET_LETTERS[i]. Each record sums
-    ``components`` sinusoids with frequencies drawn uniformly from the class
-    band (amplitudes in [0.5, 1.5), random phases) plus white Gaussian noise
-    scaled by ``noise_level``. Bitwise-deterministic for fixed arguments.
+    Class i is assigned set letter SET_LETTERS[i]. Each record, sampled at
+    BONN_SAMPLE_RATE, sums SYNTH_COMPONENTS sinusoids with frequencies drawn
+    uniformly from the class band (amplitudes in [0.5, 1.5), random phases)
+    plus white Gaussian noise scaled by ``noise_level``. Bitwise-deterministic
+    for fixed arguments.
     """
     profiles = list(class_profiles)
     if len(profiles) < 2:
@@ -270,14 +286,14 @@ def synthesize_dataset(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    t = np.arange(length, dtype=np.float64) / float(sample_rate)
+    t = np.arange(length, dtype=np.float64) / BONN_SAMPLE_RATE
     records: list[EegRecord] = []
     for class_index, band in enumerate(profiles):
         letter = SET_LETTERS[class_index]
         for index in range(1, num_records_per_class + 1):
-            freqs = rng.uniform(band.low_hz, band.high_hz, size=band.components)
-            amps = rng.uniform(0.5, 1.5, size=band.components)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=band.components)
+            freqs = rng.uniform(band.low_hz, band.high_hz, size=SYNTH_COMPONENTS)
+            amps = rng.uniform(0.5, 1.5, size=SYNTH_COMPONENTS)
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=SYNTH_COMPONENTS)
             signal = np.zeros(length, dtype=np.float64)
             for f, a, p in zip(freqs, amps, phases):
                 signal += a * np.sin(2.0 * np.pi * f * t + p)

@@ -100,14 +100,15 @@ def compute_metrics(cm: np.ndarray) -> dict[str, float | None]:
 
 @dataclass
 class FoldResult:
-    """Window- and instance-level scores of one cross-validation fold;
-    ``metrics`` is keyed by ``METRIC_KEYS``, in that order."""
+    """Window- and instance-level scores of one cross-validation fold and the
+    parameters it trained; ``metrics`` is keyed by ``METRIC_KEYS``, in that
+    order."""
 
     fold: int
     metrics: dict[str, float | None]
     ties: int
     confusion: np.ndarray
-    params: NetworkParameters | None = field(default=None, repr=False, compare=False)
+    params: NetworkParameters = field(repr=False, compare=False)
 
     @property
     def undefined(self) -> tuple[str, ...]:
@@ -199,23 +200,14 @@ def _run_fold(
     spec: RunSpec,
     plan: FoldPlan,
     by_set: dict[str, dict[int, EegRecord]],
-    keep_params: bool,
 ) -> FoldResult:
     case, scheme = spec.case, spec.scheme
     train_records: list[EegRecord] = []
     test_records: list[EegRecord] = []
     for letter in sorted(case.class_of_set):
-        test_ids = set(plan.test_ids(letter, fold))
-        train_ids = set(plan.train_ids(letter, fold))
-        overlap = sorted(test_ids & train_ids)
-        if overlap:
-            raise ValueError(
-                f"fold {fold}: records {letter}{overlap} appear in both the "
-                f"train and test pools"
-            )
         records = by_set[letter]
-        test_records.extend(records[i] for i in sorted(test_ids))
-        train_records.extend(records[i] for i in sorted(train_ids))
+        test_records.extend(records[i] for i in sorted(plan.test_ids(letter, fold)))
+        train_records.extend(records[i] for i in sorted(plan.train_ids(letter, fold)))
 
     training_set = augment_training(train_records, case, scheme)
     fold_config = replace(spec.training, seed=spec.training.seed + fold)
@@ -242,7 +234,7 @@ def _run_fold(
         metrics=dict(zip(METRIC_KEYS, (window_acc, *voted))),
         ties=ties,
         confusion=cm,
-        params=params if keep_params else None,
+        params=params,
     )
 
 
@@ -256,7 +248,6 @@ def run_cv(
     spec: RunSpec,
     plan: FoldPlan,
     jobs: int = 1,
-    keep_params: bool = False,
 ) -> MetricsReport:
     """Train and score one model per fold of ``spec.case``; report per-fold
     and mean metrics.
@@ -264,8 +255,9 @@ def run_cv(
     Window accuracy (acc) counts every individual test window; voted accuracy
     (acc_v) and the confusion matrix count 1024-sample test instances, four
     per record. Fold f tests on the plan's group f of every set; the other
-    groups train. Fold training seeds are spec.training.seed + fold. Folds
-    run in ``jobs`` processes (serially at 1).
+    groups train. Fold training seeds are spec.training.seed + fold, and
+    each fold keeps the parameters it trained. Folds run in ``jobs``
+    processes (serially at 1).
     """
     _check_jobs(jobs)
     case = spec.case
@@ -285,7 +277,7 @@ def run_cv(
                 f"fold plan references records absent from the dataset: "
                 f"{letter}{missing[:5]}"
             )
-    fold_args = (range(plan.k), repeat(spec), repeat(plan), repeat(by_set), repeat(keep_params))
+    fold_args = (range(plan.k), repeat(spec), repeat(plan), repeat(by_set))
     if jobs > 1:
         # imported here so that no serial run, predict included, loads
         # multiprocessing

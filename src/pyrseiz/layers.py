@@ -201,12 +201,12 @@ class BatchNormCache:
     """Training-mode intermediates needed to backprop through batch statistics."""
 
     x_hat: np.ndarray
-    inv_std: np.ndarray  # per channel, 1 / sqrt(var + eps)
+    inv_std: np.ndarray  # per channel, 1 / sqrt(var + BN_EPS)
     count: int  # batch * positions pooled into each channel statistic
 
 
 def batchnorm_train(
-    x: np.ndarray, out: np.ndarray, eps: float = BN_EPS
+    x: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, BatchNormCache, np.ndarray, np.ndarray]:
     """Normalize channel-last (B, L, C) by the batch's per-channel mean/variance.
 
@@ -225,7 +225,7 @@ def batchnorm_train(
     mean = _channel_sums(rows) / count
     np.subtract(rows, mean, out=centered)
     var = np.einsum("ij,ij->j", centered, centered) / count
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     centered *= inv_std
     return out, BatchNormCache(x_hat=out, inv_std=inv_std, count=count), mean, var
 
@@ -233,25 +233,21 @@ def batchnorm_train(
 def batchnorm_infer(
     weights: np.ndarray,
     bias: np.ndarray,
-    running_mean: np.ndarray | None,
-    running_var: np.ndarray | None,
-    eps: float = BN_EPS,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold inference batch norm into the preceding convolution.
 
     Normalizing a conv output by running statistics is itself a convolution:
-    with s = sqrt(running_var + eps) per output channel, the (K, C, Rf)
+    with s = sqrt(running_var + BN_EPS) per output channel, the (K, C, Rf)
     ``weights`` become W / s and the (K,) ``bias`` becomes (b - mean) / s.
     Returns fresh (weights', bias'); conv1d_forward with them gives the
     normalized output without a pass over the activations.
     """
-    if running_mean is None or running_var is None:
-        raise ValueError("batch-norm running statistics are uninitialized")
-    rv = np.asarray(running_var, dtype=np.float64)
-    if not np.all(np.isfinite(rv)) or np.any(rv <= 0.0):
+    if not np.all(np.isfinite(running_var)) or np.any(running_var <= 0.0):
         raise ValueError("batch-norm running variances must be finite and positive")
-    scale = np.sqrt(rv + eps)
-    return weights / scale[:, None, None], (bias - np.asarray(running_mean)) / scale
+    scale = np.sqrt(running_var + BN_EPS)
+    return weights / scale[:, None, None], (bias - running_mean) / scale
 
 
 def batchnorm_backward(
@@ -300,7 +296,6 @@ def conv_batchnorm_train(
     stride: int,
     cols: np.ndarray,
     out: np.ndarray,
-    eps: float = BN_EPS,
 ) -> tuple[np.ndarray, ConvBatchNormCache, np.ndarray, np.ndarray]:
     """batchnorm_train(conv1d_forward(x, ...)) from the statistics of the patches.
 
@@ -328,7 +323,7 @@ def conv_batchnorm_train(
     mean = w @ patch_mean + bias
     # S is positive semi-definite; round-off must not make a variance negative
     var = np.maximum(np.einsum("kj,kj->k", w @ scatter, w) / count, 0.0)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     np.matmul(centered, (w * inv_std[:, None]).T, out=_view(out, (count, k)))
     cache = ConvBatchNormCache(
         x_hat=out, inv_std=inv_std, count=count, patch_mean=patch_mean, scatter=scatter
@@ -383,15 +378,13 @@ def conv_batchnorm_backward(
     return grad_weights, grad_bias
 
 
-def update_running_stat(
-    running: np.ndarray, batch_value: np.ndarray, momentum: float = BN_MOMENTUM
-) -> np.ndarray:
-    """EMA update: momentum * running + (1 - momentum) * batch_value."""
-    return momentum * running + (1.0 - momentum) * batch_value
+def update_running_stat(running: np.ndarray, batch_value: np.ndarray) -> np.ndarray:
+    """EMA update: BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_value."""
+    return BN_MOMENTUM * running + (1.0 - BN_MOMENTUM) * batch_value
 
 
-def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

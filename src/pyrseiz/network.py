@@ -319,25 +319,24 @@ def forward(
     workspace: Workspace,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardTrace | None]:
+) -> tuple[np.ndarray | None, ForwardTrace | None]:
     """Run a window batch through the network ``params.config`` describes;
-    returns (probs, trace).
+    returns (probs, None) at inference and (None, trace) in training.
 
-    ``windows`` is (B, input_length) or a single window, and ``workspace``
-    must be built for that config and B windows: activations are written
-    into it, and ``ensemble.classify`` runs large inference batches in
-    bounded passes through one. The trace is None at inference. Training
-    mode normalizes by batch statistics and updates the running statistics
-    in place in ``params``; inference folds the running statistics into each
-    layer's conv weights and bias (``layers.batchnorm_infer``) and applies no
-    dropout. Each conv layer's ReLU is applied where its output is read: by
-    the next layer's im2col and by the flatten. The returned probabilities
-    are always a fresh array.
+    ``windows`` is (B, input_length), and ``workspace`` must be built for
+    that config and B windows: activations are written into it, and
+    ``ensemble.classify`` runs large inference batches in bounded passes
+    through one. Training mode normalizes by batch statistics and updates
+    the running statistics in place in ``params``; its loss computes the
+    probabilities from ``trace.logits`` (``layers.softmax_cross_entropy``).
+    Inference folds the running statistics into each layer's conv weights
+    and bias (``layers.batchnorm_infer``) and applies no dropout. Each conv
+    layer's ReLU is applied where its output is read: by the next layer's
+    im2col and by the flatten. The returned probabilities are always a
+    fresh array.
     """
     config = params.config
     x = np.asarray(windows, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != config.input_length:
         raise ValueError(
             f"expected windows of length {config.input_length}, got shape {x.shape}"
@@ -382,9 +381,8 @@ def forward(
         hidden, config.dropout_rate, rng=dropout_rng, training=training
     )
     logits = layers.dense_forward(dropped, params.fc2_weight, params.fc2_bias)
-    probs = layers.softmax(logits)
     if not training:
-        return probs, None
+        return layers.softmax(logits), None
     trace = ForwardTrace(
         bn_caches=bn_caches,
         fc1_pre=fc1_pre,
@@ -393,7 +391,7 @@ def forward(
         logits=logits,
         workspace=workspace,
     )
-    return probs, trace
+    return None, trace
 
 
 def backward(

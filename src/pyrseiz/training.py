@@ -160,8 +160,8 @@ def train(
             idx = order[start : start + config.batch_size]
             ws = workspace.head(idx.size)
             xb, yb = windows.batch(idx, out=ws.windows), y[idx]
-            probs, trace = forward(params, xb, ws, training=True, dropout_rng=dropout_rng)
-            losses, _, grad_logits = layers.softmax_cross_entropy(trace.logits, yb)
+            _, trace = forward(params, xb, ws, training=True, dropout_rng=dropout_rng)
+            losses, probs, grad_logits = layers.softmax_cross_entropy(trace.logits, yb)
             grads = backward(params, trace, grad_logits / idx.size)
             if not (np.isfinite(losses).all() and np.isfinite(grads.learnable).all()):
                 raise ValueError(

@@ -143,13 +143,11 @@ class WindowSet:
     def __len__(self) -> int:
         return int(self.labels.size)
 
-    def batch(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def batch(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Windows ``rows``, in that order, normalized as ``normalize`` would:
         (slice - shift) / scale. Each row is copied from its record's slice
-        into ``out``, a (len(rows), window) array, or a fresh one."""
+        into ``out``, a (len(rows), window) array."""
         rows = np.asarray(rows, dtype=np.int64)
-        if out is None:
-            out = np.empty((rows.size, self.window))
         if rows.size:
             spans = zip(self.sources[rows].tolist(), self.starts[rows].tolist())
             for j, (source, start) in enumerate(spans):

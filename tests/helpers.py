@@ -25,7 +25,7 @@ def rows_window_set(rows, labels):
 
 def all_rows(windows):
     """Every window of a WindowSet, in order, as one (n, window) array."""
-    return windows.batch(np.arange(len(windows)))
+    return windows.batch(np.arange(len(windows)), np.empty((len(windows), windows.window)))
 
 
 def origins(windows, records):

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pyrseiz.ensemble import predict_instance
 from pyrseiz.windowing import get_scheme, segment_testing
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXPECTED_TABLE3 = {21366, 21387, 41106, 41147, 8326, 8347, 14946, 14987}
 
@@ -555,6 +558,81 @@ class TestDispatch:
         assert main(["params", "M5"]) == 0
         assert main(["params", "M1"]) == 0
         assert cli.build_parser.cache_info().misses == 1
+
+
+def _subparsers():
+    """The subcommand parsers of the command line, by name."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# The flags of each parent parser, by destination.
+RUN_FLAGS = {"data_root": "--data-root", "record_length": "--record-length", "scheme": "--scheme",
+             "model": "--model", "dropout": "--dropout", "lr": "--lr", "batch": "--batch",
+             "epochs": "--epochs"}
+OUTPUT_FLAGS = {"seed": "--seed", "out": "--out"}
+SWEEP_FLAGS = {"folds": "--folds", "jobs": "--jobs", "format": "--format"}
+
+
+class TestParser:
+    def test_every_flag_is_in_the_readme_cli_reference(self):
+        """README's CLI reference names every option string of every
+        subcommand, as it would be typed."""
+        section = README.read_text().split("## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+        flags = {
+            flag
+            for parser in _subparsers().values()
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        }
+        assert {"--length", "--noise", "--all", "--checkpoint"} <= flags
+        missing = sorted(f for f in flags if not re.search(f"`{re.escape(f)}[ `]", section))
+        assert missing == []
+
+    @pytest.mark.parametrize("run_output, sweep", [
+        ([], []),
+        (["--data-root", "d", "--record-length", "600", "--scheme", "2", "--model", "m7",
+          "--dropout", "0.2", "--lr", "0.01", "--batch", "8", "--epochs", "3", "--seed", "4",
+          "--out", "o"],
+         ["--folds", "3", "--jobs", "2", "--format", "json"]),
+    ])
+    def test_shared_flags_parse_alike_in_every_subcommand(self, run_output, sweep):
+        """train, cv and battery read the run, output and sweep flags from
+        the same parent parsers, so the same arguments give the same values;
+        train takes no sweep flag."""
+        parse = cli.build_parser().parse_args
+        train = vars(parse(["train", "--case", "A-E", *run_output]))
+        cv = vars(parse(["cv", "--case", "A-E", *run_output, *sweep]))
+        battery = vars(parse(["battery", *run_output, *sweep]))
+        for dest in (*RUN_FLAGS, *OUTPUT_FLAGS):
+            assert train[dest] == cv[dest] == battery[dest], dest
+        for dest in SWEEP_FLAGS:
+            assert cv[dest] == battery[dest], dest
+        assert not set(SWEEP_FLAGS) & set(train)
+
+    def test_each_parent_flag_is_one_declaration(self):
+        """A shared flag is the same argparse action in every subcommand
+        that takes it: declared once, in its parent parser."""
+        subparsers = _subparsers()
+        for flags, commands in ((RUN_FLAGS, ("train", "cv", "battery")),
+                                (OUTPUT_FLAGS, ("synth", "train", "cv", "battery")),
+                                (SWEEP_FLAGS, ("cv", "battery"))):
+            for flag in flags.values():
+                actions = {id(subparsers[c]._option_string_actions[flag]) for c in commands}
+                assert len(actions) == 1, flag
+
+    @pytest.mark.parametrize("command", ["params", "synth", "train", "cv", "battery", "predict"])
+    def test_help_exits_0(self, command):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "pyrseiz", command, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(f"usage: pyrseiz {command} ")
 
 
 def test_python_dash_m_runs_the_command_line():

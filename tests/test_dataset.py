@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from oracles import read_samples_by_line
 from pyrseiz.dataset import (
     BONN_ALIASES,
+    BONN_SAMPLE_RATE,
     SET_LETTERS,
     BandSpec,
     EegRecord,
+    FoldPlan,
     define_case,
     ids_by_set,
     load_bonn_root,
@@ -144,10 +146,10 @@ class TestReadSamples:
             expected = read_samples_by_line(path)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
-                read_samples(path)
+                read_samples(path, 1)  # a bad sample is named before the length
             assert str(info.value) == str(exc)
             return
-        got = read_samples(path)
+        got = read_samples(path, expected.size)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
@@ -155,7 +157,7 @@ class TestReadSamples:
         path = tmp_path / "A001.txt"
         path.write_bytes(b"1.0\n\xff\n2.0\n")
         with pytest.raises(ValueError) as info:
-            read_samples(path)
+            read_samples(path, 3)
         assert str(info.value) == f"{path}: not a UTF-8 text sample file"
 
     @pytest.mark.parametrize(
@@ -173,10 +175,10 @@ class TestReadSamples:
 
         monkeypatch.setattr(Path, "open", counting_open)
         if error is None:
-            assert read_samples(path).tolist() == [1.0, 2.0]
+            assert read_samples(path, 2).tolist() == [1.0, 2.0]
         else:
             with pytest.raises(ValueError, match=error):
-                read_samples(path)
+                read_samples(path, 3)
         assert opens == [path]
 
 
@@ -270,6 +272,19 @@ class TestPlanFolds:
             assert not test & train
             assert test | train == set(range(1, 101))
 
+    def test_plan_with_a_missing_chunk_rejected(self):
+        """A set of two chunks in a three-fold plan would leave fold 3
+        without a test group; run_cv died of an IndexError after two folds."""
+        with pytest.raises(ValueError, match=r"^set A has 2 chunks, not k=3$"):
+            FoldPlan(k=3, seed=0, assignments={"A": ((1,), (2, 3)), "B": ((1,), (2, 3))})
+
+    @pytest.mark.parametrize("chunks, repeated", [(((1, 2), (2, 3)), 2), (((1, 1), (2, 3)), 1)])
+    def test_plan_repeating_a_record_rejected(self, chunks, repeated):
+        """In two chunks, a fold would test on a record it trains on."""
+        message = rf"^records A\[{repeated}\] appear twice in the fold plan$"
+        with pytest.raises(ValueError, match=message):
+            FoldPlan(k=2, seed=0, assignments={"A": chunks, "B": ((1,), (2,))})
+
     @settings(max_examples=40)
     @given(
         n=st.integers(min_value=4, max_value=60),
@@ -299,14 +314,19 @@ class TestSynthesize:
             assert ra.set_label == rb.set_label and ra.index == rb.index
             assert np.array_equal(ra.samples, rb.samples)
 
-    def test_noiseless_single_component_is_pure_tone(self):
-        """No noise, one component: x[n+1] + x[n-1] = 2 cos(w) x[n] holds exactly."""
-        profiles = [BandSpec(5, 6, components=1), BandSpec(20, 25, components=1)]
-        records = synthesize_dataset(1, profiles, length=4096, noise_level=0.0, seed=2)
-        x = records[0].samples
-        cos_w = float((x[1:-1] * (x[2:] + x[:-2])).sum() / (2.0 * (x[1:-1] ** 2).sum()))
-        residual = x[2:] + x[:-2] - 2.0 * cos_w * x[1:-1]
-        assert np.max(np.abs(residual)) < 1e-9
+    def test_noiseless_records_lie_in_their_class_band(self):
+        """No noise: all but 1e-6 of a Hann-windowed record's spectral energy,
+        at BONN_SAMPLE_RATE, lies within 0.5 Hz of its class band. The
+        default noise leaves about 1e-3 outside, and reading the samples at
+        100 Hz all of it."""
+        profiles = [BandSpec(5, 6), BandSpec(20, 25)]
+        records = synthesize_dataset(2, profiles, length=4096, noise_level=0.0, seed=2)
+        freqs = np.fft.rfftfreq(4096, 1.0 / BONN_SAMPLE_RATE)
+        for record in records:
+            band = profiles[SET_LETTERS.index(record.set_label)]
+            power = np.abs(np.fft.rfft(record.samples * np.hanning(4096))) ** 2
+            inside = (freqs > band.low_hz - 0.5) & (freqs < band.high_hz + 0.5)
+            assert power[~inside].sum() < 1e-6 * power.sum()
 
     def test_class_letters_and_lengths(self):
         profiles = [BandSpec(2, 4), BandSpec(8, 12), BandSpec(20, 30)]

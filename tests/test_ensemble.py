@@ -243,7 +243,7 @@ class TestPredictInstance:
         assert solo_scheme.ensemble_width == 1
         instance = _instance_from(all_rows(windows), int(windows.labels[0]), 1)
         record = predict_instance(params, cfg, instance, solo_scheme)
-        probs, _ = forward(params, instance.windows[0], Workspace(cfg, 1), training=False)
+        probs, _ = forward(params, instance.windows[:1], Workspace(cfg, 1), training=False)
         assert record.final == int(probs[0].argmax()) and record.tie_broken is False
 
 

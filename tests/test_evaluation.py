@@ -28,7 +28,7 @@ from pyrseiz.evaluation import (
     run_battery,
     run_cv,
 )
-from pyrseiz.network import ModelConfig, model_config
+from pyrseiz.network import ModelConfig, NetworkParameters, model_config
 from pyrseiz.training import TrainingConfig
 from pyrseiz.windowing import SCHEME_1, SCHEME_2
 
@@ -159,18 +159,18 @@ class TestRunCv:
         assert report.case == case.name
 
     def test_leakage_guard(self, cv_setup):
-        records, case, plan, training = cv_setup
+        """A plan that would train on records it tests on cannot be built."""
+        _, _, plan, _ = cv_setup
         ids = plan.assignments["A"]
-        corrupt = FoldPlan(
-            k=2,
-            seed=plan.seed,
-            assignments={
-                "A": (ids[0], ids[0]),  # same records in both folds
-                "B": plan.assignments["B"],
-            },
-        )
-        with pytest.raises(ValueError, match="both the train and test"):
-            run_cv(records, RunSpec(case, SCHEME_1, TINY_MODEL, training), corrupt)
+        with pytest.raises(ValueError, match=r"^records A\[.*\] appear twice in the fold plan$"):
+            FoldPlan(
+                k=2,
+                seed=plan.seed,
+                assignments={
+                    "A": (ids[0], ids[0]),  # same records in both folds
+                    "B": plan.assignments["B"],
+                },
+            )
 
     def test_plan_referencing_missing_records(self, cv_setup):
         records, case, plan, training = cv_setup
@@ -207,13 +207,17 @@ class TestRunCv:
         assert len(lines) == 1 + 10 + 1
         assert lines[-1].split(",")[3] == "mean"
 
-    def test_keep_params_and_parallel_jobs_match_serial(self, cv_setup):
+    def test_parallel_jobs_match_serial_params_and_all(self, cv_setup):
+        """Every fold keeps the parameters it trained, bitwise the same in
+        worker processes."""
         records, case, plan, training = cv_setup
         spec = RunSpec(case, SCHEME_1, TINY_MODEL, training)
-        serial = run_cv(records, spec, plan, keep_params=True)
+        serial = run_cv(records, spec, plan)
         parallel = run_cv(records, spec, plan, jobs=2)
-        assert all(f.params is not None for f in serial.folds)
         assert report_to_dict(serial) == report_to_dict(parallel)
+        for a, b in zip(serial.folds, parallel.folds):
+            assert a.params.config == b.params.config
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, cv_setup, jobs):
@@ -374,6 +378,7 @@ class TestEmitReport:
             metrics=dict(zip(METRIC_KEYS, (1.0, *compute_metrics(cm).values()))),
             ties=0,
             confusion=cm,
+            params=NetworkParameters(TINY_MODEL),
         )
         report = MetricsReport(
             case="A-B", scheme_id=1, model="M5", folds=[fold],

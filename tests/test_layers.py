@@ -11,7 +11,7 @@ from oracles import (
     max_relative_error,
 )
 from pyrseiz import layers
-from pyrseiz.network import MODEL_NAMES, init_parameters, model_config
+from pyrseiz.network import MODEL_NAMES, ModelConfig, NetworkParameters, init_parameters, model_config
 
 
 def _channel_last(a):
@@ -299,13 +299,12 @@ class TestBatchNorm:
         assert np.array_equal(in_place, gx)
 
     @staticmethod
-    def _folded_conv(x, running_mean, running_var, **kwargs):
+    def _folded_conv(x, running_mean, running_var):
         """Batch norm of channel-last x by running statistics, as inference
         runs it: folded into a 1-tap identity convolution with zero bias."""
         channels = x.shape[2]
         weights, bias = layers.batchnorm_infer(
-            np.eye(channels)[:, :, None], np.zeros(channels), running_mean, running_var,
-            **kwargs,
+            np.eye(channels)[:, :, None], np.zeros(channels), running_mean, running_var
         )
         return fresh_conv(x, weights, bias, 1)
 
@@ -316,22 +315,30 @@ class TestBatchNorm:
 
     def test_inference_normalizes_each_channel(self):
         x = np.array([[[1.0, 10.0], [3.0, 20.0]]])
-        y = self._folded_conv(x, np.array([1.0, 10.0]), np.array([4.0, 100.0]), eps=0.0)
-        assert y.tolist() == [[[0.0, 0.0], [1.0, 1.0]]]
+        y = self._folded_conv(x, np.array([1.0, 10.0]), np.array([4.0, 100.0]))
+        s = np.sqrt(np.array([4.0, 100.0]) + layers.BN_EPS)
+        assert np.allclose(y, [[[0.0, 0.0], [2.0, 10.0] / s]], rtol=1e-15, atol=1e-15)
 
     def test_inference_folds_into_weights_and_bias(self):
         weights = np.arange(12.0).reshape(2, 3, 2)
         weights_folded, bias_folded = layers.batchnorm_infer(
-            weights, np.array([1.0, 2.0]), np.array([3.0, -2.0]), np.array([4.0, 16.0]), eps=0.0
+            weights, np.array([1.0, 2.0]), np.array([3.0, -2.0]), np.array([4.0, 16.0])
         )
+        s = np.sqrt(np.array([4.0, 16.0]) + layers.BN_EPS)  # about 2 and 4
         assert weights_folded.shape == weights.shape
-        assert np.array_equal(weights_folded[0], weights[0] / 2.0)
-        assert np.array_equal(weights_folded[1], weights[1] / 4.0)
-        assert bias_folded.tolist() == [-1.0, 1.0]
+        assert np.array_equal(weights_folded[0], weights[0] / s[0])
+        assert np.array_equal(weights_folded[1], weights[1] / s[1])
+        assert bias_folded.tolist() == [-2.0 / s[0], 4.0 / s[1]]
 
-    def test_inference_requires_initialized_stats(self):
-        with pytest.raises(ValueError, match="uninitialized"):
-            layers.batchnorm_infer(np.ones((1, 1, 1)), np.zeros(1), None, None)
+    def test_inference_rejects_parameters_without_running_stats(self):
+        """Parameters never initialized hold zero running variances, which
+        inference refuses rather than dividing by sqrt(BN_EPS)."""
+        params = NetworkParameters(ModelConfig())
+        with pytest.raises(ValueError, match="finite and positive"):
+            layers.batchnorm_infer(
+                params.conv_weights[0], params.conv_biases[0],
+                params.bn_running_mean[0], params.bn_running_var[0],
+            )
 
     def test_inference_rejects_bad_variance(self):
         with pytest.raises(ValueError, match="finite and positive"):

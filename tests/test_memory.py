@@ -89,7 +89,7 @@ def test_fold_test_side_peak_does_not_grow_with_its_records():
     for n_test in (2, 8):
         test_ids = tuple(range(3, 3 + n_test))
         plan = FoldPlan(k=2, seed=0, assignments={s: (test_ids, (1, 2)) for s in "AE"})
-        peaks.append(_traced_peak(lambda: _run_fold(0, spec, plan, by_set, False)))
+        peaks.append(_traced_peak(lambda: _run_fold(0, spec, plan, by_set)))
     extra_bytes = 12 * records[0].samples.nbytes
     assert peaks[1] - peaks[0] < extra_bytes
 
