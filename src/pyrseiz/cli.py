@@ -23,6 +23,7 @@ from .dataset import (
     BONN_RECORD_LENGTH,
     MIN_RECORD_LENGTH,
     SET_LETTERS,
+    SYNTH_NOISE_LEVEL,
     BandSpec,
     EegRecord,
     ExperimentCase,
@@ -238,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     more than a ``predict`` call's inference. Subcommand ``X`` runs
     ``cmd_X``, looked up when it is called. A flag that several subcommands
     take is declared once, in a parent parser they share."""
+    training = TrainingConfig()
     length = argparse.ArgumentParser(add_help=False)
     length.add_argument(
         "--record-length",
@@ -255,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=1)
     run.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
     run.add_argument("--dropout", type=float, default=None, metavar="R")
-    run.add_argument("--lr", type=float, default=1e-3, metavar="R")
-    run.add_argument("--batch", type=int, default=32, metavar="N")
-    run.add_argument("--epochs", type=int, default=50, metavar="N")
+    run.add_argument("--lr", type=float, default=training.learning_rate, metavar="R")
+    run.add_argument("--batch", type=int, default=training.batch_size, metavar="N")
+    run.add_argument("--epochs", type=int, default=training.epochs, metavar="N")
 
     case = argparse.ArgumentParser(add_help=False)
     case.add_argument("--case", required=True, metavar="SPEC")
 
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--seed", type=int, default=0, metavar="N")
+    output.add_argument("--seed", type=int, default=training.seed, metavar="N")
     output.add_argument("--out", default="runs", metavar="DIR")
 
     sweep = argparse.ArgumentParser(add_help=False)
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=3, metavar="N")
     p.add_argument("--records", type=int, default=20, metavar="N")
     p.add_argument("--length", type=int, default=BONN_RECORD_LENGTH, metavar="N")
-    p.add_argument("--noise", type=float, default=0.05, metavar="R")
+    p.add_argument("--noise", type=float, default=SYNTH_NOISE_LEVEL, metavar="R")
 
     sub.add_parser("train", parents=[run, case, output],
                    help="train one model on the full dataset")

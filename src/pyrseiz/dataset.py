@@ -22,8 +22,9 @@ BONN_ALIASES: dict[str, str] = {"A": "Z", "B": "O", "C": "N", "D": "F", "E": "S"
 BONN_RECORD_LENGTH = 4097
 # Bonn's recordings are sampled at 173.61 Hz; synthetic records share the rate.
 BONN_SAMPLE_RATE = 173.61
-# A synthetic record holds at least one 512-sample window.
-MIN_RECORD_LENGTH = 512
+# Samples in a window, the network's input; a synthetic record holds one at least.
+WINDOW_SIZE = 512
+MIN_RECORD_LENGTH = WINDOW_SIZE
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ def _parse_samples(path: Path) -> np.ndarray:
         raise ValueError(f"{path}: not a UTF-8 text sample file") from None
     if lines[-1] == "":
         lines.pop()
-    try:  # numpy parses each string as float() does
-        values = np.array(lines, dtype=np.float64)
+    try:  # the loop's float() rule, in one call while no line is blank or bad
+        values = np.fromiter(map(float, lines), np.float64, len(lines))
     except ValueError:
         pass  # a blank or bad line: the loop below skips or names it
     else:
@@ -181,8 +182,8 @@ def define_case(spec: str) -> ExperimentCase:
 class FoldPlan:
     """Per-set partition of record indices into k disjoint test groups.
 
-    Every set has exactly k chunks and no record appears twice among them,
-    so no fold trains on a record it tests on.
+    Every set has exactly k nonempty chunks and no record appears twice among
+    them, so every fold tests and trains on each set, never on the same record.
     """
 
     k: int
@@ -193,6 +194,9 @@ class FoldPlan:
         for group, chunks in sorted(self.assignments.items()):
             if len(chunks) != self.k:
                 raise ValueError(f"set {group} has {len(chunks)} chunks, not k={self.k}")
+            for fold, chunk in enumerate(chunks, start=1):
+                if not chunk:
+                    raise ValueError(f"set {group} has no test records in fold {fold}")
             counts = Counter(i for chunk in chunks for i in chunk)
             repeated = sorted(i for i, n in counts.items() if n > 1)
             if repeated:
@@ -241,8 +245,9 @@ def plan_folds(
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
-# Sinusoids summed into each synthetic record.
+# Sinusoids summed into each synthetic record, and its default noise scale.
 SYNTH_COMPONENTS = 3
+SYNTH_NOISE_LEVEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -263,7 +268,7 @@ def synthesize_dataset(
     num_records_per_class: int,
     class_profiles: Sequence[BandSpec],
     length: int = BONN_RECORD_LENGTH,
-    noise_level: float = 0.05,
+    noise_level: float = SYNTH_NOISE_LEVEL,
     seed: int = 0,
 ) -> list[EegRecord]:
     """Generate a labeled desk-scale dataset of band-limited sinusoid mixtures.
@@ -283,6 +288,8 @@ def synthesize_dataset(
         raise ValueError(f"record length must be >= {MIN_RECORD_LENGTH}, got {length}")
     if num_records_per_class < 1:
         raise ValueError("num_records_per_class must be >= 1")
+    if not (math.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from .artifacts import write_atomic
 from .dataset import EegRecord, ExperimentCase, FoldPlan, define_case, ids_by_set, plan_folds
 from .ensemble import classify
 from .network import ModelConfig, NetworkParameters
-from .training import TrainingConfig, train
+from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingConfig, train
 from .windowing import SchemeSpec, augment_training, segment_testing
 
 # Window accuracy, voted accuracy, then the rates compute_metrics derives
@@ -178,11 +178,16 @@ class RunSpec:
         return replace(self, case=case, model=replace(self.model, num_classes=case.num_classes))
 
     def settings(self, plan: FoldPlan) -> dict[str, object]:
-        """The settings a JSON report echoes. Training always shuffles and
-        weights every class equally; the report still states both."""
+        """The settings a JSON report echoes. Training always shuffles, weights
+        every class equally and uses Adam's constants; the report states them."""
+        training = asdict(self.training)
         return {
             **asdict(self.model),
-            **asdict(self.training),
+            "learning_rate": training.pop("learning_rate"),
+            "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2,
+            "eps": ADAM_EPS,
+            **training,
             "shuffle": True,
             "balance_classes": False,
             "folds": plan.k,
@@ -324,7 +329,7 @@ class BatteryReport:
 def run_battery(
     records: Sequence[EegRecord],
     template: RunSpec,
-    k: int = 10,
+    k: int,
     cases: Sequence[str] = BATTERY_CASES,
     jobs: int = 1,
 ) -> BatteryReport:

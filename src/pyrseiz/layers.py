@@ -20,16 +20,16 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def conv_output_length(signal_length: int, receptive_field: int, stride: int) -> int:
-    """Output positions of a valid strided sweep: (L - Rf) // stride + 1."""
+def count_windows(signal_length: int, window: int, stride: int) -> int:
+    """Windows a valid strided sweep fits into a signal, (L - window) // stride
+    + 1: a conv layer's output positions, or a record's training windows."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if signal_length < receptive_field:
-        raise ValueError(
-            f"input length {signal_length} is shorter than the receptive field "
-            f"{receptive_field}"
-        )
-    return (signal_length - receptive_field) // stride + 1
+    if window > signal_length:
+        raise ValueError(f"window {window} exceeds signal length {signal_length}")
+    return (signal_length - window) // stride + 1
 
 
 def _view(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -65,7 +65,7 @@ def im2col(
     max(x, 0), rectified as they are copied. ``out`` must be C-contiguous.
     """
     batch, length, channels = x.shape
-    m = conv_output_length(length, receptive_field, stride)
+    m = count_windows(length, receptive_field, stride)
     sb, sl, sc = x.strides
     patches = as_strided(
         x, (batch, m, receptive_field, channels), (sb, stride * sl, sl, sc), writeable=False
@@ -177,7 +177,7 @@ def conv1d_backward(
     if (
         grad_x.ndim != 3
         or (grad_x.shape[0], grad_x.shape[2]) != (batch, c)
-        or conv_output_length(grad_x.shape[1], rf, stride) != m
+        or count_windows(grad_x.shape[1], rf, stride) != m
     ):
         raise ValueError(f"grad_x shape {grad_x.shape} does not match the columns")
     length = grad_x.shape[1]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import layers
-from .layers import conv_output_length
+from .dataset import WINDOW_SIZE
 
 PYRAMID_KERNELS = (24, 16, 8)
 TRADITIONAL_KERNELS = (8, 16, 24)
@@ -46,7 +46,7 @@ class ModelConfig:
     fc1_width: int = 20
     dropout_rate: float = 0.5
     num_classes: int = 2
-    input_length: int = 512
+    input_length: int = WINDOW_SIZE
 
     def __post_init__(self) -> None:
         for name in ("kernel_counts", "receptive_fields", "strides"):
@@ -69,7 +69,7 @@ class ModelConfig:
         """The conv stack's geometry, the one table its tensor and buffer shapes read."""
         table, channels, length = [], 1, self.input_length
         for k, rf, stride in zip(self.kernel_counts, self.receptive_fields, self.strides):
-            out = conv_output_length(length, rf, stride)
+            out = layers.count_windows(length, rf, stride)
             table.append(ConvLayer(channels, k, rf, stride, length, out))
             channels, length = k, out
         return tuple(table)

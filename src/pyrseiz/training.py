@@ -21,29 +21,26 @@ from .network import (
 )
 from .windowing import WindowSet
 
+# Adam's moment decay rates and denominator guard, the standard values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Optimizer and loop settings; defaults follow the standard Adam values."""
+    """Learning rate and loop settings; Adam's other constants are fixed."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (("learning_rate", self.learning_rate), ("eps", self.eps)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -79,23 +76,24 @@ def adam_step(
     """One Adam update of the whole learnable vector, in place.
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2; bias-corrected m_hat/v_hat;
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). Every intermediate
-    lives in ``state.scratch``, so a step allocates nothing.
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), with b1, b2 and eps
+    the ``ADAM_*`` constants. Every intermediate lives in ``state.scratch``,
+    so a step allocates nothing.
     """
     if grads.config != params.config:
         raise ValueError("gradient was built for another model config than the parameters")
     state.t += 1
-    bias1 = 1.0 - config.beta1 ** state.t
-    bias2 = 1.0 - config.beta2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     g, m, v = grads.learnable, state.m, state.v
     a, b = state.scratch
-    m *= config.beta1
-    m += np.multiply(1.0 - config.beta1, g, out=a)
-    v *= config.beta2
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=a)
-    v += np.multiply(1.0 - config.beta2, a, out=a)
+    v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
     np.multiply(config.learning_rate, np.divide(m, bias1, out=a), out=a)
-    np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), config.eps, out=b)
+    np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), ADAM_EPS, out=b)
     params.learnable -= np.divide(a, b, out=a)
     return params, state
 

@@ -8,24 +8,11 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import EegRecord, ExperimentCase
+from .dataset import WINDOW_SIZE, EegRecord, ExperimentCase
+from .layers import count_windows
 
-WINDOW_SIZE = 512
 TEST_INSTANCE_LENGTH = 1024
 NORM_EPS = 1e-8
-
-
-def count_windows(signal_length: int, window: int, stride: int) -> int:
-    """Number of windows a window/stride sweep fits into a signal."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if window > signal_length:
-        raise ValueError(
-            f"window {window} exceeds signal length {signal_length}"
-        )
-    return (signal_length - window) // stride + 1
 
 
 def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ def origins(windows, records):
 def fresh_cols(x, receptive_field, stride, relu=False):
     """``layers.im2col`` of the channel-last batch ``x`` into a fresh array."""
     batch, length, channels = x.shape
-    m = layers.conv_output_length(length, receptive_field, stride)
+    m = layers.count_windows(length, receptive_field, stride)
     out = np.empty((batch, m, receptive_field * channels))
     return layers.im2col(x, receptive_field, stride, out, relu=relu)
 
@@ -49,7 +49,7 @@ def fresh_conv(x, weights, bias, stride, relu=False):
     """``layers.conv1d_forward`` into fresh patches and output."""
     batch, length, _ = x.shape
     k, c, rf = weights.shape
-    m = layers.conv_output_length(length, rf, stride)
+    m = layers.count_windows(length, rf, stride)
     cols, out = np.empty((batch, m, rf * c)), np.empty((batch, m, k))
     return layers.conv1d_forward(x, weights, bias, stride, cols, out, relu=relu)
 

@@ -11,6 +11,9 @@ from collections import Counter
 
 import numpy as np
 
+# Adam's constants come from the package; the update formulas are written out below
+from pyrseiz.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
 
 def central_difference(loss_fn, tensor: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of a scalar function w.r.t. an array."""
@@ -135,14 +138,14 @@ def adam_step_allocating(params, grads, state, config):
     """The Adam update as one expression per moment and one for the step,
     each allocating its intermediates."""
     state.t += 1
-    bias1 = 1.0 - config.beta1 ** state.t
-    bias2 = 1.0 - config.beta2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     g, m, v = grads.learnable, state.m, state.v
-    m *= config.beta1
-    m += (1.0 - config.beta1) * g
-    v *= config.beta2
-    v += (1.0 - config.beta2) * (g * g)
-    params.learnable -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    params.learnable -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def window_matrix(records, stride, window=512):

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import os
 import re
 import subprocess
@@ -12,8 +13,9 @@ from oracles import save_checkpoint_v1
 from pyrseiz import cli
 from pyrseiz.checkpoint import load_checkpoint, save_checkpoint
 from pyrseiz.cli import main
-from pyrseiz.dataset import define_case, load_bonn_root
+from pyrseiz.dataset import define_case, load_bonn_root, synthesize_dataset
 from pyrseiz.ensemble import predict_instance
+from pyrseiz.training import TrainingConfig
 from pyrseiz.windowing import get_scheme, segment_testing
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -501,6 +503,17 @@ class TestOptionValues:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "-1"])
+    def test_bad_noise_level_exits_1_with_one_line(self, tmp_path, capsys, noise):
+        out = tmp_path / "data"
+        assert main(["synth", "--noise", noise, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: noise_level must be finite and >= 0, got {float(noise)}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_no_synthetic_records_exits_1_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(["synth", "--records", "0", "--out", str(out)]) == 1
@@ -611,6 +624,15 @@ class TestParser:
         for dest in SWEEP_FLAGS:
             assert cv[dest] == battery[dest], dest
         assert not set(SWEEP_FLAGS) & set(train)
+
+    def test_unset_flags_take_the_librarys_defaults(self):
+        """A run given no training flag trains with ``TrainingConfig``'s
+        settings, and synth adds ``synthesize_dataset``'s default noise."""
+        parse = cli.build_parser().parse_args
+        args = parse(["cv", "--case", "A-E"])
+        assert TrainingConfig(args.lr, args.batch, args.epochs, args.seed) == TrainingConfig()
+        noise = inspect.signature(synthesize_dataset).parameters["noise_level"].default
+        assert parse(["synth"]).noise == noise
 
     def test_each_parent_flag_is_one_declaration(self):
         """A shared flag is the same argparse action in every subcommand

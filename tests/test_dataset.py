@@ -278,6 +278,13 @@ class TestPlanFolds:
         with pytest.raises(ValueError, match=r"^set A has 2 chunks, not k=3$"):
             FoldPlan(k=3, seed=0, assignments={"A": ((1,), (2, 3)), "B": ((1,), (2, 3))})
 
+    def test_plan_with_an_empty_chunk_rejected(self):
+        """Fold 1 would test no record of set A and fold 2 train on none;
+        run_cv trained fold 1, then failed in fold 2 with
+        "no training windows for class(es) [0]"."""
+        with pytest.raises(ValueError, match=r"^set A has no test records in fold 1$"):
+            FoldPlan(k=2, seed=0, assignments={"A": ((), (1, 2, 3, 4)), "B": ((1, 2), (3, 4))})
+
     @pytest.mark.parametrize("chunks, repeated", [(((1, 2), (2, 3)), 2), (((1, 1), (2, 3)), 1)])
     def test_plan_repeating_a_record_rejected(self, chunks, repeated):
         """In two chunks, a fold would test on a record it trains on."""
@@ -346,6 +353,14 @@ class TestSynthesize:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             synthesize_dataset(3, [BandSpec(2, 4), BandSpec(8, 12)], seed=-1)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+    def test_bad_noise_level_rejected(self, noise):
+        """A nan or inf noise level made every sample non-finite, and a
+        negative one was accepted."""
+        message = rf"^noise_level must be finite and >= 0, got {noise}$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_dataset(3, [BandSpec(2, 4), BandSpec(8, 12)], noise_level=noise)
 
 
 _SET_NAMES = st.sampled_from(

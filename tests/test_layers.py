@@ -98,7 +98,7 @@ class TestConvForward:
         assert np.array_equal(x, before)
 
     def test_input_shorter_than_kernel(self):
-        with pytest.raises(ValueError, match="shorter than the receptive field"):
+        with pytest.raises(ValueError, match="exceeds signal length"):
             layers.conv1d_forward(
                 np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1,
                 np.empty((1, 1, 5)), np.empty((1, 1, 1)),

@@ -54,7 +54,7 @@ class TestModelConfig:
         assert ModelConfig(kernel_counts=(8, 8, 8)).family == "custom"
 
     def test_infeasible_chain_rejected(self):
-        with pytest.raises(ValueError, match="shorter than the receptive field"):
+        with pytest.raises(ValueError, match="exceeds signal length"):
             ModelConfig(input_length=4)
 
     def test_validation(self):
