@@ -6,7 +6,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 # One BLAS thread unless the user chose a count. A second OpenBLAS thread
@@ -21,7 +21,6 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     BONN_RECORD_LENGTH,
-    MIN_RECORD_LENGTH,
     SET_LETTERS,
     SYNTH_NOISE_LEVEL,
     BandSpec,
@@ -44,7 +43,7 @@ from .evaluation import (
     run_battery,
     run_cv,
 )
-from .network import MODEL_GRID, MODEL_NAMES, count_parameters, model_config
+from .network import MODEL_NAMES, count_parameters, model_config
 from .training import TrainingConfig, train, write_history_csv
 from .windowing import _SCHEMES, augment_training, get_scheme, segment_signal
 
@@ -65,22 +64,12 @@ def _run(
 ) -> tuple[RunSpec, list[EegRecord]]:
     """The run the model, training and scheme options describe, and the
     records it reads from the dataset root; without a case, the battery's
-    template (two classes until ``for_case``) and every set. A run of no
-    epochs would report the untrained initial weights as a result, so the
-    command line asks for at least one. Bad training options are named by
-    their flags."""
-    if args.epochs < 1:
-        raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
-    if args.batch < 1:
-        raise ValueError(f"--batch must be >= 1, got {args.batch}")
-    if args.lr <= 0:
-        raise ValueError(f"--lr must be positive, got {args.lr}")
+    template (two classes until ``for_case``) and every set. Each training
+    flag's destination is its ``TrainingConfig`` field."""
     model = model_config(
-        args.model, 2 if case is None else case.num_classes, dropout_rate=args.dropout
+        args.model, 2 if case is None else case.num_classes, dropout_rate=args.dropout_rate
     )
-    training = TrainingConfig(
-        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed
-    )
+    training = TrainingConfig(**{f.name: getattr(args, f.name) for f in fields(TrainingConfig)})
     spec = RunSpec(case, get_scheme(args.scheme), model, training, args.model)
     root = args.data_root or os.environ.get(DATA_ENV_VAR)
     if not root:
@@ -89,34 +78,16 @@ def _run(
     return spec, load_bonn_root(root, letters=letters, expected_length=args.record_length)
 
 
-def _folds(args: argparse.Namespace, groups: dict[str, list[int]]) -> int:
-    """``--folds``, which every set in ``groups`` (record ids by set letter)
-    must have records enough for."""
-    if args.folds < 2:
-        raise ValueError(f"--folds must be >= 2, got {args.folds}")
-    for letter, ids in sorted(groups.items()):
-        if len(ids) < args.folds:
-            raise ValueError(
-                f"set {letter} has {len(ids)} records, fewer than --folds {args.folds}; "
-                "lower --folds"
-            )
-    return args.folds
-
-
 def cmd_params(args: argparse.Namespace) -> int:
     names = list(args.models)
     if args.all or not names:
         names = list(MODEL_NAMES)
-    unknown = [n for n in names if n.upper() not in MODEL_GRID]
-    if unknown:
-        raise ValueError(
-            f"unknown model name(s) {unknown}; valid names: {', '.join(MODEL_NAMES)}"
-        )
+    # every name resolves before anything prints
+    rows = [(name.upper(), model_config(name, 2), model_config(name, 3)) for name in names]
     print(f"{'model':<6}{'family':<13}{'fc1':>4}{'dropout':>9}{'params(2)':>11}{'params(3)':>11}")
-    for name in names:
-        two, three = model_config(name, 2), model_config(name, 3)
+    for name, two, three in rows:
         print(
-            f"{name.upper():<6}{two.family:<13}{two.fc1_width:>4}"
+            f"{name:<6}{two.family:<13}{two.fc1_width:>4}"
             f"{two.dropout_rate:>9}{count_parameters(two):>11}{count_parameters(three):>11}"
         )
     return 0
@@ -125,16 +96,12 @@ def cmd_params(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not 2 <= args.classes <= len(SYNTH_BANDS):
         raise ValueError(f"--classes must be in [2, {len(SYNTH_BANDS)}]")
-    if args.records < 1:
-        raise ValueError(f"--records must be >= 1, got {args.records}")
-    if args.length < MIN_RECORD_LENGTH:
-        raise ValueError(f"--length must be >= {MIN_RECORD_LENGTH}, got {args.length}")
     profiles = [BandSpec(low, high) for low, high in SYNTH_BANDS[: args.classes]]
     records = synthesize_dataset(
-        num_records_per_class=args.records,
+        num_records_per_class=args.num_records_per_class,
         class_profiles=profiles,
         length=args.length,
-        noise_level=args.noise,
+        noise_level=args.noise_level,
         seed=args.seed,
     )
     out = Path(args.out)
@@ -161,8 +128,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     spec, records = _run(args, define_case(args.case))
     case, scheme = spec.case, spec.scheme
-    groups = ids_by_set(records)
-    plan = plan_folds(groups, k=_folds(args, groups), seed=args.seed)
+    plan = plan_folds(ids_by_set(records), k=args.k, seed=args.seed)
     report = run_cv(records, spec, plan, jobs=args.jobs)
     out = Path(args.out)
     stem = spec.stem("cv")
@@ -184,7 +150,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_battery(args: argparse.Namespace) -> int:
     template, records = _run(args)
-    battery = run_battery(records, template, k=_folds(args, ids_by_set(records)), jobs=args.jobs)
+    battery = run_battery(records, template, k=args.k, jobs=args.jobs)
     out = Path(args.out)
     stem = template.stem("battery")
     summary = emit_battery(battery, out / f"{stem}.{args.format}", fmt=args.format)
@@ -238,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
     more than a ``predict`` call's inference. Subcommand ``X`` runs
     ``cmd_X``, looked up when it is called. A flag that several subcommands
-    take is declared once, in a parent parser they share."""
+    take is declared once, in a parent parser they share. A flag whose value
+    a library call checks takes that call's parameter name as its ``dest``,
+    so ``main`` can name the flag in the library's error."""
     training = TrainingConfig()
     length = argparse.ArgumentParser(add_help=False)
     length.add_argument(
@@ -256,9 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=1)
     run.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
-    run.add_argument("--dropout", type=float, default=None, metavar="R")
-    run.add_argument("--lr", type=float, default=training.learning_rate, metavar="R")
-    run.add_argument("--batch", type=int, default=training.batch_size, metavar="N")
+    run.add_argument("--dropout", dest="dropout_rate", type=float, default=None, metavar="R")
+    run.add_argument("--lr", dest="learning_rate", type=float, default=training.learning_rate,
+                     metavar="R")
+    run.add_argument("--batch", dest="batch_size", type=int, default=training.batch_size,
+                     metavar="N")
     run.add_argument("--epochs", type=int, default=training.epochs, metavar="N")
 
     case = argparse.ArgumentParser(add_help=False)
@@ -269,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default="runs", metavar="DIR")
 
     sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--folds", type=int, default=10, metavar="N")
+    sweep.add_argument("--folds", dest="k", type=int, default=10, metavar="N")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -285,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[output], help="write a synthetic Bonn-layout dataset")
     p.add_argument("--classes", type=int, default=3, metavar="N")
-    p.add_argument("--records", type=int, default=20, metavar="N")
+    p.add_argument("--records", dest="num_records_per_class", type=int, default=20, metavar="N")
     p.add_argument("--length", type=int, default=BONN_RECORD_LENGTH, metavar="N")
-    p.add_argument("--noise", type=float, default=SYNTH_NOISE_LEVEL, metavar="R")
+    p.add_argument("--noise", dest="noise_level", type=float, default=SYNTH_NOISE_LEVEL,
+                   metavar="R")
 
     sub.add_parser("train", parents=[run, case, output],
                    help="train one model on the full dataset")
@@ -309,12 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _in_flag_terms(exc: ValueError | OSError, command: str) -> str:
+    """The message of ``exc``, with a leading ``<dest> must`` of a ValueError
+    renamed to the flag of ``command`` that stores into ``dest``."""
+    message = str(exc)
+    dest, must, rule = message.partition(" must ")
+    if isinstance(exc, ValueError) and must:
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[command]._actions:
+            if action.dest == dest and action.option_strings:
+                return f"{action.option_strings[0]}{must}{rule}"
+    return message
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_in_flag_terms(exc, args.command)}", file=sys.stderr)
         return 1
 
 

@@ -225,14 +225,17 @@ def plan_folds(
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    # the smallest set bounds k (the first in letter order on a tie)
+    sizes = {group: len(ids) for group, ids in sorted(ids_by_group.items())}
+    fewest = min(sizes, key=sizes.__getitem__, default=None)
+    if fewest is not None and sizes[fewest] < k:
+        raise ValueError(
+            f"k must be at most {sizes[fewest]}, the number of records in set {fewest}, got {k}"
+        )
     rng = np.random.default_rng(seed)
     assignments: dict[str, tuple[tuple[int, ...], ...]] = {}
     for group in sorted(ids_by_group):
         ids = sorted(ids_by_group[group])
-        if len(ids) < k:
-            raise ValueError(
-                f"group {group!r} has {len(ids)} records, fewer than k={k}"
-            )
         shuffled = [ids[i] for i in rng.permutation(len(ids))]
         base, extra = divmod(len(ids), k)
         chunks: list[tuple[int, ...]] = []
@@ -280,14 +283,14 @@ def synthesize_dataset(
     for fixed arguments.
     """
     profiles = list(class_profiles)
+    if num_records_per_class < 1:
+        raise ValueError(f"num_records_per_class must be >= 1, got {num_records_per_class}")
     if len(profiles) < 2:
         raise ValueError("need at least two class profiles")
     if len(profiles) > len(SET_LETTERS):
         raise ValueError(f"at most {len(SET_LETTERS)} class profiles supported")
     if length < MIN_RECORD_LENGTH:
-        raise ValueError(f"record length must be >= {MIN_RECORD_LENGTH}, got {length}")
-    if num_records_per_class < 1:
-        raise ValueError("num_records_per_class must be >= 1")
+        raise ValueError(f"length must be >= {MIN_RECORD_LENGTH}, got {length}")
     if not (math.isfinite(noise_level) and noise_level >= 0):
         raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     if seed < 0:

@@ -16,7 +16,7 @@ from .dataset import EegRecord, ExperimentCase, FoldPlan, define_case, ids_by_se
 from .ensemble import classify
 from .network import ModelConfig, NetworkParameters
 from .training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingConfig, train
-from .windowing import SchemeSpec, augment_training, segment_testing
+from .windowing import SchemeSpec, augment_training, count_instances, segment_testing
 
 # Window accuracy, voted accuracy, then the rates compute_metrics derives
 # from a confusion matrix; every report lists them in this order.
@@ -243,11 +243,6 @@ def _run_fold(
     )
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def run_cv(
     records: Iterable[EegRecord],
     spec: RunSpec,
@@ -262,9 +257,11 @@ def run_cv(
     per record. Fold f tests on the plan's group f of every set; the other
     groups train. Fold training seeds are spec.training.seed + fold, and
     each fold keeps the parameters it trained. Folds run in ``jobs``
-    processes (serially at 1).
+    processes (serially at 1). Every record of the case must hold a test
+    instance; that is checked before any fold trains.
     """
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     case = spec.case
     if case is None:
         raise ValueError("run_cv needs a spec with a case; derive one with RunSpec.for_case")
@@ -282,6 +279,8 @@ def run_cv(
                 f"fold plan references records absent from the dataset: "
                 f"{letter}{missing[:5]}"
             )
+        for record in by_set.get(letter, {}).values():
+            count_instances(len(record), spec.scheme, f"record {record.record_id}")
     fold_args = (range(plan.k), repeat(spec), repeat(plan), repeat(by_set))
     if jobs > 1:
         # imported here so that no serial run, predict included, loads
@@ -339,7 +338,6 @@ def run_battery(
     case, everything else (kernels, widths, dropout) is shared.
     Deterministic for fixed seeds.
     """
-    _check_jobs(jobs)
     plan = plan_folds(ids_by_set(records), k=k, seed=template.training.seed)
     rows: list[BatteryRow] = []
     for name in cases:

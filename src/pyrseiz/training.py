@@ -40,11 +40,12 @@ class TrainingConfig:
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # no epochs would leave the untrained initial weights as the result
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

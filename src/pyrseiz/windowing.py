@@ -209,6 +209,18 @@ def augment_training(
     )
 
 
+def count_instances(num_samples: int, scheme: SchemeSpec, name: str) -> int:
+    """How many whole test instances ``num_samples`` samples hold; at least
+    one, or a ValueError that calls the samples ``name``."""
+    n_sub = num_samples // scheme.test_instance_length
+    if n_sub == 0:
+        raise ValueError(
+            f"{name} of {num_samples} samples is shorter than one "
+            f"test instance ({scheme.test_instance_length})"
+        )
+    return n_sub
+
+
 def segment_signal(samples: np.ndarray, scheme: SchemeSpec) -> np.ndarray:
     """Cut a signal into 1024-sample sub-signals, each into expert windows.
 
@@ -218,12 +230,7 @@ def segment_signal(samples: np.ndarray, scheme: SchemeSpec) -> np.ndarray:
     j * test_window_stride into it. Every window is normalized independently.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    n_sub = samples.size // scheme.test_instance_length
-    if n_sub == 0:
-        raise ValueError(
-            f"signal of {samples.size} samples is shorter than one "
-            f"test instance ({scheme.test_instance_length})"
-        )
+    n_sub = count_instances(samples.size, scheme, "signal")
     subsignals = samples[: n_sub * scheme.test_instance_length].reshape(n_sub, -1)
     views = sliding_window_view(subsignals, scheme.window, axis=1)
     return normalize(views[:, :: scheme.test_window_stride])

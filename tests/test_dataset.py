@@ -261,8 +261,14 @@ class TestPlanFolds:
             plan_folds({"A": [1, 2, 3]}, k=1, seed=0)
 
     def test_too_few_records(self):
-        with pytest.raises(ValueError, match="fewer than k"):
+        message = "^k must be at most 3, the number of records in set A, got 4$"
+        with pytest.raises(ValueError, match=message):
             plan_folds({"A": [1, 2, 3]}, k=4, seed=0)
+
+    def test_smallest_set_bounds_k(self):
+        message = "^k must be at most 2, the number of records in set C, got 4$"
+        with pytest.raises(ValueError, match=message):
+            plan_folds({"A": [1, 2, 3], "B": [1, 2, 3], "C": [1, 2], "D": [1, 2]}, k=4, seed=0)
 
     def test_train_test_split_covers_everything(self):
         plan = plan_folds({"A": list(range(1, 101))}, k=10, seed=3)
@@ -345,8 +351,10 @@ class TestSynthesize:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="at least two"):
             synthesize_dataset(3, [BandSpec(2, 4)])
-        with pytest.raises(ValueError, match=">= 512"):
+        with pytest.raises(ValueError, match="^length must be >= 512, got 100$"):
             synthesize_dataset(3, [BandSpec(2, 4), BandSpec(8, 12)], length=100)
+        with pytest.raises(ValueError, match="^num_records_per_class must be >= 1, got 0$"):
+            synthesize_dataset(0, [BandSpec(2, 4), BandSpec(8, 12)])
         with pytest.raises(ValueError):
             BandSpec(4, 2)
 

@@ -80,9 +80,9 @@ class TestTrainingConfig:
         assert cfg.batch_size == 32 and cfg.epochs == 50
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^learning_rate must be positive, got 0\.0$"):
             TrainingConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
             TrainingConfig(batch_size=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -234,12 +234,11 @@ class TestTrain:
         assert np.array_equal(params_a.flat, params_b.flat)
         assert hist_a == hist_b
 
-    def test_zero_epochs_returns_untouched_init(self, tiny_config, toy_windows):
-        config = TrainingConfig(epochs=0, seed=9)
-        params, history = train(tiny_config, toy_windows, config)
-        assert history == []
-        fresh = init_parameters(tiny_config, seed=9)
-        assert np.array_equal(params.flat, fresh.flat)
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_rejected(self, epochs):
+        """A run of no epochs would report the untrained initial weights."""
+        with pytest.raises(ValueError, match=f"^epochs must be >= 1, got {epochs}$"):
+            TrainingConfig(epochs=epochs)
 
     def test_empty_window_set_rejected(self, tiny_config, toy_windows):
         with pytest.raises(ValueError, match="empty"):

@@ -328,7 +328,8 @@ class TestSegmentTesting:
         assert np.array_equal(instances[1, 2], normalize(samples[1536:2048]))
 
     def test_short_signal_rejected(self):
-        with pytest.raises(ValueError, match="shorter than one"):
+        message = r"^signal of 1000 samples is shorter than one test instance \(1024\)$"
+        with pytest.raises(ValueError, match=message):
             segment_signal(np.zeros(1000), SCHEME_1)
 
 
