@@ -9,21 +9,18 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-# One BLAS thread unless the user chose a count. A second OpenBLAS thread
-# busy-waits between the small GEMMs of a training step: it doubles the CPU
-# for no gain in wall time, and forked --jobs workers would each inherit it.
-# The count is read when numpy loads, so it is set here, before the imports
-# below load numpy, and only if nothing has loaded it yet.
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_VARIABLES):
-    os.environ.update(dict.fromkeys(THREAD_VARIABLES, "1"))
+from .blas import pin_one_thread
+
+# One BLAS thread unless the user chose a count. Called before the imports
+# below load numpy, it sets the thread variables if nothing has loaded numpy
+# yet; otherwise it sets the loaded OpenBLAS's count.
+pin_one_thread()
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     BONN_RECORD_LENGTH,
     SET_LETTERS,
     SYNTH_NOISE_LEVEL,
-    BandSpec,
     EegRecord,
     ExperimentCase,
     define_case,
@@ -31,6 +28,7 @@ from .dataset import (
     load_bonn_root,
     plan_folds,
     read_samples,
+    synth_profiles,
     synthesize_dataset,
     write_bonn_dataset,
 )
@@ -48,15 +46,6 @@ from .training import TrainingConfig, train, write_history_csv
 from .windowing import _SCHEMES, augment_training, get_scheme, segment_signal
 
 DATA_ENV_VAR = "PYRSEIZ_DATA"
-
-# Well-separated default bands (Hz) for synthetic classes, low to high.
-SYNTH_BANDS = (
-    (2.0, 4.0),
-    (8.0, 12.0),
-    (20.0, 30.0),
-    (35.0, 45.0),
-    (55.0, 65.0),
-)
 
 
 def _run(
@@ -94,19 +83,16 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if not 2 <= args.classes <= len(SYNTH_BANDS):
-        raise ValueError(f"--classes must be in [2, {len(SYNTH_BANDS)}]")
-    profiles = [BandSpec(low, high) for low, high in SYNTH_BANDS[: args.classes]]
     records = synthesize_dataset(
         num_records_per_class=args.num_records_per_class,
-        class_profiles=profiles,
+        class_profiles=synth_profiles(args.num_classes),
         length=args.length,
         noise_level=args.noise_level,
         seed=args.seed,
     )
     out = Path(args.out)
     paths = write_bonn_dataset(records, out)
-    print(f"wrote {len(paths)} records ({args.classes} classes) under {out}")
+    print(f"wrote {len(paths)} records ({args.num_classes} classes) under {out}")
     return 0
 
 
@@ -254,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="audit every model M1..M8")
 
     p = sub.add_parser("synth", parents=[output], help="write a synthetic Bonn-layout dataset")
-    p.add_argument("--classes", type=int, default=3, metavar="N")
+    p.add_argument("--classes", dest="num_classes", type=int, default=3, metavar="N")
     p.add_argument("--records", dest="num_records_per_class", type=int, default=20, metavar="N")
     p.add_argument("--length", type=int, default=BONN_RECORD_LENGTH, metavar="N")
     p.add_argument("--noise", dest="noise_level", type=float, default=SYNTH_NOISE_LEVEL,

@@ -252,6 +252,16 @@ def plan_folds(
 SYNTH_COMPONENTS = 3
 SYNTH_NOISE_LEVEL = 0.05
 
+# Well-separated default bands (Hz) for synthetic classes, low to high, one
+# per set letter.
+SYNTH_BANDS = (
+    (2.0, 4.0),
+    (8.0, 12.0),
+    (20.0, 30.0),
+    (35.0, 45.0),
+    (55.0, 65.0),
+)
+
 
 @dataclass(frozen=True)
 class BandSpec:
@@ -265,6 +275,14 @@ class BandSpec:
             raise ValueError(
                 f"need 0 < low_hz < high_hz, got ({self.low_hz}, {self.high_hz})"
             )
+
+
+def synth_profiles(num_classes: int) -> list[BandSpec]:
+    """The bands of the first ``num_classes`` of ``SYNTH_BANDS``: classes
+    A, B, ... of the synthetic dataset ``pyrseiz synth`` writes."""
+    if not 2 <= num_classes <= len(SYNTH_BANDS):
+        raise ValueError(f"num_classes must be in [2, {len(SYNTH_BANDS)}], got {num_classes}")
+    return [BandSpec(low, high) for low, high in SYNTH_BANDS[:num_classes]]
 
 
 def synthesize_dataset(

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .artifacts import write_atomic
+from .blas import pin_one_thread
 from .dataset import EegRecord, ExperimentCase, FoldPlan, define_case, ids_by_set, plan_folds
 from .ensemble import classify
 from .network import ModelConfig, NetworkParameters
@@ -257,8 +258,10 @@ def run_cv(
     per record. Fold f tests on the plan's group f of every set; the other
     groups train. Fold training seeds are spec.training.seed + fold, and
     each fold keeps the parameters it trained. Folds run in ``jobs``
-    processes (serially at 1). Every record of the case must hold a test
-    instance; that is checked before any fold trains.
+    processes (serially at 1); each worker process runs one BLAS thread
+    unless the user set a thread variable (``blas.pin_one_thread``), while a
+    serial run keeps the caller's count. Every record of the case must hold
+    a test instance; that is checked before any fold trains.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -287,7 +290,7 @@ def run_cv(
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=pin_one_thread) as pool:
             folds = list(pool.map(_run_fold, *fold_args))
     else:
         folds = list(map(_run_fold, *fold_args))

@@ -78,10 +78,6 @@ class TestSynth:
         sample = next(root.rglob("*.txt"))
         assert len(sample.read_text().splitlines()) == 4097
 
-    def test_bad_class_count(self, capsys):
-        assert main(["synth", "--classes", "9", "--out", "ignored"]) == 1
-        assert "--classes" in capsys.readouterr().err
-
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, tmp_path, capsys):
@@ -432,6 +428,8 @@ REJECTED_VALUES = [
          "--folds must be at most 2, the number of records in set A, got 3"),
         ((CV, BATTERY), "--jobs", "0", "--jobs must be >= 1, got 0"),
         ((CV, BATTERY), "--jobs", "-2", "--jobs must be >= 1, got -2"),
+        ((["synth"],), "--classes", "9", "--classes must be in [2, 5], got 9"),
+        ((["synth"],), "--classes", "1", "--classes must be in [2, 5], got 1"),
         ((["synth"],), "--records", "0", "--records must be >= 1, got 0"),
         ((["synth"],), "--length", "100", "--length must be >= 512, got 100"),
         ((["synth"],), "--noise", "nan", "--noise must be finite and >= 0, got nan"),
@@ -674,3 +672,83 @@ def test_one_blas_thread_default_matches_a_users_one_thread_setting(tmp_path):
         _python(["-c", probe], **variables)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) == 1 + 5 and outputs[0] == outputs[1]
+
+
+# Prints the loaded OpenBLAS's thread count after numpy loads and after the
+# command line is imported, then the three variables; or NO_OPENBLAS.
+PIN_PROBE = """
+import ctypes, os, numpy
+from pyrseiz.blas import THREAD_VARIABLES, find_openblas
+found = find_openblas()
+if found is None:
+    print("NO_OPENBLAS")
+else:
+    library, setter = found
+    threads = getattr(library, setter.replace("_set_", "_get_"))
+    threads.argtypes, threads.restype = (), ctypes.c_int
+    started = threads()
+    import pyrseiz.cli
+    print(started, threads(), [os.environ.get(v) for v in THREAD_VARIABLES])
+"""
+
+
+@pytest.mark.parametrize("variables, one_thread, environment", [
+    ({}, True, [None, None, None]),
+    ({"OMP_NUM_THREADS": "3"}, False, [None, "3", None]),
+])
+def test_command_line_pins_one_blas_thread_after_numpy_loaded(variables, one_thread, environment):
+    """Imported after numpy, the command line sets the loaded OpenBLAS's
+    thread count to 1 and no variable; a user's variable leaves the count
+    numpy started with."""
+    out = _python(["-c", PIN_PROBE], **variables).stdout.split(maxsplit=2)
+    if out == ["NO_OPENBLAS"]:
+        pytest.skip("numpy loaded no OpenBLAS exporting a thread-count setter")
+    started, threads, variables_seen = out
+    assert threads == ("1" if one_thread else started)
+    assert variables_seen.strip() == repr(environment)
+
+
+# Writes, through run_cv(jobs=2), the fold checkpoints of the cv run that the
+# test below starts from the command line, in a process that loaded numpy
+# first and never imports the command line; argv: dataset root, output dir.
+RUN_CV_JOBS_2 = """
+import numpy, sys
+from pathlib import Path
+from pyrseiz import define_case, get_scheme, load_bonn_root, model_config
+from pyrseiz.checkpoint import save_checkpoint
+from pyrseiz.dataset import ids_by_set, plan_folds
+from pyrseiz.evaluation import RunSpec, run_cv
+from pyrseiz.training import TrainingConfig
+root, out = sys.argv[1:]
+case, scheme = define_case("AB-CD-E"), get_scheme(2)
+spec = RunSpec(case, scheme, model_config("M4", case.num_classes),
+               TrainingConfig(epochs=1, seed=3), "M4")
+records = load_bonn_root(root, letters=case.sets)
+for fold in run_cv(records, spec, plan_folds(ids_by_set(records), k=2, seed=3), jobs=2).folds:
+    path = Path(out) / f"{spec.stem('cv')}_fold{fold.fold}.ckpt"
+    save_checkpoint(fold.params, spec.model, path, case=case.name, scheme=scheme.id)
+"""
+
+
+def test_fold_checkpoints_do_not_depend_on_what_loaded_numpy_first(tmp_path):
+    """An M4 cv run (5x8 records, AB-CD-E, scheme 2, 2 folds, 1 epoch, seed
+    3) writes byte-identical fold checkpoints from a shell ``python -m
+    pyrseiz cv``, from ``cli.main`` in a process that loaded numpy first,
+    and from ``run_cv(jobs=2)`` in such a process. M4's FC1 product at batch
+    32 changes its last bits with the BLAS thread count, so the three agree
+    only if each runs one thread."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: OpenBLAS runs one thread whatever is set")
+    data = _synth(tmp_path, classes=5, records=8, seed=3)
+    argv = ["cv", "--data-root", str(data), "--case", "AB-CD-E", "--model", "M4",
+            "--scheme", "2", "--folds", "2", "--epochs", "1", "--seed", "3", "--out"]
+    _python(["-m", "pyrseiz", *argv, str(tmp_path / "shell")])
+    main_after_numpy = "import numpy, sys; from pyrseiz.cli import main; sys.exit(main(sys.argv[1:]))"
+    _python(["-c", main_after_numpy, *argv, str(tmp_path / "main")])
+    _python(["-c", RUN_CV_JOBS_2, str(data), str(tmp_path / "jobs2")])
+    checkpoints = [
+        {p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.ckpt"))}
+        for name in ("shell", "main", "jobs2")
+    ]
+    assert len(checkpoints[0]) == 2
+    assert checkpoints[0] == checkpoints[1] == checkpoints[2]

@@ -12,6 +12,7 @@ from pyrseiz.dataset import (
     BONN_ALIASES,
     BONN_SAMPLE_RATE,
     SET_LETTERS,
+    SYNTH_BANDS,
     BandSpec,
     EegRecord,
     FoldPlan,
@@ -23,6 +24,7 @@ from pyrseiz.dataset import (
     plan_folds,
     read_samples,
     save_record,
+    synth_profiles,
     synthesize_dataset,
     write_bonn_dataset,
 )
@@ -361,6 +363,14 @@ class TestSynthesize:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             synthesize_dataset(3, [BandSpec(2, 4), BandSpec(8, 12)], seed=-1)
+
+    def test_default_profiles_are_one_band_per_set_letter(self):
+        assert len(SYNTH_BANDS) == len(SET_LETTERS)
+        assert synth_profiles(2) == [BandSpec(2, 4), BandSpec(8, 12)]
+        assert synth_profiles(5) == [BandSpec(low, high) for low, high in SYNTH_BANDS]
+        for bad in (1, 6):
+            with pytest.raises(ValueError, match=rf"^num_classes must be in \[2, 5\], got {bad}$"):
+                synth_profiles(bad)
 
     @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
     def test_bad_noise_level_rejected(self, noise):
