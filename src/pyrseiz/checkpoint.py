@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import base64
 import binascii
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,38 +45,45 @@ class CheckpointError(ValueError):
     """Raised for version mismatches and header/shape/value corruption."""
 
 
+# The optional training header, one ``<key> <value>`` line per row in this
+# order, v2 only. Each row maps a value, or the text after the key, to the
+# canonical value whose str() the line holds; the keys are Checkpoint fields.
+_TRAINING_LINES = {
+    "case": lambda spec, config: define_case(spec).must_name(config.num_classes).name,
+    "scheme": lambda scheme, config: get_scheme(scheme).id,
+}
+
+
 @dataclass(frozen=True)
 class Checkpoint:
-    """A loaded checkpoint: the parameters, their config, and the case spec
-    and scheme id the model was trained with (``None`` when the file does not
-    record them, as in every v1 file).
+    """A loaded checkpoint: the parameters, and the case spec and scheme id
+    the model was trained with (``None`` when the file does not record them,
+    as in every v1 file); the fields after ``params`` are the training
+    header's rows.
 
     It unpacks as ``params, config = load_checkpoint(path)``.
     """
 
     params: NetworkParameters
-    config: ModelConfig
     case: str | None = None
     scheme: int | None = None
 
     def __iter__(self):
-        return iter((self.params, self.config))
+        return iter((self.params, self.params.config))
 
-
-def _case_name(spec: str, config: ModelConfig) -> str:
-    case = define_case(spec)
-    if case.num_classes != config.num_classes:
-        raise ValueError(f"case {spec!r} does not name {config.num_classes} classes")
-    return case.name
-
-
-# The optional training header, one ``<key> <value>`` line per row in this
-# order, v2 only. Each row maps a value, or the text after the key, to the
-# canonical value whose str() the line holds; the keys are Checkpoint fields.
-_TRAINING_LINES = {
-    "case": _case_name,
-    "scheme": lambda scheme, config: get_scheme(scheme).id,
-}
+    def resolve(self, case: str | None = None, scheme: int | None = None) -> Checkpoint:
+        """This checkpoint with each value given, in canonical form, as its
+        header; ``None`` keeps what is recorded. A value is checked as its
+        header line is, and must equal what the checkpoint records."""
+        resolved = {}
+        for key, value in {"case": case, "scheme": scheme}.items():
+            if value is None:
+                continue
+            resolved[key] = _TRAINING_LINES[key](value, self.params.config)
+            recorded = getattr(self, key)
+            if recorded not in (None, resolved[key]):
+                raise ValueError(f"{key} must be {recorded}, the checkpoint's, got {resolved[key]}")
+        return replace(self, **resolved)
 
 
 def _config_line(key: str, value) -> str:
@@ -101,12 +108,12 @@ def save_checkpoint(
     must name its ``num_classes`` classes; nothing is written otherwise."""
     if config != params.config:
         raise ValueError("config differs from params.config, the network's own")
-    training = {"case": case, "scheme": scheme}
+    header = Checkpoint(params).resolve(case=case, scheme=scheme)
     lines = [CHECKPOINT_VERSION]
     lines += [_config_line(key, value) for key, value in asdict(config).items()]
-    for key, canonical in _TRAINING_LINES.items():
-        if training[key] is not None:
-            lines.append(f"{key} {canonical(training[key], config)}")
+    for key in _TRAINING_LINES:
+        if getattr(header, key) is not None:
+            lines.append(f"{key} {getattr(header, key)}")
     for name, tensor in params.tensors.items():
         lines.append(_tensor_line(name, tensor.shape))
         raw = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
@@ -245,4 +252,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: expected the last line, 'end', after the last tensor, found {lines[pos]!r}"
         )
-    return Checkpoint(params, config, **header)
+    return Checkpoint(params, **header)

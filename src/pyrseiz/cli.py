@@ -118,12 +118,13 @@ def cmd_cv(args: argparse.Namespace) -> int:
     report = run_cv(records, spec, plan, jobs=args.jobs)
     out = Path(args.out)
     stem = spec.stem("cv")
-    report_path = emit_report(report, out / f"{stem}.{args.format}", fmt=args.format)
+    # the report last, so that it exists only beside every fold's checkpoint
     for fold in report.folds:
         save_checkpoint(
             fold.params, spec.model, out / f"{stem}_fold{fold.fold}.ckpt",
             case=case.name, scheme=scheme.id,
         )
+    report_path = emit_report(report, out / f"{stem}.{args.format}", fmt=args.format)
     mean_acc = report.mean["acc"]
     mean_acc_v = report.mean["acc_v"]
     print(
@@ -148,27 +149,13 @@ def cmd_battery(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    params, config = checkpoint
-    scheme = get_scheme(args.scheme or checkpoint.scheme or 1)
-    if checkpoint.scheme not in (None, scheme.id):
-        raise ValueError(
-            f"checkpoint was trained with scheme {checkpoint.scheme}, not --scheme {scheme.id}"
-        )
+    checkpoint = load_checkpoint(args.checkpoint).resolve(case=args.case, scheme=args.scheme)
+    scheme = get_scheme(checkpoint.scheme or 1)
     case = define_case(args.case) if args.case else None
-    if case is not None and case.num_classes != config.num_classes:
-        raise ValueError(
-            f"checkpoint has {config.num_classes} classes but case "
-            f"{case.name} has {case.num_classes}"
-        )
-    if case is not None and checkpoint.case not in (None, case.name):
-        raise ValueError(
-            f"checkpoint was trained on case {checkpoint.case}, not --case {case.name}"
-        )
     samples = read_samples(args.input, args.record_length)
     stem = Path(args.input).stem
     vote_records = []
-    records = classify(params, segment_signal(samples, scheme))  # all instances at once
+    records = classify(checkpoint.params, segment_signal(samples, scheme))  # all instances at once
     for sub_index, record in enumerate(records):
         record = replace(record, origin=(stem, sub_index))
         vote_records.append(record)

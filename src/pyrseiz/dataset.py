@@ -143,6 +143,12 @@ class ExperimentCase:
     def sets(self) -> tuple[str, ...]:
         return tuple(sorted(self.class_of_set))
 
+    def must_name(self, num_classes: int) -> ExperimentCase:
+        """This case, which must name ``num_classes`` classes."""
+        if self.num_classes != num_classes:
+            raise ValueError(f"case must name {num_classes} classes, got {self.name}")
+        return self
+
     def group_letters(self, class_index: int) -> str:
         """Set letters belonging to one class, e.g. 'AB' for class 0 of AB-CD-E."""
         return "".join(

@@ -163,11 +163,8 @@ class RunSpec:
     model_name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.case is not None and self.model.num_classes != self.case.num_classes:
-            raise ValueError(
-                f"model has {self.model.num_classes} classes, case {self.case.name} "
-                f"has {self.case.num_classes}"
-            )
+        if self.case is not None:
+            self.case.must_name(self.model.num_classes)
 
     @property
     def label(self) -> str:

@@ -1,5 +1,6 @@
 import argparse
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -11,9 +12,15 @@ import pytest
 
 from oracles import save_checkpoint_v1
 from pyrseiz import cli, evaluation
-from pyrseiz.checkpoint import load_checkpoint, save_checkpoint
+from pyrseiz.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pyrseiz.cli import main
-from pyrseiz.dataset import define_case, load_bonn_root, synthesize_dataset
+from pyrseiz.dataset import (
+    define_case,
+    ids_by_set,
+    load_bonn_root,
+    plan_folds,
+    synthesize_dataset,
+)
 from pyrseiz.ensemble import predict_instance
 from pyrseiz.training import TrainingConfig
 from pyrseiz.windowing import get_scheme, segment_testing
@@ -198,6 +205,65 @@ class TestCv:
         assert not out.exists()
 
 
+    def test_failed_checkpoint_write_leaves_no_report(self, tmp_path, capsys, monkeypatch):
+        """The report is written last, so it exists only beside every fold's
+        checkpoint."""
+        root = _synth(tmp_path)
+        capsys.readouterr()
+        calls = []
+
+        def second_save_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            save_checkpoint(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_checkpoint", second_save_fails)
+        out = tmp_path / "runs"
+        assert main(["cv", "--data-root", str(root), "--case", "A-B", "--folds", "2",
+                     "--epochs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert list(out.glob("cv_*.csv")) == []
+
+    def test_predict_on_each_folds_test_records_rebuilds_its_scores(self, tmp_path):
+        """cv and predict score a record alike: each fold's saved checkpoint,
+        run by predict on the fold's test records, gives vote logs that
+        rebuild the fold's confusion matrix, accuracies and ties exactly."""
+        root = _synth(tmp_path, classes=3, records=6)
+        out, k, seed = tmp_path / "runs", 2, 4
+        assert main(["cv", "--data-root", str(root), "--case", "A-B-C", "--folds", str(k),
+                     "--epochs", "1", "--seed", str(seed), "--format", "json",
+                     "--out", str(out)]) == 0
+        stem = f"cv_A-B-C_scheme1_M5_seed{seed}"
+        report = json.loads((out / f"{stem}.json").read_text())
+        case, width = define_case("A-B-C"), get_scheme(1).ensemble_width
+        records = load_bonn_root(root, letters=case.sets)
+        record_ids = {(r.set_label, r.index): r.record_id for r in records}
+        plan = plan_folds(ids_by_set(records), k, seed)
+        assert [fold["fold"] for fold in report["folds"]] == [1, 2]
+        for fold in report["folds"]:
+            ckpt, logs = out / f"{stem}_fold{fold['fold']}.ckpt", tmp_path / f"votes{fold['fold']}"
+            cm = np.zeros((3, 3), dtype=np.int64)
+            correct = ties = 0
+            for letter in case.sets:
+                label = case.class_of_set[letter]
+                for index in plan.test_ids(letter, fold["fold"] - 1):
+                    record_id = record_ids[letter, index]
+                    assert main(["predict", "--checkpoint", str(ckpt),
+                                 "--input", str(root / letter / f"{record_id}.txt"),
+                                 "--case", "A-B-C", "--scheme", "1", "--out", str(logs)]) == 0
+                    rows = (logs / f"predict_{record_id}_votes.csv").read_text().splitlines()
+                    for row in rows[1:]:
+                        _, _, votes, final, tie_broken = row.split(",")
+                        cm[label, int(final)] += 1
+                        correct += votes.split().count(str(label))
+                        ties += tie_broken == "true"
+            assert cm.tolist() == fold["confusion"]
+            assert correct / (int(cm.sum()) * width) == fold["acc"]
+            assert float(cm.trace()) / float(cm.sum()) == fold["acc_v"]
+            assert ties == fold["ties"]
+
+
 class TestPredict:
     @staticmethod
     def _train(tmp_path, scheme):
@@ -235,18 +301,43 @@ class TestPredict:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--scheme", "2"], "checkpoint was trained with scheme 1, not --scheme 2"),
-            (["--case", "A-E"], "checkpoint was trained on case A-B, not --case A-E"),
-            (["--case", "A-B-C"], "checkpoint has 2 classes but case A-B-C has 3"),
+            (["--scheme", "2"], "--scheme must be 1, the checkpoint's, got 2"),
+            (["--case", "A-E"], "--case must be A-B, the checkpoint's, got A-E"),
+            (["--case", "A-B-C"], "--case must name 2 classes, got A-B-C"),
         ],
     )
-    def test_contradicting_the_checkpoint_rejected(self, trained, capsys, flags, message):
+    def test_contradicting_the_checkpoint_rejected(
+        self, trained, capsys, tmp_path, flags, message
+    ):
         ckpt, sample = trained
-        rc = main(["predict", "--checkpoint", str(ckpt), "--input", str(sample), *flags])
-        assert rc == 1
+        out = tmp_path / "votes"
+        argv = ["predict", "--checkpoint", str(ckpt), "--input", str(sample), "--out", str(out)]
+        assert main([*argv, *flags]) == 1
         captured = capsys.readouterr()
-        assert "instance" not in captured.out
+        assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_case_rejected_as_train_rejects_it(self, trained, capsys):
+        ckpt, sample = trained
+        argv = ["predict", "--checkpoint", str(ckpt), "--input", str(sample), "--case", ""]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: case spec '' needs at least two groups\n"
+
+    def test_a_case_is_held_to_one_class_count_rule(self, trained, capsys, tmp_path):
+        """The rule a header line's case breaks is the rule --case breaks."""
+        ckpt, sample = trained
+        rule = "must name 2 classes, got A-B-C"
+        header = tmp_path / "header.ckpt"
+        header.write_text(ckpt.read_text().replace("\ncase A-B\n", "\ncase A-B-C\n"))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(header)
+        assert str(info.value).endswith(f"'case A-B-C': case {rule}")
+        argv = ["predict", "--checkpoint", str(ckpt), "--input", str(sample), "--case", "A-B-C"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --case {rule}\n"
 
     def test_v1_checkpoint_carries_no_case_or_scheme(self, trained, capsys, tmp_path):
         ckpt, sample = trained

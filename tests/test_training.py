@@ -1,6 +1,6 @@
 import base64
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,13 @@ from oracles import (
     adam_step_allocating,
     save_checkpoint_v1,
 )
-from pyrseiz.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from pyrseiz.checkpoint import (
+    _TRAINING_LINES,
+    Checkpoint,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from pyrseiz.network import (
     ModelConfig,
     NetworkParameters,
@@ -453,7 +459,7 @@ class TestCheckpointRoundTrip:
             "config num_classes 3",
             "config input_length 512",
         ]
-        assert load_checkpoint(path).config == cfg
+        assert load_checkpoint(path).params.config == cfg
 
     @pytest.mark.parametrize(
         "lines, bad_line",
@@ -580,10 +586,25 @@ class TestCheckpointRoundTrip:
         save_checkpoint(params, tiny_config, tmp_path / "v2.ckpt", case="A-B", scheme=2)
         v1 = load_checkpoint(tmp_path / "v1.ckpt")
         v2 = load_checkpoint(tmp_path / "v2.ckpt")
-        assert v1.config == v2.config == tiny_config
+        assert v1.params.config == v2.params.config == tiny_config
         assert v1.params.flat.tobytes() == v2.params.flat.tobytes() == params.flat.tobytes()
         assert (v1.case, v1.scheme) == (None, None)
         assert (v2.case, v2.scheme) == ("A-B", 2)
+
+    def test_checkpoint_fields_after_params_are_the_training_header_rows(self):
+        """A header row is checked in a file and in ``resolve`` alike, from
+        one declaration."""
+        names = [f.name for f in fields(Checkpoint)]
+        assert names[0] == "params"
+        assert names[1:] == list(_TRAINING_LINES)
+
+    def test_resolve_fills_what_is_unrecorded_and_keeps_what_is(self, tiny_config):
+        params = init_parameters(tiny_config, seed=0)
+        assert Checkpoint(params).resolve(case="ab-e", scheme=2) == Checkpoint(params, "AB-E", 2)
+        recorded = Checkpoint(params, "A-B", 1)
+        assert recorded.resolve() == recorded.resolve(case="a-b", scheme=1) == recorded
+        with pytest.raises(ValueError, match=r"^scheme must be 1, the checkpoint's, got 2$"):
+            recorded.resolve(scheme=2)
 
     def test_training_header_written_in_canonical_form(self, tmp_path):
         cfg = model_config("M5", 3)
@@ -631,13 +652,13 @@ class TestCheckpointRoundTrip:
     def test_committed_v1_and_v2_files_load(self, tiny_config, tmp_path):
         v1 = load_checkpoint(GOLDEN / "tiny_v1.ckpt")
         v2 = load_checkpoint(GOLDEN / "tiny_v2.ckpt")
-        assert v1.config == v2.config == tiny_config
+        assert v1.params.config == v2.params.config == tiny_config
         expected = init_parameters(tiny_config, seed=11).flat.tobytes()
         assert v1.params.flat.tobytes() == v2.params.flat.tobytes() == expected
         assert (v1.case, v1.scheme) == (None, None)
         assert (v2.case, v2.scheme) == ("A-E", 2)
         again = tmp_path / "again.ckpt"
-        save_checkpoint(v2.params, v2.config, again, case=v2.case, scheme=v2.scheme)
+        save_checkpoint(v2.params, v2.params.config, again, case=v2.case, scheme=v2.scheme)
         assert again.read_bytes() == (GOLDEN / "tiny_v2.ckpt").read_bytes()
 
     def test_v1_file_has_no_training_header(self, tiny_config, tmp_path):
