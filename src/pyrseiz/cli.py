@@ -38,12 +38,13 @@ from .evaluation import (
     emit_battery,
     emit_battery_comparison,
     emit_report,
+    report_format,
     run_battery,
     run_cv,
 )
 from .network import MODEL_NAMES, count_parameters, model_config
 from .training import TrainingConfig, train, write_history_csv
-from .windowing import _SCHEMES, augment_training, get_scheme, segment_signal
+from .windowing import augment_training, get_scheme, segment_signal
 
 DATA_ENV_VAR = "PYRSEIZ_DATA"
 
@@ -112,6 +113,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
+    fmt = report_format(args.format)
     spec, records = _run(args, define_case(args.case))
     case, scheme = spec.case, spec.scheme
     plan = plan_folds(ids_by_set(records), k=args.k, seed=args.seed)
@@ -124,7 +126,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
             fold.params, spec.model, out / f"{stem}_fold{fold.fold}.ckpt",
             case=case.name, scheme=scheme.id,
         )
-    report_path = emit_report(report, out / f"{stem}.{args.format}", fmt=args.format)
+    report_path = emit_report(report, out / f"{stem}.{fmt}", fmt=fmt)
     mean_acc = report.mean["acc"]
     mean_acc_v = report.mean["acc_v"]
     print(
@@ -136,11 +138,12 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_battery(args: argparse.Namespace) -> int:
+    fmt = report_format(args.format)
     template, records = _run(args)
     battery = run_battery(records, template, k=args.k, jobs=args.jobs)
     out = Path(args.out)
     stem = template.stem("battery")
-    summary = emit_battery(battery, out / f"{stem}.{args.format}", fmt=args.format)
+    summary = emit_battery(battery, out / f"{stem}.{fmt}", fmt=fmt)
     comparison = emit_battery_comparison(battery, out / f"{stem}_comparison.csv")
     for row in battery.rows:
         print(f"{row.case:<10} acc_v {100 * row.mean_acc_v:7.3f}%")
@@ -195,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"dataset root directory (falls back to ${DATA_ENV_VAR})",
     )
-    run.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=1)
-    run.add_argument("--model", type=str.upper, choices=MODEL_NAMES, default="M5")
+    run.add_argument("--scheme", type=int, default=1, metavar="ID")
+    run.add_argument("--model", type=str.upper, default="M5", metavar="NAME")
     run.add_argument("--dropout", dest="dropout_rate", type=float, default=None, metavar="R")
     run.add_argument("--lr", dest="learning_rate", type=float, default=training.learning_rate,
                      metavar="R")
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--folds", dest="k", type=int, default=10, metavar="N")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.add_argument("--format", default="csv", metavar="FMT")
 
     parser = argparse.ArgumentParser(
         prog="pyrseiz",
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[length], help="classify one record with a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--scheme", type=int, choices=tuple(_SCHEMES), default=None,
+    p.add_argument("--scheme", type=int, default=None, metavar="ID",
                    help="windowing scheme (default: the checkpoint's, else 1)")
     p.add_argument("--case", default=None, metavar="SPEC",
                    help="optional case spec used to label the vote output; "

@@ -400,22 +400,32 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
+REPORT_FORMATS = ("csv", "json")
+
+
+def report_format(fmt: str) -> str:
+    """``fmt`` if reports can be written in it: the one check of a report
+    format, which ``emit_report`` and ``emit_battery`` make."""
+    if fmt not in REPORT_FORMATS:
+        expected = " or ".join(repr(f) for f in REPORT_FORMATS)
+        raise ValueError(f"unknown report format {fmt!r}; expected {expected}")
+    return fmt
+
+
 def emit_report(report: MetricsReport, path: str | Path, fmt: str = "csv") -> Path:
     """Write a cross-validation report as CSV or structured JSON text.
 
     The CSV carries one row per fold plus a mean row; the JSON round-trips
     every numeric field exactly.
     """
-    if fmt == "csv":
-        lines = [REPORT_CSV_HEADER]
-        for fold in report.folds:
-            lines.append(_report_row(report, str(fold.fold), fold.metrics, fold.ties))
-        if report.folds:
-            lines.append(_report_row(report, "mean", report.mean, report.ties_total))
-        return write_atomic(path, "\n".join(lines) + "\n")
-    if fmt == "json":
+    if report_format(fmt) == "json":
         return write_atomic(path, json.dumps(report_to_dict(report), indent=2) + "\n")
-    raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
+    lines = [REPORT_CSV_HEADER]
+    for fold in report.folds:
+        lines.append(_report_row(report, str(fold.fold), fold.metrics, fold.ties))
+    if report.folds:
+        lines.append(_report_row(report, "mean", report.mean, report.ties_total))
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 BATTERY_CSV_HEADER = "case,scheme,model,mean_acc,mean_acc_v"
@@ -423,22 +433,7 @@ BATTERY_CSV_HEADER = "case,scheme,model,mean_acc,mean_acc_v"
 
 def emit_battery(report: BatteryReport, path: str | Path, fmt: str = "csv") -> Path:
     """Write the battery summary (one row per case)."""
-    if fmt == "csv":
-        lines = [BATTERY_CSV_HEADER]
-        for row in report.rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.case,
-                        str(report.scheme_id),
-                        report.model,
-                        _cell(row.mean_acc),
-                        _cell(row.mean_acc_v),
-                    ]
-                )
-            )
-        return write_atomic(path, "\n".join(lines) + "\n")
-    if fmt == "json":
+    if report_format(fmt) == "json":
         payload = {
             "scheme": report.scheme_id,
             "model": report.model,
@@ -455,7 +450,20 @@ def emit_battery(report: BatteryReport, path: str | Path, fmt: str = "csv") -> P
             ],
         }
         return write_atomic(path, json.dumps(payload, indent=2) + "\n")
-    raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
+    lines = [BATTERY_CSV_HEADER]
+    for row in report.rows:
+        lines.append(
+            ",".join(
+                [
+                    row.case,
+                    str(report.scheme_id),
+                    report.model,
+                    _cell(row.mean_acc),
+                    _cell(row.mean_acc_v),
+                ]
+            )
+        )
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_battery_comparison(report: BatteryReport, path: str | Path) -> Path:

@@ -2,11 +2,16 @@
 
 All arrays are float64. Conv-stack activations are channel-last, (batch,
 length, channels), so a batch is a C-contiguous (batch*length, channels)
-matrix: convolution is one im2col copy plus one GEMM, and batch-norm
-statistics are reductions over that matrix's rows. Convolution is valid (no
-padding) cross-correlation; batch normalization carries no learnable
-scale/shift, only running statistics. Functions taking ``out`` write their
-result there: a C-contiguous buffer their caller owns and they never allocate.
+matrix and batch-norm statistics are reductions over that matrix's rows. A
+convolution reads its input in place: each of its ceil(Rf / stride) taps is
+a strided view of the input whose rows BLAS multiplies without a copy, so a
+layer is one GEMM per tap and no patch matrix is made (``tap_views``). The
+one input unfolded is the first layer's in training, whose patches are
+Rf*C_in = 5 values wide, by the fused conv and batch norm. Convolution is
+valid (no padding) cross-correlation; batch normalization carries no
+learnable scale/shift, only running statistics. Functions taking ``out``
+write their result there: a C-contiguous buffer their caller owns and they
+never allocate.
 """
 
 from __future__ import annotations
@@ -50,19 +55,12 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0]) @ rows
 
 
-def im2col(
-    x: np.ndarray,
-    receptive_field: int,
-    stride: int,
-    out: np.ndarray,
-    relu: bool = False,
-) -> np.ndarray:
+def im2col(x: np.ndarray, receptive_field: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Sliding patches of a channel-last batch: (B, L, C) -> (B, m, Rf*C).
 
     Row j of sample b is x[b, j*stride : j*stride + Rf, :] flattened, so on a
     C-contiguous input every patch is one contiguous Rf*C block and the unfold
-    is a single copy of a strided view. With ``relu`` the patches are of
-    max(x, 0), rectified as they are copied. ``out`` must be C-contiguous.
+    is a single copy of a strided view. ``out`` must be C-contiguous.
     """
     batch, length, channels = x.shape
     m = count_windows(length, receptive_field, stride)
@@ -70,11 +68,43 @@ def im2col(
     patches = as_strided(
         x, (batch, m, receptive_field, channels), (sb, stride * sl, sl, sc), writeable=False
     )
-    if relu:
-        np.maximum(patches, 0.0, out=_view(out, patches.shape))
-    else:
-        np.copyto(_view(out, patches.shape), patches)
+    np.copyto(_view(out, patches.shape), patches)
     return out
+
+
+def tap_views(x: np.ndarray, receptive_field: int, stride: int) -> list[np.ndarray]:
+    """The ceil(Rf / stride) taps of a valid strided convolution over the
+    C-contiguous channel-last batch ``x`` (B, L, C), as read-only views of x.
+
+    Tap d covers kernel positions d*stride up to n_d = min(stride, Rf -
+    d*stride) past it: it is the (B, m, n_d*C) view whose row j is
+    x[b, (j + d)*stride : (j + d)*stride + n_d, :] flattened. Its rows are
+    stride*C values apart and at most that wide, so each sample's tap is a
+    matrix BLAS reads in place; no row reaches past the input's end, so no
+    length needs padding or divisibility.
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError("convolution inputs must be C-contiguous")
+    batch, length, channels = x.shape
+    m = count_windows(length, receptive_field, stride)
+    row = channels * x.itemsize
+    taps = []
+    for start in range(0, receptive_field, stride):
+        width = min(stride, receptive_field - start) * channels
+        # the ndarray constructor builds the view several times faster than as_strided
+        tap = np.ndarray(
+            (batch, m, width), x.dtype, x, start * row, (length * row, stride * row, x.itemsize)
+        )
+        tap.flags.writeable = False
+        taps.append(tap)
+    return taps
+
+
+def _check_conv_input(x: np.ndarray, weights: np.ndarray) -> None:
+    if x.ndim != 3 or x.shape[2] != weights.shape[1]:
+        raise ValueError(
+            f"input shape {x.shape} does not match kernel channels {weights.shape[1]}"
+        )
 
 
 def conv1d_forward(
@@ -82,35 +112,33 @@ def conv1d_forward(
     weights: np.ndarray,
     bias: np.ndarray | None,
     stride: int,
-    cols: np.ndarray,
     out: np.ndarray,
-    relu: bool = False,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Valid strided cross-correlation of a channel-last batch.
 
     x: (B, L, C), weights: (K, C, Rf), bias: (K,) -> (B, m, K) where
     out[b, j, k] = bias[k] + sum_{c,e} weights[k, c, e] * x[b, j*stride + e, c].
-    A None bias adds nothing: batch norm in training cancels it. The patches
-    are unfolded into ``cols`` (B, m, Rf*C), which a training pass keeps for
-    conv1d_backward, and the (B*m, K) GEMM result is written into ``out``.
-    With ``relu`` the input is convolved as max(x, 0), the ReLU of the layer
-    before applied by the unfold.
+    A None bias adds nothing: batch norm in training cancels it. Each tap of
+    ``tap_views`` is one batched GEMM with its rows of the kernel matrix,
+    read from ``x`` in place: the first writes ``out``, each later one
+    writes ``scratch``, a C-contiguous buffer of out's size, which is then
+    added into ``out``. A layer with Rf <= stride has one tap and leaves
+    ``scratch`` alone.
     """
     k, c, rf = weights.shape
-    if x.ndim != 3 or x.shape[2] != c:
-        raise ValueError(
-            f"input shape {x.shape} does not match kernel channels {c}"
-        )
+    _check_conv_input(x, weights)
     if bias is not None and bias.shape != (k,):
         raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
-    cols = im2col(x, rf, stride, out=cols, relu=relu)
-    batch, m = cols.shape[0], cols.shape[1]
-    np.matmul(
-        cols.reshape(batch * m, rf * c), _kernel_matrix(weights).T,
-        out=_view(out, (batch * m, k)),
-    )
+    taps = tap_views(x, rf, stride)
+    kernel = weights.transpose(2, 1, 0).reshape(rf * c, k)  # row (e, c), column k
+    result = _view(out, taps[0].shape[:2] + (k,))
+    np.matmul(taps[0], kernel[: taps[0].shape[2]], out=result)
+    for start, tap in zip(range(stride, rf, stride), taps[1:]):
+        rows = kernel[start * c : start * c + tap.shape[2]]
+        result += np.matmul(tap, rows, out=_view(scratch, result.shape))
     if bias is not None:
-        out += bias
+        result += bias
     return out
 
 
@@ -137,7 +165,7 @@ def _input_gradient_kernel(weights: np.ndarray, stride: int, taps: int) -> np.nd
 
 
 def conv1d_backward(
-    cols: np.ndarray,
+    x: np.ndarray,
     weights: np.ndarray,
     stride: int,
     grad_out: np.ndarray,
@@ -147,9 +175,11 @@ def conv1d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
-    ``cols`` are the (B, m, Rf*C) patches the forward pass unfolded and
-    grad_out is (B, m, K); returns (grad_x, grad_weights, grad_bias). The
-    input gradient is written into ``grad_x``, a (B, L, C) array.
+    ``x`` is the (B, L, C) input the forward pass convolved and grad_out is
+    (B, m, K); returns (grad_x, grad_weights, grad_bias). The weight gradient
+    of each tap is grad_out^T times that tap's view of ``x`` (``tap_views``),
+    one batched GEMM summed over the batch, so no patches of ``x`` are kept
+    or made. The input gradient is written into ``grad_x``, shaped like x.
 
     Input position q*stride + r receives grad_out[q - d] through kernel tap
     d*stride + r, so grad_x, read as rows of stride*C values, is a stride-1
@@ -159,36 +189,35 @@ def conv1d_backward(
     ``grad_patches`` hold the padded gradient and its patches.
     """
     k, c, rf = weights.shape
-    batch, m, width = cols.shape
-    if width != rf * c:
-        raise ValueError(
-            f"columns of width {width} do not match kernels of shape {weights.shape}"
-        )
+    _check_conv_input(x, weights)
+    taps = tap_views(x, rf, stride)
+    batch, m = taps[0].shape[:2]
     if grad_out.shape != (batch, m, k):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"({batch}, {m}, {k})"
         )
-    g = grad_out.reshape(batch * m, k)
-    grad_bias = _channel_sums(g)
-    grad_weights = np.ascontiguousarray(
-        (g.T @ cols.reshape(batch * m, width)).reshape(k, rf, c).transpose(0, 2, 1)
-    )
-    if (
-        grad_x.ndim != 3
-        or (grad_x.shape[0], grad_x.shape[2]) != (batch, c)
-        or count_windows(grad_x.shape[1], rf, stride) != m
-    ):
-        raise ValueError(f"grad_x shape {grad_x.shape} does not match the columns")
-    length = grad_x.shape[1]
-    rows, taps = input_gradient_blocks(length, rf, stride)
-    if grad_pad.shape != (batch, rows + taps - 1, k):
-        raise ValueError(f"grad_pad shape {grad_pad.shape} does not match the columns")
-    grad_pad[:, : taps - 1] = 0.0
-    grad_pad[:, taps - 1 : taps - 1 + m] = grad_out
-    grad_pad[:, taps - 1 + m :] = 0.0
-    patches = im2col(grad_pad, taps, 1, out=grad_patches).reshape(batch * rows, taps * k)
-    kernel = _input_gradient_kernel(weights, stride, taps)
+    if grad_x.shape != x.shape:
+        raise ValueError(f"grad_x shape {grad_x.shape} does not match the input {x.shape}")
+    grad_bias = _channel_sums(grad_out.reshape(batch * m, k))
+    grad_weights = np.empty((k, c, rf))
+    g_t = grad_out.transpose(0, 2, 1)
+    for start, tap in zip(range(0, rf, stride), taps):
+        n = tap.shape[2] // c
+        products = np.matmul(g_t, tap).reshape(batch, k * n * c)  # (B, K, n*C) per sample
+        grad_weights[:, :, start : start + n] = (
+            _channel_sums(products).reshape(k, n, c).transpose(0, 2, 1)
+        )
+        del products  # the next tap's products take its place
+    length = x.shape[1]
+    rows, n_taps = input_gradient_blocks(length, rf, stride)
+    if grad_pad.shape != (batch, rows + n_taps - 1, k):
+        raise ValueError(f"grad_pad shape {grad_pad.shape} does not match the input")
+    grad_pad[:, : n_taps - 1] = 0.0
+    grad_pad[:, n_taps - 1 : n_taps - 1 + m] = grad_out
+    grad_pad[:, n_taps - 1 + m :] = 0.0
+    patches = im2col(grad_pad, n_taps, 1, out=grad_patches).reshape(batch * rows, n_taps * k)
+    kernel = _input_gradient_kernel(weights, stride, n_taps)
     if rows * stride == length:
         np.matmul(patches, kernel, out=_view(grad_x, (batch * rows, stride * c)))
     else:  # the last row runs past the input's end: keep what lies inside
@@ -341,8 +370,9 @@ def conv_batchnorm_backward(
     """(grad_weights, grad_bias) through relu(conv_batchnorm_train(...)).
 
     ``cols`` are the centred patches conv_batchnorm_train left behind and
-    grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask is
-    applied into ``out`` (which may be grad_out). With g
+    grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask
+    (x_hat > 0, the same whether or not the caller rectified x_hat in place)
+    is applied into ``out`` (which may be grad_out). With g
     the masked gradient, s1 and s2 the per-channel sums of g and g*x_hat,
     the gradient dz at the convolution output is
     (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W / sigma)^T, s2 is

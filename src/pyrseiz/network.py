@@ -190,16 +190,21 @@ class NetworkParameters:
         return NetworkParameters, (self.config, self.flat)
 
 
-def _carve(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+def _carve(
+    shapes: list[tuple[int, ...]], minimum: int = 0
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """C-contiguous float64 arrays of ``shapes``, one after the other in one
-    new block. Each starts a multiple of 8 values (64 bytes) into it, so it is
-    as aligned as the block, as a separately allocated array would be."""
+    new block of at least ``minimum`` values, and the block's tail from the
+    start of each. Each array starts a multiple of 8 values (64 bytes) into
+    the block, so it is as aligned as the block, as a separately allocated
+    array would be."""
     sizes = [math.prod(shape) for shape in shapes]
     starts = [0]
     for size in sizes:
         starts.append(starts[-1] + -(-size // 8) * 8)
-    block = np.empty(starts[-1])
-    return [block[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
+    block = np.empty(max(starts[-1], minimum))
+    arrays = [block[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
+    return arrays, [block[a:] for a in starts[:-1]]
 
 
 class Workspace:
@@ -208,15 +213,20 @@ class Workspace:
     Every array is C-contiguous and channel-last, shaped by ``conv_layers``.
     ``forward`` and ``backward`` write into them with ``out=``, so a trace,
     and the gradients ``backward`` returns, are valid only until the next
-    pass through the workspace. The pass arrays (each layer's ``cols`` and
-    ``normalized``, then ``flat``) are carved from one block, which the C heap
-    reuses where seven separate arrays would be given back to the system and
-    faulted in again on every ``classify`` call. The arrays only training
-    needs (``windows``, ``grad_act``, ``scratch``, ``grads``) are allocated on
-    first use, each on its own: carved from a second block, they fragmented
-    the heap of a ``cv`` process, which peaked 1.5 MB higher and ran its calls
-    about 5% slower. ``head(b)`` is a workspace for a smaller batch on the
-    leading rows of these arrays; it allocates nothing of its own.
+    pass through the workspace. The pass arrays are each layer's output
+    ``normalized[i]`` (its batch-norm output in training), conv2's rectified
+    output ``act`` (conv3's input), the flattened rectified conv3 output
+    ``flat``, and ``patches``, conv1's centred patches, which only training
+    writes. conv1's output is rectified in place, so ``rectified``, the
+    inputs of conv2 and conv3, is ``[normalized[0], act]``. They are carved
+    from one block, which the C heap reuses where separate arrays would be
+    given back to the system and faulted in again on every ``classify``
+    call. The arrays only training needs (``windows``, ``grad_act``,
+    ``scratch``, ``grads``) are allocated on first use, each on its own:
+    carved from a second block, they fragmented the heap of a ``cv``
+    process, which peaked 1.5 MB higher and ran its calls about 5% slower.
+    ``head(b)`` is a workspace for a smaller batch on the leading rows of
+    these arrays; it allocates nothing of its own.
     """
 
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
@@ -225,22 +235,37 @@ class Workspace:
         self._base = base
         if base:
             arrays = [a[:batch] for a in base._pass]
+            self._tails = base._tails
         else:
-            # each layer's im2col patches, kept for backward, and its output, layer by layer
-            shapes = [
-                (batch, c.output_length, width)
-                for c in config.conv_layers
-                for width in (c.receptive_field * c.in_channels, c.kernels)
-            ]
-            arrays = _carve([*shapes, (batch, config.flatten_width)])
+            conv1 = config.conv_layers[0]
+            outputs = [(batch, c.output_length, c.kernels) for c in config.conv_layers]
+            patches = (batch, conv1.output_length, conv1.receptive_field * conv1.in_channels)
+            # in pass order, patches last: what lies past a layer's output is
+            # written only after that layer, so its tap products go there
+            shapes = [outputs[0], outputs[1], outputs[1], outputs[2],
+                      (batch, config.flatten_width), patches]
+            first = math.prod(outputs[0])  # conv1's products start 8-value aligned past it
+            arrays, tails = _carve(shapes, minimum=-(-first // 8) * 8 + first)
+            self._tails = [tails[i] for i in (1, 2, 4)]  # from just past each layer's output
         self._pass = arrays
-        self.cols, self.normalized, self.flat = arrays[:-1:2], arrays[1:-1:2], arrays[-1]
+        self.normalized = [arrays[0], arrays[1], arrays[3]]
+        self.act, self.flat, self.patches = arrays[2], arrays[4], arrays[5]
+        self.rectified = [self.normalized[0], self.act]
 
     def head(self, batch: int) -> Workspace:
         """This workspace for the first ``batch`` rows: itself at full size."""
         if not 1 <= batch <= self.batch:
             raise ValueError(f"a workspace for {self.batch} windows has no head of {batch}")
         return self if batch == self.batch else Workspace(self.config, batch, base=self)
+
+    def tap_scratch(self, i: int) -> np.ndarray:
+        """Where conv layer i's taps after the first put their products: the
+        pass block just past the layer's output, which a pass writes only
+        after the layer. That is ``act`` for conv2 and ``flat`` for conv3;
+        for conv1, which only inference convolves tap by tap, it spans the
+        arrays after its output, and the block is long enough for it."""
+        shape = self.normalized[i].shape
+        return self._tails[i][: math.prod(shape)].reshape(shape)
 
     @cached_property
     def windows(self) -> np.ndarray:
@@ -301,8 +326,8 @@ class Workspace:
 class ForwardTrace:
     """Intermediates cached by a training-mode forward pass for backprop.
 
-    The conv stack's im2col patches (conv1's centred) and its flattened
-    output stay in ``workspace.cols`` and ``workspace.flat``.
+    The conv stack's inputs (conv1's centred patches, then ``rectified``)
+    and its flattened output stay in the workspace.
     """
 
     bn_caches: list[layers.BatchNormCache]  # x_hat: the batch-norm outputs feeding each ReLU
@@ -330,13 +355,14 @@ def forward(
     the running statistics in place in ``params``; its loss computes the
     probabilities from ``trace.logits`` (``layers.softmax_cross_entropy``).
     Inference folds the running statistics into each layer's conv weights
-    and bias (``layers.batchnorm_infer``) and applies no dropout. Each conv
-    layer's ReLU is applied where its output is read: by the next layer's
-    im2col and by the flatten. The returned probabilities are always a
-    fresh array.
+    and bias (``layers.batchnorm_infer``) and applies no dropout. conv1's
+    ReLU rectifies its output in place, since its backward needs only the
+    mask; conv2's writes ``workspace.act``, since its batch-norm backward
+    reads the whole x_hat; conv3's is applied by the flatten. The returned
+    probabilities are always a fresh array.
     """
     config = params.config
-    x = np.asarray(windows, dtype=np.float64)
+    x = np.ascontiguousarray(windows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_length:
         raise ValueError(
             f"expected windows of length {config.input_length}, got shape {x.shape}"
@@ -351,26 +377,31 @@ def forward(
     bn_caches: list[layers.BatchNormCache] = []
     weights, biases = params.conv_weights, params.conv_biases
     running_mean, running_var = params.bn_running_mean, params.bn_running_var
-    for i, (cols, normalized) in enumerate(zip(workspace.cols, workspace.normalized)):
+    for i, normalized in enumerate(workspace.normalized):
         stride = config.strides[i]
         if not training:  # batch norm folded into the conv weights and bias
             w, b = layers.batchnorm_infer(weights[i], biases[i], running_mean[i], running_var[i])
-            h = layers.conv1d_forward(h, w, b, stride, cols=cols, out=normalized, relu=i > 0)
+            h = layers.conv1d_forward(
+                h, w, b, stride, out=normalized, scratch=workspace.tap_scratch(i)
+            )
         else:
             if i == 0:  # data input, Rf-wide patches: statistics from the patches
                 z, cache, mean, var = layers.conv_batchnorm_train(
-                    h, weights[i], biases[i], stride, cols=cols, out=normalized
+                    h, weights[i], biases[i], stride, cols=workspace.patches, out=normalized
                 )
             else:  # batch norm cancels the conv bias; it reaches only the running mean
                 z = layers.conv1d_forward(
-                    h, weights[i], None, stride, cols=cols, out=normalized, relu=True
+                    h, weights[i], None, stride, out=normalized,
+                    scratch=workspace.tap_scratch(i),
                 )
                 z, cache, mean, var = layers.batchnorm_train(z, out=z)
                 mean += biases[i]
             running_mean[i][...] = layers.update_running_stat(running_mean[i], mean)
             running_var[i][...] = layers.update_running_stat(running_var[i], var)
             bn_caches.append(cache)
-            h = z  # the batch-norm output x_hat, which backward reads before the ReLU
+            h = z  # the batch-norm output x_hat
+        if i < 2:
+            h = np.maximum(h, 0.0, out=workspace.rectified[i])
     # flatten in (kernel, position) order, the order fc1.weight's rows are stored
     # in, applying conv3's ReLU
     flat = workspace.flat
@@ -426,11 +457,11 @@ def backward(
         )
         grad_pad, grad_patches = ws.grad_buffers(i)
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
-            ws.cols[i], params.conv_weights[i], config.strides[i], g,
+            ws.rectified[i - 1], params.conv_weights[i], config.strides[i], g,
             grad_x=ws.grad_act[i - 1], grad_pad=grad_pad, grad_patches=grad_patches,
         )
     grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
-        trace.bn_caches[0], ws.cols[0], params.conv_weights[0], g, out=g
+        trace.bn_caches[0], ws.patches, params.conv_weights[0], g, out=g
     )
     return grads
 

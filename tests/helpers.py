@@ -37,30 +37,31 @@ def origins(windows, records):
     ]
 
 
-def fresh_cols(x, receptive_field, stride, relu=False):
+def fresh_cols(x, receptive_field, stride):
     """``layers.im2col`` of the channel-last batch ``x`` into a fresh array."""
     batch, length, channels = x.shape
     m = layers.count_windows(length, receptive_field, stride)
     out = np.empty((batch, m, receptive_field * channels))
-    return layers.im2col(x, receptive_field, stride, out, relu=relu)
+    return layers.im2col(x, receptive_field, stride, out)
 
 
-def fresh_conv(x, weights, bias, stride, relu=False):
-    """``layers.conv1d_forward`` into fresh patches and output."""
+def fresh_conv(x, weights, bias, stride):
+    """``layers.conv1d_forward`` into a fresh output and tap scratch, both
+    first filled with nan."""
     batch, length, _ = x.shape
-    k, c, rf = weights.shape
+    k, _, rf = weights.shape
     m = layers.count_windows(length, rf, stride)
-    cols, out = np.empty((batch, m, rf * c)), np.empty((batch, m, k))
-    return layers.conv1d_forward(x, weights, bias, stride, cols, out, relu=relu)
+    out, scratch = np.full((batch, m, k), np.nan), np.full((batch, m, k), np.nan)
+    return layers.conv1d_forward(x, weights, bias, stride, out, scratch)
 
 
-def fresh_conv_backward(cols, weights, stride, grad_out, grad_x):
-    """``layers.conv1d_backward`` into ``grad_x``, its padded gradient and
-    patches in fresh arrays."""
-    batch, length, _ = grad_x.shape
+def fresh_conv_backward(x, weights, stride, grad_out, grad_x):
+    """``layers.conv1d_backward`` of the input ``x`` into ``grad_x``, its
+    padded gradient and patches in fresh arrays."""
+    batch, length, _ = x.shape
     k, _, rf = weights.shape
     rows, taps = layers.input_gradient_blocks(length, rf, stride)
     return layers.conv1d_backward(
-        cols, weights, stride, grad_out, grad_x,
+        x, weights, stride, grad_out, grad_x,
         np.empty((batch, rows + taps - 1, k)), np.empty((batch, rows, taps * k)),
     )

@@ -68,6 +68,26 @@ def conv1d_loops(x, weights, bias, stride):
     return out
 
 
+def conv1d_gradients_loops(x, weights, stride, grad_out):
+    """(grad_x, grad_weights) of a valid strided cross-correlation by direct
+    loops over every (sample, kernel, window, channel, tap) product:
+    (B, C, L) input, (K, C, Rf) weights and (B, K, m) output gradient."""
+    b, c, length = x.shape
+    k, _, rf = weights.shape
+    m = grad_out.shape[2]
+    grad_x = np.zeros_like(x)
+    grad_w = np.zeros_like(weights)
+    for bi in range(b):
+        for ki in range(k):
+            for j in range(m):
+                g = grad_out[bi, ki, j]
+                for ci in range(c):
+                    for e in range(rf):
+                        grad_x[bi, ci, j * stride + e] += g * weights[ki, ci, e]
+                        grad_w[ki, ci, e] += g * x[bi, ci, j * stride + e]
+    return grad_x, grad_w
+
+
 def metrics_from_pairs(true_labels, predicted, positive):
     """Binary metrics by direct pair counting (TP against the positive class)."""
     tp = fn = fp = tn = 0

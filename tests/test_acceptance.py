@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fresh_cols, fresh_conv, fresh_conv_backward
+from helpers import fresh_conv, fresh_conv_backward
 from oracles import (
     central_difference,
     confusion_from_pairs,
@@ -162,8 +162,7 @@ def test_criterion_3_gradient_correctness():
         b = rng.standard_normal(3)
         readout = rng.standard_normal((2, 3, 4)).transpose(0, 2, 1).copy()
         conv_loss = lambda: float((fresh_conv(x, w, b, 2) * readout).sum())
-        cols = fresh_cols(x, 3, 2)
-        gx, gw, gb = fresh_conv_backward(cols, w, 2, readout, grad_x=np.empty_like(x))
+        gx, gw, gb = fresh_conv_backward(x, w, 2, readout, grad_x=np.empty_like(x))
         assert max_relative_error(gx, central_difference(conv_loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(conv_loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(conv_loss, b)) < 1e-6

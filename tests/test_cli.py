@@ -304,6 +304,7 @@ class TestPredict:
             (["--scheme", "2"], "--scheme must be 1, the checkpoint's, got 2"),
             (["--case", "A-E"], "--case must be A-B, the checkpoint's, got A-E"),
             (["--case", "A-B-C"], "--case must name 2 classes, got A-B-C"),
+            (["--scheme", "3"], "unknown scheme 3; expected 1 or 2"),
         ],
     )
     def test_contradicting_the_checkpoint_rejected(
@@ -526,6 +527,10 @@ REJECTED_VALUES = [
         ((["synth"],), "--noise", "nan", "--noise must be finite and >= 0, got nan"),
         ((["synth"],), "--noise", "-1", "--noise must be finite and >= 0, got -1.0"),
         ((CV,), "--case", "Q-E", "unknown set letter 'Q' in case spec 'Q-E'"),
+        ((TRAIN, CV, BATTERY), "--scheme", "3", "unknown scheme 3; expected 1 or 2"),
+        ((TRAIN, CV, BATTERY), "--model", "m9",
+         "unknown model 'M9'; valid names: M1, M2, M3, M4, M5, M6, M7, M8"),
+        ((CV, BATTERY), "--format", "xml", "unknown report format 'xml'; expected 'csv' or 'json'"),
     ]
     for argv in commands
 ]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import fresh_cols, fresh_conv, fresh_conv_backward
 from oracles import (
     central_difference,
+    conv1d_gradients_loops,
     conv1d_input_gradient_loops,
     conv1d_loops,
     max_relative_error,
@@ -72,37 +73,61 @@ class TestConvForward:
                 assert np.array_equal(cols[b, j], x[b, 3 * j : 3 * j + 4].ravel())
 
     def test_writes_into_given_buffers(self):
+        """The output is the given buffer; a two-tap layer (Rf 5, stride 3)
+        writes its second tap's products into the scratch, and the input is
+        left as it was."""
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 17, 3))
-        w = rng.standard_normal((4, 3, 5))
-        b = rng.standard_normal(4)
-        cols, out = np.empty((2, 7, 15)), np.empty((2, 7, 4))
-        result = layers.conv1d_forward(x, w, b, 2, cols=cols, out=out)
-        assert result is out
-        assert np.array_equal(cols, fresh_cols(x, 5, 2))
-        assert np.array_equal(out, fresh_conv(x, w, b, 2))
-
-    def test_relu_rectifies_the_input_as_it_unfolds(self):
-        """With relu, the patches and the output are bitwise those of
-        max(x, 0); the input itself is left as it was."""
-        rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 17, 3))
         before = x.copy()
         w = rng.standard_normal((4, 3, 5))
         b = rng.standard_normal(4)
-        rectified = np.maximum(x, 0.0)
-        cols = np.empty((2, 7, 15))
-        out = layers.conv1d_forward(x, w, b, 2, cols=cols, out=np.empty((2, 7, 4)), relu=True)
-        assert np.array_equal(cols, fresh_cols(rectified, 5, 2))
-        assert np.array_equal(out, fresh_conv(rectified, w, b, 2))
+        out, scratch = np.full((2, 5, 4), np.nan), np.full((2, 5, 4), np.nan)
+        result = layers.conv1d_forward(x, w, b, 3, out=out, scratch=scratch)
+        assert result is out
+        assert np.array_equal(out, fresh_conv(x, w, b, 3))
+        assert np.isfinite(scratch).all()
         assert np.array_equal(x, before)
+
+    def test_one_tap_leaves_the_scratch_alone(self):
+        """Rf <= stride is one GEMM straight into the output."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 13, 2))
+        w = rng.standard_normal((2, 2, 3))
+        scratch = np.full((3, 4, 2), np.nan)
+        layers.conv1d_forward(x, w, None, 3, out=np.empty((3, 4, 2)), scratch=scratch)
+        assert np.isnan(scratch).all()
 
     def test_input_shorter_than_kernel(self):
         with pytest.raises(ValueError, match="exceeds signal length"):
             layers.conv1d_forward(
                 np.zeros((1, 2, 1)), np.zeros((1, 1, 5)), np.zeros(1), 1,
-                np.empty((1, 1, 5)), np.empty((1, 1, 1)),
+                np.empty((1, 1, 1)), np.empty((1, 1, 1)),
             )
+
+    def test_non_contiguous_input_rejected(self):
+        """Tap views need the input's positions and channels contiguous."""
+        x = np.zeros((2, 3, 9)).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fresh_conv(x, np.zeros((1, 3, 3)), None, 2)
+
+
+class TestTapViews:
+    @pytest.mark.parametrize("rf, stride", [(5, 3), (3, 2), (3, 3), (2, 4), (4, 1)])
+    def test_taps_are_views_of_the_patch_columns(self, rf, stride):
+        """Tap d holds the patch columns of kernel positions d*stride up to
+        min(stride, Rf - d*stride) past it: each a read-only view of the
+        input, with no copy, rows stride*C apart and at most that wide."""
+        rng = np.random.default_rng(rf * 10 + stride)
+        x = rng.standard_normal((3, 23, 2))
+        taps = layers.tap_views(x, rf, stride)
+        assert len(taps) == -(-rf // stride)
+        cols = fresh_cols(x, rf, stride)
+        for d, tap in enumerate(taps):
+            n = min(stride, rf - d * stride)
+            assert tap.shape == cols.shape[:2] + (n * 2,)
+            assert np.array_equal(tap, cols[:, :, d * stride * 2 : (d * stride + n) * 2])
+            assert np.shares_memory(tap, x) and not tap.flags.writeable
+            assert tap.strides[1:] == (stride * 2 * 8, 8)
 
 
 class TestConvBackward:
@@ -110,9 +135,8 @@ class TestConvBackward:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 9, 2))
         w = rng.standard_normal((3, 2, 3))
-        cols = fresh_cols(x, 3, 2)
         gx, gw, gb = fresh_conv_backward(
-            cols, w, 2, np.zeros((2, 4, 3)), grad_x=np.full_like(x, np.nan)
+            x, w, 2, np.zeros((2, 4, 3)), grad_x=np.full_like(x, np.nan)
         )
         assert not gx.any() and not gw.any() and not gb.any()
 
@@ -121,9 +145,7 @@ class TestConvBackward:
         x = rng.standard_normal((1, 6, 1))
         w = rng.standard_normal((1, 1, 1))
         g = rng.standard_normal((1, 6, 1))
-        _, gw, gb = fresh_conv_backward(
-            fresh_cols(x, 1, 1), w, 1, g, grad_x=np.empty_like(x)
-        )
+        _, gw, gb = fresh_conv_backward(x, w, 1, g, grad_x=np.empty_like(x))
         assert np.isclose(gw[0, 0, 0], (x[0, :, 0] * g[0, :, 0]).sum())
         assert np.isclose(gb[0], g.sum())
 
@@ -138,31 +160,30 @@ class TestConvBackward:
         def loss():
             return float((fresh_conv(x, w, b, 2) * r).sum())
 
-        gx, gw, gb = fresh_conv_backward(
-            fresh_cols(x, 3, 2), w, 2, r, grad_x=np.empty_like(x)
-        )
+        gx, gw, gb = fresh_conv_backward(x, w, 2, r, grad_x=np.empty_like(x))
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(loss, b)) < 1e-6
 
-    def test_finite_difference_from_cached_forward_columns(self):
-        """Backward reads the columns the forward pass unfolded, including a
-        trailing input sample no window reaches (L=10, Rf=3, stride 2)."""
+    def test_finite_difference_with_a_trailing_sample(self):
+        """Backward reads the forward input in place, including a trailing
+        input sample no window reaches (L=10, Rf=3, stride 2); the input is
+        left as it was."""
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 10, 2))
+        before = x.copy()
         w = rng.standard_normal((4, 2, 3))
         b = rng.standard_normal(4)
         r = rng.standard_normal((3, 4, 4))
-        cols = np.empty((3, 4, 6))
-        layers.conv1d_forward(x, w, b, 2, cols=cols, out=np.empty((3, 4, 4)))
 
         def loss():
             return float((fresh_conv(x, w, b, 2) * r).sum())
 
         gx, gw, gb = layers.conv1d_backward(
-            cols, w, 2, r, grad_x=np.empty_like(x),
+            x, w, 2, r, grad_x=np.empty_like(x),
             grad_pad=np.full((3, 6, 4), np.nan), grad_patches=np.full((3, 5, 8), np.nan),
         )
+        assert np.array_equal(x, before)
         assert not gx[:, -1].any()
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
@@ -171,21 +192,28 @@ class TestConvBackward:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             fresh_conv_backward(
-                np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 7, 1)),
+                np.zeros((1, 9, 1)), np.zeros((1, 1, 3)), 2, np.zeros((1, 7, 1)),
                 grad_x=np.zeros((1, 9, 1)),
+            )
+
+    def test_input_channels_checked(self):
+        with pytest.raises(ValueError, match="kernel channels"):
+            fresh_conv_backward(
+                np.zeros((1, 9, 2)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
+                grad_x=np.zeros((1, 9, 2)),
             )
 
     def test_input_gradient_buffer_shape_checked(self):
         with pytest.raises(ValueError, match="grad_x shape"):
             fresh_conv_backward(
-                np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
+                np.zeros((1, 9, 1)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
                 grad_x=np.zeros((1, 12, 1)),
             )
 
     def test_padded_gradient_buffer_shape_checked(self):
         with pytest.raises(ValueError, match="grad_pad shape"):
             layers.conv1d_backward(
-                np.zeros((1, 4, 3)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
+                np.zeros((1, 9, 1)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
                 grad_x=np.zeros((1, 9, 1)), grad_pad=np.zeros((1, 5, 1)),
                 grad_patches=np.zeros((1, 5, 2)),
             )
@@ -220,7 +248,7 @@ class TestConvBackward:
         rows, taps = layers.input_gradient_blocks(length, rf, stride)
         grad_x = np.full_like(x, np.nan)
         result, _, _ = layers.conv1d_backward(
-            fresh_cols(x, rf, stride), w, stride, g, grad_x=grad_x,
+            x, w, stride, g, grad_x=grad_x,
             grad_pad=np.full((batch, rows + taps - 1, kernels), np.nan),
             grad_patches=np.full((batch, rows, taps * kernels), np.nan),
         )
@@ -230,6 +258,47 @@ class TestConvBackward:
         assert result is grad_x
         assert np.max(np.abs(grad_x - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert not grad_x[:, (m - 1) * stride + rf :].any()
+
+
+# Every receptive field 1-6 and stride 1-4: stride >= Rf is one tap, stride 1
+# is Rf taps. Under strides above 1 the input's length is never a multiple of
+# the stride, so it cannot be read as whole stride-long rows.
+TAP_GEOMETRIES = [
+    (rf, stride, batch)
+    for rf in range(1, 7)
+    for stride in range(1, 5)
+    for batch in (1, 7)
+]
+
+
+@pytest.mark.parametrize("rf, stride, batch", TAP_GEOMETRIES)
+def test_tap_convolution_matches_direct_loops(rf, stride, batch):
+    """conv1d_forward and conv1d_backward, tap by tap over views of the
+    input, give the output, the weight gradient and the input gradient of
+    direct loops over every product, each within 1e-12 of its largest
+    entry."""
+    channels, kernels, m = 3, 4, 5
+    tail = 0 if stride == 1 or rf % stride else 1  # samples past the last window
+    length = (m - 1) * stride + rf + tail
+    assert stride == 1 or length % stride != 0
+    rng = np.random.default_rng(100 * rf + 10 * stride + batch)
+    x_first = rng.standard_normal((batch, channels, length))
+    w = rng.standard_normal((kernels, channels, rf))
+    b = rng.standard_normal(kernels)
+    g_first = rng.standard_normal((batch, kernels, layers.count_windows(length, rf, stride)))
+    x, g = _channel_last(x_first), _channel_last(g_first)
+
+    out = fresh_conv(x, w, b, stride)
+    gx, gw, gb = fresh_conv_backward(x, w, stride, g, grad_x=np.full_like(x, np.nan))
+    ref_out = _channel_last(conv1d_loops(x_first, w, b, stride))
+    ref_gx, ref_gw = conv1d_gradients_loops(x_first, w, stride, g_first)
+    for name, got, ref in (
+        ("output", out, ref_out),
+        ("weight gradient", gw, ref_gw),
+        ("input gradient", gx, _channel_last(ref_gx)),
+        ("bias gradient", gb, g_first.sum(axis=(0, 2))),
+    ):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestBatchNorm:
@@ -353,13 +422,12 @@ class TestBatchNorm:
 def _unfused_first_layer(x, w, b, stride, grad_out):
     """conv1d_forward -> batchnorm_train -> relu, then batchnorm_backward(relu=True)
     -> conv1d_backward: what conv_batchnorm_train/_backward fold together."""
-    cols = fresh_cols(x, w.shape[2], stride)
     z = fresh_conv(x, w, b, stride)
     x_hat, cache, mean, var = layers.batchnorm_train(z, np.empty_like(z))
     dz = layers.batchnorm_backward(
         cache, grad_out, np.empty_like(grad_out), np.empty_like(grad_out), relu=True
     )
-    _, gw, gb = fresh_conv_backward(cols, w, stride, dz, grad_x=np.empty_like(x))
+    _, gw, gb = fresh_conv_backward(x, w, stride, dz, grad_x=np.empty_like(x))
     return x_hat, mean, var, gw, gb
 
 

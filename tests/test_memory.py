@@ -1,4 +1,5 @@
-"""Traced memory bounds: a fold holds its records once, inference one pass.
+"""Traced memory bounds: a fold holds its records once, inference one pass,
+a training step no patch matrix of conv2 or conv3.
 
 Peaks are read with ``tracemalloc``, which numpy reports its array buffers
 to, so they count the arrays a call makes and not the interpreter's heap.
@@ -8,10 +9,13 @@ import tracemalloc
 
 import numpy as np
 
+from pyrseiz import layers
 from pyrseiz.dataset import EegRecord, FoldPlan, define_case
 from pyrseiz.ensemble import classify
 from pyrseiz.evaluation import RunSpec, _run_fold
-from pyrseiz.network import ModelConfig, Workspace, init_parameters, model_config
+from pyrseiz.network import (
+    ModelConfig, Workspace, backward, count_parameters, forward, init_parameters, model_config,
+)
 from pyrseiz.training import TrainingConfig, train
 from pyrseiz.windowing import SCHEME_1, augment_training
 
@@ -27,6 +31,11 @@ WINDOW_COLUMN_BYTES = 5 * 8
 AUGMENT_ALLOWANCE = 64 * 1024
 # Probabilities, vote records and per-pass temporaries beside the workspace.
 INFER_ALLOWANCE = 512 * 1024
+# A training step's temporaries beside its workspace: at M5 batch 32 it
+# peaks 333 KB above its arrays on CPython 3.11, in conv2's backward, whose
+# per-tap weight-gradient products are up to (32, 16, 48) values (196 KB),
+# beside the trace's smaller arrays. A conv3 patch matrix is 504 KB.
+STEP_ALLOWANCE = 448 * 1024
 
 
 def _traced_peak(fn) -> int:
@@ -94,14 +103,60 @@ def test_fold_test_side_peak_does_not_grow_with_its_records():
     assert peaks[1] - peaks[0] < extra_bytes
 
 
+def _pass_bytes(cfg, batch):
+    """The pass arrays of a workspace, from the conv layers' shapes: each
+    layer's output, conv2's rectified output, the flattened conv3 output and
+    conv1's patches, Rf * C_in = 5 values wide."""
+    conv1, conv2, _ = cfg.conv_layers
+    outputs = sum(c.output_length * c.kernels for c in cfg.conv_layers)
+    act = conv2.output_length * conv2.kernels
+    patches = conv1.output_length * conv1.receptive_field * conv1.in_channels
+    return 8 * batch * (outputs + act + cfg.flatten_width + patches)
+
+
 def test_inference_peak_is_one_pass():
-    """classify on 1,000 M5 windows peaks below the buffers of one 32-window
-    pass plus INFER_ALLOWANCE: every pass reuses the same ones, and the
-    workspace's training arrays (about 1.9 MB here) are never allocated."""
+    """classify on 1,000 M5 windows peaks below the pass arrays of one
+    32-window pass plus INFER_ALLOWANCE: every pass reuses the same ones,
+    conv1's tap products go past its output in the same block, and the
+    workspace's training arrays (about 2.7 MB here) are never allocated."""
     cfg = model_config("M5", 3)
     params = init_parameters(cfg, seed=0)
     windows = np.random.default_rng(1).standard_normal((200, 5, 512))
-    ws = Workspace(cfg, 32)
-    pass_bytes = sum(a.nbytes for a in ws.cols + ws.normalized) + ws.flat.nbytes
-    del ws
-    assert _traced_peak(lambda: classify(params, windows)) < pass_bytes + INFER_ALLOWANCE
+    assert Workspace(cfg, 32).flat.base.nbytes == _pass_bytes(cfg, 32) == 2_118_144
+    assert _traced_peak(lambda: classify(params, windows)) < _pass_bytes(cfg, 32) + INFER_ALLOWANCE
+
+
+def test_training_step_keeps_no_conv2_or_conv3_patches():
+    """One M5 training step at batch 32 peaks below its arrays, as the
+    layer shapes give them, plus STEP_ALLOWANCE. The workspace is built in
+    the traced call, and its training arrays are allocated before the step
+    runs, as every step after a training loop's first finds them. The
+    arrays are the pass arrays (2.12 MB), the gathered windows, the
+    gradient at each layer's ReLU output, the backward scratch sized by
+    conv2's zero-padded output gradient and its patches, and the gradient
+    vector (2.72 MB together). conv2 and conv3 read their inputs in place,
+    so a patch matrix of either, (32, 84, 72) or (32, 41, 48) values (1.55
+    MB or 504 KB), kept or made in either pass, would cross the bound."""
+    cfg = model_config("M5", 3)
+    batch = 32
+    params = init_parameters(cfg, seed=0)
+    rng = np.random.default_rng(2)
+    windows, labels = rng.standard_normal((batch, 512)), rng.integers(0, 3, size=batch)
+    _, conv2, _ = cfg.conv_layers
+    rows, taps = -(-conv2.input_length // conv2.stride), -(-conv2.receptive_field // conv2.stride)
+    scratch = (rows + taps - 1) * conv2.kernels + rows * taps * conv2.kernels
+    outputs = sum(c.output_length * c.kernels for c in cfg.conv_layers)
+    buffers = 8 * (batch * (cfg.input_length + outputs + scratch) + len(params.flat))
+    assert buffers + _pass_bytes(cfg, batch) == 4_837_848
+    assert len(params.flat) == count_parameters(cfg) + 2 * sum(cfg.kernel_counts)
+
+    def step():
+        ws = Workspace(cfg, batch)
+        ws.grad_act, ws.scratch, ws.grads  # allocated as a training loop's first step leaves them
+        ws.windows[...] = windows
+        _, trace = forward(params, ws.windows, ws, training=True,
+                           dropout_rng=np.random.default_rng(3))
+        _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, labels)
+        backward(params, trace, grad_logits / batch)
+
+    assert _traced_peak(step) < _pass_bytes(cfg, batch) + buffers + STEP_ALLOWANCE

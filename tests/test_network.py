@@ -111,17 +111,21 @@ class TestModelGrid:
 # fields 5, 3, 3 at strides 3, 2, 2 give (512 - 5) // 3 + 1 = 170,
 # (170 - 3) // 2 + 1 = 84 and (84 - 3) // 2 + 1 = 41 positions. A patch is
 # Rf * C_in wide, and a conv layer has K * C_in * Rf weights plus K biases.
+# Its taps are ceil(Rf / stride) views of its input, min(stride, Rf - d *
+# stride) * C_in wide: 3 and 2 for conv1, 2 * C_in and C_in for conv2 and conv3.
 HAND_GEOMETRY = {
     "pyramid": {
         "in_channels": (1, 24, 16),
         "kernels": (24, 16, 8),
         "patch_widths": (5, 72, 48),
+        "tap_widths": ((3, 2), (48, 24), (32, 16)),
         "conv_parameters": 24 * 5 + 24 + 16 * 24 * 3 + 16 + 8 * 16 * 3 + 8,  # 1,704
     },
     "traditional": {
         "in_channels": (1, 8, 16),
         "kernels": (8, 16, 24),
         "patch_widths": (5, 24, 48),
+        "tap_widths": ((3, 2), (16, 8), (32, 16)),
         "conv_parameters": 8 * 5 + 8 + 16 * 8 * 3 + 16 + 24 * 16 * 3 + 24,  # 1,624
     },
 }
@@ -131,8 +135,10 @@ class TestConvGeometry:
     @pytest.mark.parametrize("num_classes", [2, 3])
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_table_matches_the_hand_computation(self, name, num_classes):
-        """Channels, lengths and patch widths of every grid model, and the
-        parameter count and workspace buffers that follow from them."""
+        """Channels, lengths, patch and tap widths of every grid model, and
+        the parameter count and workspace buffers that follow from them:
+        each layer's output, conv2's rectified output, the flattened conv3
+        output and conv1's patches, the only patches a pass keeps."""
         cfg = model_config(name, num_classes)
         hand = HAND_GEOMETRY[cfg.family]
         table = cfg.conv_layers
@@ -148,12 +154,19 @@ class TestConvGeometry:
         dense = flatten * fc1 + fc1 + fc1 * num_classes + num_classes
         assert count_parameters(cfg) == hand["conv_parameters"] + dense
         ws = Workspace(cfg, 2)
-        assert [a.shape for a in ws.cols] == [
-            (2, m, w) for m, w in zip((170, 84, 41), hand["patch_widths"])
-        ]
         assert [a.shape for a in ws.normalized] == [
             (2, m, k) for m, k in zip((170, 84, 41), hand["kernels"])
         ]
+        assert ws.act.shape == (2, 84, hand["kernels"][1])
+        assert ws.flat.shape == (2, flatten)
+        assert ws.patches.shape == (2, 170, 5)
+        inputs = [np.empty((2, 512, 1)), *ws.rectified]
+        assert [a.shape for a in inputs] == [
+            (2, n, c) for n, c in zip((512, 170, 84), hand["in_channels"])
+        ]
+        for x, c, widths in zip(inputs, table, hand["tap_widths"]):
+            taps = layers.tap_views(x, c.receptive_field, c.stride)
+            assert [t.shape for t in taps] == [(2, c.output_length, w) for w in widths]
 
     def test_config_fields_hold_no_derived_geometry(self):
         """The table is derived, so the config's fields, and with them the
@@ -380,11 +393,14 @@ def _perturbed(cfg, seed):
     return params
 
 
+def _pass_arrays(ws):
+    return [*ws.normalized, ws.act, ws.flat, ws.patches]
+
+
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
-    lists = (ws.cols, ws.normalized, ws.grad_act)
-    singles = [ws.flat, ws.windows, ws.scratch, ws.grads.learnable]
-    return [b for buffers in lists for b in buffers] + singles
+    singles = [ws.windows, ws.scratch, ws.grads.learnable]
+    return _pass_arrays(ws) + ws.grad_act + singles
 
 
 class TestChannelLastLayout:
@@ -432,18 +448,42 @@ class TestChannelLastLayout:
         x = np.random.default_rng(0).standard_normal((5, 64))
         probs, trace = forward(params, x, Workspace(cfg, 5), training=True)
         ws = trace.workspace
-        in_channels = (1,) + cfg.kernel_counts[:2]
         for i, m in enumerate(c.output_length for c in cfg.conv_layers):
-            k, rf = cfg.kernel_counts[i], cfg.receptive_fields[i]
-            assert ws.cols[i].shape == (5, m, rf * in_channels[i])
+            k = cfg.kernel_counts[i]
             assert trace.bn_caches[i].x_hat.shape == (5, m, k)
             assert trace.bn_caches[i].x_hat.flags.c_contiguous
+        assert ws.patches.shape == (5, 20, 5)
         assert ws.flat.shape == (5, cfg.flatten_width)
         for name in ("fc1_pre", "fc2_input", "logits"):
             assert getattr(trace, name).flags.c_contiguous, name
         assert probs is None
-        for buffers in (ws.cols, ws.normalized, [ws.flat]):
-            assert all(b.flags.c_contiguous for b in buffers)
+        assert all(b.flags.c_contiguous for b in _pass_arrays(ws))
+
+    def test_relu_outputs_are_the_next_layers_inputs(self, tiny_config):
+        """conv1's batch-norm output is rectified in place, its cache holding
+        the rectified values, whose mask is x_hat's; conv2's is rectified
+        into ``act``, its cache keeping the whole x_hat; conv3's goes to the
+        flatten. The rectified outputs are conv2's and conv3's inputs."""
+        cfg = tiny_config
+        params = init_parameters(cfg, seed=6)
+        x = np.random.default_rng(6).standard_normal((5, 64))
+        _, trace = forward(params, x, Workspace(cfg, 5), training=True)
+        ws, caches = trace.workspace, trace.bn_caches
+        assert caches[0].x_hat is ws.normalized[0] is ws.rectified[0]
+        assert caches[0].x_hat.min() == 0.0
+        assert caches[1].x_hat is ws.normalized[1] and caches[1].x_hat.min() < 0.0
+        assert ws.rectified[1] is ws.act
+        assert np.array_equal(ws.act, np.maximum(caches[1].x_hat, 0.0))
+        assert np.array_equal(
+            ws.flat, np.maximum(caches[2].x_hat, 0.0).transpose(0, 2, 1).reshape(5, -1)
+        )
+        w, stride = params.conv_weights[1], cfg.strides[1]
+        z = np.stack([  # conv2 of the rectified conv1 output, window by window
+            np.einsum("bec,kce->bk", ws.rectified[0][:, j * stride : j * stride + 3], w)
+            for j in range(ws.act.shape[1])
+        ], axis=1)
+        x_hat, _, _, _ = layers.batchnorm_train(z, np.empty_like(z))
+        assert np.max(np.abs(x_hat - caches[1].x_hat)) <= 1e-12
 
     def test_reused_workspace_matches_fresh_arrays(self, tiny_config):
         """Two passes through one workspace give what fresh buffers give, also
@@ -488,7 +528,7 @@ class TestChannelLastLayout:
         grads = backward(params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 3 * 3 + 4
+        assert len(buffers) == 6 + 3 + 3
         assert grads is ws.grads
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
@@ -502,6 +542,26 @@ class TestChannelLastLayout:
             for view in (pad, patches, scratch):
                 assert view.flags.c_contiguous and view.base is ws.scratch
             assert not np.shares_memory(pad, patches)
+
+    def test_tap_scratch_overlaps_only_arrays_written_later(self, tiny_config):
+        """A layer's tap products lie in the pass block past its output,
+        clear of its input, its output and everything a training pass keeps
+        from before it; conv1's (inference only) may cover its patches, which
+        inference never writes."""
+        ws = Workspace(tiny_config, 4).head(3)
+        block = ws.flat.base
+        kept = (
+            [ws.normalized[0]],
+            [ws.patches, ws.normalized[0], ws.normalized[1]],
+            [ws.patches, *ws.normalized, ws.act],
+        )
+        for i, arrays in enumerate(kept):
+            tap = ws.tap_scratch(i)
+            assert tap.shape == ws.normalized[i].shape
+            assert tap.flags.c_contiguous and tap.base is block
+            assert not any(np.shares_memory(tap, a) for a in arrays)
+        assert np.shares_memory(ws.tap_scratch(1), ws.act)
+        assert np.shares_memory(ws.tap_scratch(2), ws.flat)
 
     def test_head_runs_a_smaller_batch_on_leading_rows(self, tiny_config):
         """Training and inference passes of 3 windows through the head of a
@@ -541,9 +601,25 @@ class TestChannelLastLayout:
         block = base.flat.base
         assert block is not None and block.flags.owndata
         for ws in (base, base.head(5)):
-            assert all(a.base is block for a in ws.cols + ws.normalized + [ws.flat])
-        pass_bytes = sum(a.nbytes for a in base.cols + base.normalized + [base.flat])
-        assert pass_bytes <= block.nbytes < pass_bytes + 7 * 64
+            assert all(a.base is block for a in _pass_arrays(ws))
+        pass_bytes = sum(a.nbytes for a in _pass_arrays(base))
+        assert pass_bytes <= block.nbytes < pass_bytes + 6 * 64
+
+    def test_block_holds_conv1_tap_products(self):
+        """A conv1 output larger than every later pass array together still
+        leaves room for its second tap's products past it, and inference
+        through that workspace matches the reference within 1e-12."""
+        cfg = ModelConfig(kernel_counts=(40, 2, 2), num_classes=2)
+        ws = Workspace(cfg, 3)
+        output = ws.normalized[0]
+        assert sum(a.nbytes for a in _pass_arrays(ws)[1:]) < output.nbytes
+        assert ws.tap_scratch(0).shape == output.shape
+        assert ws.flat.base.nbytes >= 2 * output.nbytes
+        params = _perturbed(cfg, seed=13)
+        x = np.random.default_rng(13).standard_normal((3, 512))
+        probs, _ = forward(params, x, ws)
+        ref_probs, _ = forward_reference(cfg, params.copy(), x)
+        assert np.max(np.abs(probs - ref_probs)) <= 1e-12
 
     def test_gradients_live_in_the_workspace(self, tiny_config):
         """Two backward passes through one workspace return its one gradient
@@ -605,7 +681,7 @@ class TestInferencePath:
         x = rng.standard_normal((6, 64))
         ws = Workspace(cfg, 6)
         forward(params, rng.standard_normal((6, 64)), ws)
-        for buffer in ws.cols + ws.normalized + [ws.flat]:
+        for buffer in _pass_arrays(ws):
             buffer.fill(np.nan)
         fresh, _ = forward(params, x, Workspace(cfg, 6))
         reused, _ = forward(params, x, ws)
