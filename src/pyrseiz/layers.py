@@ -6,8 +6,9 @@ matrix and batch-norm statistics are reductions over that matrix's rows. A
 convolution reads its input in place: each of its ceil(Rf / stride) taps is
 a strided view of the input whose rows BLAS multiplies without a copy, so a
 layer is one GEMM per tap and no patch matrix is made (``tap_views``). The
-one input unfolded is the first layer's in training, whose patches are
-Rf*C_in = 5 values wide, by the fused conv and batch norm. Convolution is
+one input unfolded is the first layer's, one channel wide, whose patches
+are Rf*C_in = 5 values wide: by the fused conv and batch norm in training,
+by conv1d_forward at inference. Convolution is
 valid (no padding) cross-correlation; batch normalization carries no
 learnable scale/shift, only running statistics. Functions taking ``out``
 write their result there: a C-contiguous buffer their caller owns and they
@@ -16,6 +17,7 @@ never allocate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,11 @@ def _view(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("output buffers must be C-contiguous")
     return a.reshape(shape)
+
+
+def _leading(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading values of the C-contiguous ``buffer``, viewed as ``shape``."""
+    return _view(buffer, (buffer.size,))[: math.prod(shape)].reshape(shape)
 
 
 def _kernel_matrix(weights: np.ndarray) -> np.ndarray:
@@ -122,35 +129,51 @@ def conv1d_forward(
     A None bias adds nothing: batch norm in training cancels it. Each tap of
     ``tap_views`` is one batched GEMM with its rows of the kernel matrix,
     read from ``x`` in place: the first writes ``out``, each later one
-    writes ``scratch``, a C-contiguous buffer of out's size, which is then
-    added into ``out``. A layer with Rf <= stride has one tap and leaves
-    ``scratch`` alone.
+    writes ``scratch`` and is then added into ``out``. A one-channel input's
+    taps are a few values deep, too shallow for a GEMM per sample and tap to
+    pay, so it is unfolded into ``scratch`` (``im2col``) and convolved by one
+    GEMM. ``scratch`` is C-contiguous and holds at least out's values, or a
+    one-channel input's B*m*Rf patch values; a layer of more than one
+    channel with Rf <= stride has one tap and leaves it alone.
     """
     k, c, rf = weights.shape
     _check_conv_input(x, weights)
     if bias is not None and bias.shape != (k,):
         raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
-    taps = tap_views(x, rf, stride)
+    batch, length, _ = x.shape
+    m = count_windows(length, rf, stride)
     kernel = weights.transpose(2, 1, 0).reshape(rf * c, k)  # row (e, c), column k
-    result = _view(out, taps[0].shape[:2] + (k,))
-    np.matmul(taps[0], kernel[: taps[0].shape[2]], out=result)
-    for start, tap in zip(range(stride, rf, stride), taps[1:]):
-        rows = kernel[start * c : start * c + tap.shape[2]]
-        result += np.matmul(tap, rows, out=_view(scratch, result.shape))
+    result = _view(out, (batch, m, k))
+    if c == 1:
+        cols = im2col(x, rf, stride, out=_leading(scratch, (batch, m, rf)))
+        np.matmul(cols.reshape(batch * m, rf), kernel, out=result.reshape(batch * m, k))
+    else:
+        taps = tap_views(x, rf, stride)
+        np.matmul(taps[0], kernel[: taps[0].shape[2]], out=result)
+        for start, tap in zip(range(stride, rf, stride), taps[1:]):
+            rows = kernel[start * c : start * c + tap.shape[2]]
+            result += np.matmul(tap, rows, out=_leading(scratch, result.shape))
     if bias is not None:
         result += bias
     return out
 
 
-def input_gradient_blocks(length: int, receptive_field: int, stride: int) -> tuple[int, int]:
+def _input_gradient_blocks(length: int, receptive_field: int, stride: int) -> tuple[int, int]:
     """(rows, taps) of conv1d_backward's input gradient for an input of ``length``.
 
     The gradient is computed as ``rows`` = ceil(length / stride) rows of
     stride*C values, each a sum over ``taps`` = ceil(Rf / stride) rows of
-    the zero-padded output gradient. That padded gradient is
-    (B, rows + taps - 1, K) and its patches are (B, rows, taps*K).
+    the zero-padded output gradient. Per sample, that padded gradient is
+    (rows + taps - 1, K) and its patches are (rows, taps*K).
     """
     return -(-length // stride), -(-receptive_field // stride)
+
+
+def input_gradient_scratch(length: int, receptive_field: int, stride: int, kernels: int) -> int:
+    """Scratch values conv1d_backward takes per sample of an input of
+    ``length``: the sample's zero-padded output gradient and its patches."""
+    rows, taps = _input_gradient_blocks(length, receptive_field, stride)
+    return (rows + taps - 1) * kernels + rows * taps * kernels
 
 
 def _input_gradient_kernel(weights: np.ndarray, stride: int, taps: int) -> np.ndarray:
@@ -170,8 +193,7 @@ def conv1d_backward(
     stride: int,
     grad_out: np.ndarray,
     grad_x: np.ndarray,
-    grad_pad: np.ndarray,
-    grad_patches: np.ndarray,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
@@ -179,14 +201,17 @@ def conv1d_backward(
     (B, m, K); returns (grad_x, grad_weights, grad_bias). The weight gradient
     of each tap is grad_out^T times that tap's view of ``x`` (``tap_views``),
     one batched GEMM summed over the batch, so no patches of ``x`` are kept
-    or made. The input gradient is written into ``grad_x``, shaped like x.
+    or made. The input gradient is written into ``grad_x``, shaped like x,
+    after the weight gradient has read x: grad_x may be ``x`` itself, which
+    is then overwritten, but must not otherwise overlap it.
 
     Input position q*stride + r receives grad_out[q - d] through kernel tap
     d*stride + r, so grad_x, read as rows of stride*C values, is a stride-1
-    correlation of the zero-padded output gradient: one im2col of the padded
-    gradient and one GEMM with the re-blocked kernels, written straight into
-    grad_x (see ``input_gradient_blocks`` for the shapes). ``grad_pad`` and
-    ``grad_patches`` hold the padded gradient and its patches.
+    correlation of the zero-padded output gradient: an im2col of the padded
+    gradient and a GEMM with the re-blocked kernels, written straight into
+    grad_x. They are made a block of samples at a time in the C-contiguous
+    ``scratch``, as many samples as it holds (``input_gradient_scratch``
+    values each); every block is one GEMM of the same arithmetic per row.
     """
     k, c, rf = weights.shape
     _check_conv_input(x, weights)
@@ -199,6 +224,17 @@ def conv1d_backward(
         )
     if grad_x.shape != x.shape:
         raise ValueError(f"grad_x shape {grad_x.shape} does not match the input {x.shape}")
+    if grad_x is not x and np.may_share_memory(grad_x, x):
+        raise ValueError("grad_x must be the input itself or lie apart from it")
+    length = x.shape[1]
+    rows, n_taps = _input_gradient_blocks(length, rf, stride)
+    per_sample = input_gradient_scratch(length, rf, stride, k)
+    block = min(batch, scratch.size // per_sample)
+    if block < 1:
+        raise ValueError(
+            f"scratch of {scratch.size} values holds no sample's padded gradient "
+            f"({per_sample} values)"
+        )
     grad_bias = _channel_sums(grad_out.reshape(batch * m, k))
     grad_weights = np.empty((k, c, rf))
     g_t = grad_out.transpose(0, 2, 1)
@@ -209,19 +245,20 @@ def conv1d_backward(
             _channel_sums(products).reshape(k, n, c).transpose(0, 2, 1)
         )
         del products  # the next tap's products take its place
-    length = x.shape[1]
-    rows, n_taps = input_gradient_blocks(length, rf, stride)
-    if grad_pad.shape != (batch, rows + n_taps - 1, k):
-        raise ValueError(f"grad_pad shape {grad_pad.shape} does not match the input")
-    grad_pad[:, : n_taps - 1] = 0.0
-    grad_pad[:, n_taps - 1 : n_taps - 1 + m] = grad_out
-    grad_pad[:, n_taps - 1 + m :] = 0.0
-    patches = im2col(grad_pad, n_taps, 1, out=grad_patches).reshape(batch * rows, n_taps * k)
     kernel = _input_gradient_kernel(weights, stride, n_taps)
-    if rows * stride == length:
-        np.matmul(patches, kernel, out=_view(grad_x, (batch * rows, stride * c)))
-    else:  # the last row runs past the input's end: keep what lies inside
-        grad_x[...] = (patches @ kernel).reshape(batch, rows * stride, c)[:, :length]
+    for first in range(0, batch, block):  # x is not read past here: grad_x may be x
+        last = min(first + block, batch)
+        n = last - first
+        grad_pad = _leading(scratch, (n, rows + n_taps - 1, k))
+        grad_pad[:, : n_taps - 1] = 0.0
+        grad_pad[:, n_taps - 1 : n_taps - 1 + m] = grad_out[first:last]
+        grad_pad[:, n_taps - 1 + m :] = 0.0
+        patches = _leading(scratch.reshape(-1)[grad_pad.size :], (n, rows, n_taps * k))
+        patches = im2col(grad_pad, n_taps, 1, out=patches).reshape(n * rows, n_taps * k)
+        if rows * stride == length:
+            np.matmul(patches, kernel, out=_view(grad_x[first:last], (n * rows, stride * c)))
+        else:  # the last row runs past the input's end: keep what lies inside
+            grad_x[first:last] = (patches @ kernel).reshape(n, rows * stride, c)[:, :length]
     return grad_x, grad_weights, grad_bias
 
 
@@ -365,14 +402,16 @@ def conv_batchnorm_backward(
     cols: np.ndarray,
     weights: np.ndarray,
     grad_out: np.ndarray,
+    mask: np.ndarray,
     out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(grad_weights, grad_bias) through relu(conv_batchnorm_train(...)).
 
     ``cols`` are the centred patches conv_batchnorm_train left behind and
-    grad_out (B, m, K) the gradient at the ReLU output; the ReLU mask
-    (x_hat > 0, the same whether or not the caller rectified x_hat in place)
-    is applied into ``out`` (which may be grad_out). With g
+    grad_out (B, m, K) the gradient at the ReLU output; ``mask`` is the ReLU
+    mask, x_hat > 0, which the caller keeps, so x_hat itself is not read and
+    may have been overwritten. The mask is applied into ``out`` (which may
+    be grad_out). With g
     the masked gradient, s1 and s2 the per-channel sums of g and g*x_hat,
     the gradient dz at the convolution output is
     (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W / sigma)^T, s2 is
@@ -384,15 +423,14 @@ def conv_batchnorm_backward(
     """
     k, c, rf = weights.shape
     count = cache.count
-    x_hat = cache.x_hat.reshape(count, k)
-    if grad_out.shape != cache.x_hat.shape:
+    if grad_out.shape != cache.x_hat.shape or mask.shape != cache.x_hat.shape:
         raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match the layer output "
-            f"{cache.x_hat.shape}"
+            f"grad_out shape {grad_out.shape} or mask shape {mask.shape} does not "
+            f"match the layer output {cache.x_hat.shape}"
         )
     centered = cols.reshape(count, rf * c)
     g = _view(out, (count, k))
-    np.multiply(grad_out.reshape(count, k), x_hat > 0.0, out=g)
+    np.multiply(grad_out.reshape(count, k), mask.reshape(count, k), out=g)
     sum_g = _channel_sums(g)
     mean_g = sum_g / count
     scaled = _kernel_matrix(weights) * cache.inv_std[:, None]
@@ -427,9 +465,18 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def dense_backward(
-    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
+    x: np.ndarray,
+    weights: np.ndarray,
+    grad_out: np.ndarray,
+    grad_weights: np.ndarray,
+    grad_bias: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return grad_out @ weights.T, x.T @ grad_out, grad_out.sum(axis=0)
+    """Gradients through dense_forward: (grad_x, grad_weights, grad_bias).
+    The weight and bias gradients are written into ``grad_weights`` and
+    ``grad_bias``, C-contiguous and shaped like the weights and the bias."""
+    np.matmul(x.T, grad_out, out=grad_weights)
+    np.sum(grad_out, axis=0, out=grad_bias)
+    return grad_out @ weights.T, grad_weights, grad_bias
 
 
 def dropout_forward(

@@ -190,19 +190,16 @@ class NetworkParameters:
         return NetworkParameters, (self.config, self.flat)
 
 
-def _carve(
-    shapes: list[tuple[int, ...]], minimum: int = 0
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _carve(shapes: list[tuple[int, ...]]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """C-contiguous float64 arrays of ``shapes``, one after the other in one
-    new block of at least ``minimum`` values, and the block's tail from the
-    start of each. Each array starts a multiple of 8 values (64 bytes) into
-    the block, so it is as aligned as the block, as a separately allocated
-    array would be."""
+    new block, and the block's tail from the start of each. Each array
+    starts a multiple of 8 values (64 bytes) into the block, so it is as
+    aligned as the block, as a separately allocated array would be."""
     sizes = [math.prod(shape) for shape in shapes]
     starts = [0]
     for size in sizes:
         starts.append(starts[-1] + -(-size // 8) * 8)
-    block = np.empty(max(starts[-1], minimum))
+    block = np.empty(starts[-1])
     arrays = [block[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
     return arrays, [block[a:] for a in starts[:-1]]
 
@@ -221,12 +218,21 @@ class Workspace:
     inputs of conv2 and conv3, is ``[normalized[0], act]``. They are carved
     from one block, which the C heap reuses where separate arrays would be
     given back to the system and faulted in again on every ``classify``
-    call. The arrays only training needs (``windows``, ``grad_act``,
+    call. The arrays only training needs (``windows``, ``relu_mask``,
     ``scratch``, ``grads``) are allocated on first use, each on its own:
     carved from a second block, they fragmented the heap of a ``cv``
     process, which peaked 1.5 MB higher and ran its calls about 5% slower.
     ``head(b)`` is a workspace for a smaller batch on the leading rows of
     these arrays; it allocates nothing of its own.
+
+    ``backward`` keeps no gradient arrays of its own: it writes each
+    gradient over the activation of that shape it has finished with. The
+    gradient at conv3's ReLU output goes into ``flat`` once FC1's weight
+    gradient has read it, conv2's into ``act`` and conv1's into
+    ``normalized[0]`` once the next layer's weight gradient has read them.
+    conv1's batch norm then reads its ReLU mask from ``relu_mask``, which
+    the forward pass keeps. A training trace therefore serves one
+    ``backward``.
     """
 
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
@@ -244,8 +250,7 @@ class Workspace:
             # written only after that layer, so its tap products go there
             shapes = [outputs[0], outputs[1], outputs[1], outputs[2],
                       (batch, config.flatten_width), patches]
-            first = math.prod(outputs[0])  # conv1's products start 8-value aligned past it
-            arrays, tails = _carve(shapes, minimum=-(-first // 8) * 8 + first)
+            arrays, tails = _carve(shapes)
             self._tails = [tails[i] for i in (1, 2, 4)]  # from just past each layer's output
         self._pass = arrays
         self.normalized = [arrays[0], arrays[1], arrays[3]]
@@ -259,12 +264,14 @@ class Workspace:
         return self if batch == self.batch else Workspace(self.config, batch, base=self)
 
     def tap_scratch(self, i: int) -> np.ndarray:
-        """Where conv layer i's taps after the first put their products: the
-        pass block just past the layer's output, which a pass writes only
-        after the layer. That is ``act`` for conv2 and ``flat`` for conv3;
-        for conv1, which only inference convolves tap by tap, it spans the
-        arrays after its output, and the block is long enough for it."""
-        shape = self.normalized[i].shape
+        """The scratch of conv layer i's ``conv1d_forward``: the pass block
+        just past the layer's output, which a pass writes only after the
+        layer. conv2's and conv3's later taps put their products there, in
+        ``act`` and ``flat``. conv1, which only inference convolves, unfolds
+        its one-channel input there; the block past its output ends with
+        ``patches``, so it holds them, and inference, which leaves
+        ``patches`` unwritten, never faults its pages in."""
+        shape = self.patches.shape if i == 0 else self.normalized[i].shape
         return self._tails[i][: math.prod(shape)].reshape(shape)
 
     @cached_property
@@ -275,30 +282,29 @@ class Workspace:
         return np.empty((self.batch, self.config.input_length))
 
     @cached_property
-    def grad_act(self) -> list[np.ndarray]:
-        """Loss gradient at each conv layer's ReLU output."""
+    def relu_mask(self) -> np.ndarray:
+        """conv1's ReLU mask, x_hat > 0, kept by a training pass for its
+        batch norm's backward, which runs after x_hat is overwritten."""
         if self._base:
-            return [a[: self.batch] for a in self._base.grad_act]
-        return [np.empty((self.batch, c.output_length, c.kernels)) for c in self.config.conv_layers]
-
-    def _input_gradient_shapes(self, i: int, batch: int) -> tuple[tuple[int, ...], ...]:
-        """Shapes of conv layer i's padded output gradient and of its patches."""
-        c = self.config.conv_layers[i]
-        rows, taps = layers.input_gradient_blocks(c.input_length, c.receptive_field, c.stride)
-        return (batch, rows + taps - 1, c.kernels), (batch, rows, taps * c.kernels)
+            return self._base.relu_mask[: self.batch]
+        return np.empty(self.normalized[0].shape, dtype=bool)
 
     @cached_property
     def scratch(self) -> np.ndarray:
-        """Backward-pass scratch of conv2 and conv3, carved by ``bn_scratch``
-        and ``grad_buffers``. Each use ends before the next begins (layer by
-        layer, batch norm before convolution), so they share one vector; a
-        head carves it from its base's."""
+        """Backward-pass scratch of conv2 and conv3: ``bn_scratch``, then
+        ``conv1d_backward``'s padded output gradients, made in blocks of as
+        many samples as it holds. Each use ends before the next begins
+        (layer by layer, batch norm before convolution), so they share one
+        vector, sized by the batch-norm scratch but holding at least one
+        sample's padded gradient; a head uses its base's."""
         if self._base:
             return self._base.scratch
-        sizes = [self.batch * c.output_length * c.kernels for c in self.config.conv_layers[1:]]
-        for i in (1, 2):
-            pad, patches = self._input_gradient_shapes(i, self.batch)
-            sizes.append(math.prod(pad) + math.prod(patches))
+        convs = self.config.conv_layers[1:]
+        sizes = [self.batch * c.output_length * c.kernels for c in convs]
+        sizes += [
+            layers.input_gradient_scratch(c.input_length, c.receptive_field, c.stride, c.kernels)
+            for c in convs
+        ]
         return np.empty(max(sizes))
 
     @cached_property
@@ -311,23 +317,15 @@ class Workspace:
         shape = self.normalized[i].shape
         return self.scratch[: math.prod(shape)].reshape(shape)
 
-    def grad_buffers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Conv layer i's padded output gradient and its patches; conv1's
-        input is data and has no input gradient."""
-        pad, patches = self._input_gradient_shapes(i, self.batch)
-        split = math.prod(pad)
-        return (
-            self.scratch[:split].reshape(pad),
-            self.scratch[split : split + math.prod(patches)].reshape(patches),
-        )
-
 
 @dataclass
 class ForwardTrace:
     """Intermediates cached by a training-mode forward pass for backprop.
 
-    The conv stack's inputs (conv1's centred patches, then ``rectified``)
-    and its flattened output stay in the workspace.
+    The conv stack's inputs (conv1's centred patches, then ``rectified``),
+    its flattened output and conv1's ReLU mask stay in the workspace.
+    ``backward`` writes its gradients over those activations, so a trace
+    serves one backward: it is then ``spent``, and a second raises.
     """
 
     bn_caches: list[layers.BatchNormCache]  # x_hat: the batch-norm outputs feeding each ReLU
@@ -336,6 +334,7 @@ class ForwardTrace:
     fc2_input: np.ndarray
     logits: np.ndarray
     workspace: Workspace
+    spent: bool = False
 
 
 def forward(
@@ -357,9 +356,10 @@ def forward(
     Inference folds the running statistics into each layer's conv weights
     and bias (``layers.batchnorm_infer``) and applies no dropout. conv1's
     ReLU rectifies its output in place, since its backward needs only the
-    mask; conv2's writes ``workspace.act``, since its batch-norm backward
-    reads the whole x_hat; conv3's is applied by the flatten. The returned
-    probabilities are always a fresh array.
+    mask, which training keeps in ``workspace.relu_mask``; conv2's writes
+    ``workspace.act``, since its batch-norm backward reads the whole x_hat;
+    conv3's is applied by the flatten. The returned probabilities are
+    always a fresh array.
     """
     config = params.config
     x = np.ascontiguousarray(windows, dtype=np.float64)
@@ -389,6 +389,7 @@ def forward(
                 z, cache, mean, var = layers.conv_batchnorm_train(
                     h, weights[i], biases[i], stride, cols=workspace.patches, out=normalized
                 )
+                np.greater(z, 0.0, out=workspace.relu_mask)
             else:  # batch norm cancels the conv bias; it reaches only the running mean
                 z = layers.conv1d_forward(
                     h, weights[i], None, stride, out=normalized,
@@ -436,32 +437,37 @@ def backward(
     ``grad_logits`` is the loss gradient at the FC2 output (already scaled by
     any batch averaging). Every gradient is written into the trace's
     workspace: the result is its ``grads``, laid out like ``params``, valid
-    until the next backward through it, with the batch-norm slots zero.
+    until the next backward through it, with the batch-norm slots zero. The
+    activation gradients overwrite the activations (see ``Workspace``), so
+    the trace is spent: a second backward on it raises ValueError.
     """
+    if trace.spent:
+        raise ValueError("this trace has served a backward pass already; run forward again")
+    trace.spent = True
     config = params.config
     ws = trace.workspace
     grads = ws.grads
-    d, grads.fc2_weight[...], grads.fc2_bias[...] = layers.dense_backward(
-        trace.fc2_input, params.fc2_weight, grad_logits
+    d, _, _ = layers.dense_backward(
+        trace.fc2_input, params.fc2_weight, grad_logits, grads.fc2_weight, grads.fc2_bias
     )
     d = layers.dropout_backward(trace.dropout_mask, config.dropout_rate, d)
     d = layers.relu_backward(trace.fc1_pre, d)
-    d, grads.fc1_weight[...], grads.fc1_bias[...] = layers.dense_backward(
-        ws.flat, params.fc1_weight, d
+    d, _, _ = layers.dense_backward(
+        ws.flat, params.fc1_weight, d, grads.fc1_weight, grads.fc1_bias
     )
-    g = ws.grad_act[2]
-    np.copyto(g, d.reshape(g.shape[0], g.shape[2], g.shape[1]).transpose(0, 2, 1))
+    batch, positions, kernels = ws.normalized[2].shape
+    g = ws.flat.reshape(batch, positions, kernels)  # flat is read: the gradient takes its place
+    np.copyto(g, d.reshape(batch, kernels, positions).transpose(0, 2, 1))
     for i in (2, 1):
         g = layers.batchnorm_backward(
             trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i)
         )
-        grad_pad, grad_patches = ws.grad_buffers(i)
+        x = ws.rectified[i - 1]  # read for the weight gradient, then overwritten
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
-            ws.rectified[i - 1], params.conv_weights[i], config.strides[i], g,
-            grad_x=ws.grad_act[i - 1], grad_pad=grad_pad, grad_patches=grad_patches,
+            x, params.conv_weights[i], config.strides[i], g, grad_x=x, scratch=ws.scratch
         )
     grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
-        trace.bn_caches[0], ws.patches, params.conv_weights[0], g, out=g
+        trace.bn_caches[0], ws.patches, params.conv_weights[0], g, ws.relu_mask, out=g
     )
     return grads
 

@@ -46,22 +46,22 @@ def fresh_cols(x, receptive_field, stride):
 
 
 def fresh_conv(x, weights, bias, stride):
-    """``layers.conv1d_forward`` into a fresh output and tap scratch, both
-    first filled with nan."""
+    """``layers.conv1d_forward`` into a fresh output and scratch, both first
+    filled with nan; the scratch holds the tap products or, for a
+    one-channel input, its patches."""
     batch, length, _ = x.shape
     k, _, rf = weights.shape
     m = layers.count_windows(length, rf, stride)
-    out, scratch = np.full((batch, m, k), np.nan), np.full((batch, m, k), np.nan)
+    out, scratch = np.full((batch, m, k), np.nan), np.full((batch, m, max(k, rf)), np.nan)
     return layers.conv1d_forward(x, weights, bias, stride, out, scratch)
 
 
 def fresh_conv_backward(x, weights, stride, grad_out, grad_x):
-    """``layers.conv1d_backward`` of the input ``x`` into ``grad_x``, its
-    padded gradient and patches in fresh arrays."""
+    """``layers.conv1d_backward`` of the input ``x`` into ``grad_x``, with
+    a fresh scratch that holds the whole batch's padded gradient."""
     batch, length, _ = x.shape
     k, _, rf = weights.shape
-    rows, taps = layers.input_gradient_blocks(length, rf, stride)
+    per_sample = layers.input_gradient_scratch(length, rf, stride, k)
     return layers.conv1d_backward(
-        x, weights, stride, grad_out, grad_x,
-        np.empty((batch, rows + taps - 1, k)), np.empty((batch, rows, taps * k)),
+        x, weights, stride, grad_out, grad_x, np.empty(batch * per_sample)
     )

@@ -183,7 +183,7 @@ def test_criterion_3_gradient_correctness():
         bd = rng.standard_normal(3)
         rd = rng.standard_normal((5, 3))
         dense_loss = lambda: float((layers.dense_forward(xd, wd, bd) * rd).sum())
-        gxd, gwd, gbd = layers.dense_backward(xd, wd, rd)
+        gxd, gwd, gbd = layers.dense_backward(xd, wd, rd, np.empty_like(wd), np.empty_like(bd))
         assert max_relative_error(gwd, central_difference(dense_loss, wd)) < 1e-6
         assert max_relative_error(gbd, central_difference(dense_loss, bd)) < 1e-6
 

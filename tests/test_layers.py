@@ -88,6 +88,23 @@ class TestConvForward:
         assert np.isfinite(scratch).all()
         assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("kernels, stride", [(4, 3), (2, 3), (2, 6)])
+    def test_one_channel_input_is_unfolded_into_the_scratch(self, kernels, stride):
+        """A one-channel input (conv1 at inference) is one GEMM over its
+        patches, which the scratch is left holding, also where they are
+        wider than the output (Rf 5 against 2 kernels) and where Rf <=
+        stride; the output is within 1e-12 of direct loops."""
+        rng = np.random.default_rng(kernels + stride)
+        x = rng.standard_normal((2, 17, 1))
+        w = rng.standard_normal((kernels, 1, 5))
+        b = rng.standard_normal(kernels)
+        m = layers.count_windows(17, 5, stride)
+        scratch = np.full((2, m, 5), np.nan)
+        out = layers.conv1d_forward(x, w, b, stride, np.empty((2, m, kernels)), scratch)
+        assert np.array_equal(scratch, fresh_cols(x, 5, stride))
+        expected = _channel_last(conv1d_loops(x.transpose(0, 2, 1), w, b, stride))
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_one_tap_leaves_the_scratch_alone(self):
         """Rf <= stride is one GEMM straight into the output."""
         rng = np.random.default_rng(11)
@@ -179,9 +196,8 @@ class TestConvBackward:
         def loss():
             return float((fresh_conv(x, w, b, 2) * r).sum())
 
-        gx, gw, gb = layers.conv1d_backward(
-            x, w, 2, r, grad_x=np.empty_like(x),
-            grad_pad=np.full((3, 6, 4), np.nan), grad_patches=np.full((3, 5, 8), np.nan),
+        gx, gw, gb = layers.conv1d_backward(  # in blocks of 2 samples and 1
+            x, w, 2, r, grad_x=np.empty_like(x), scratch=np.full(2 * (6 * 4 + 5 * 8), np.nan)
         )
         assert np.array_equal(x, before)
         assert not gx[:, -1].any()
@@ -211,12 +227,22 @@ class TestConvBackward:
             )
 
     def test_padded_gradient_buffer_shape_checked(self):
-        with pytest.raises(ValueError, match="grad_pad shape"):
+        """One sample's padded gradient, (5 + 2 - 1, 1), and its patches,
+        (5, 2), take 16 values: a scratch of 15 holds no block."""
+        assert layers.input_gradient_scratch(9, 3, 2, 1) == 16
+        with pytest.raises(ValueError, match="holds no sample's padded gradient"):
             layers.conv1d_backward(
                 np.zeros((1, 9, 1)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
-                grad_x=np.zeros((1, 9, 1)), grad_pad=np.zeros((1, 5, 1)),
-                grad_patches=np.zeros((1, 5, 2)),
+                grad_x=np.zeros((1, 9, 1)), scratch=np.zeros(15),
             )
+
+    def test_input_gradient_over_part_of_the_input_rejected(self):
+        """grad_x may be the input itself, read before it is written, but
+        not a view that overlaps it elsewhere."""
+        values = np.zeros(19)
+        x, shifted = values[:18].reshape(2, 9, 1), values[1:].reshape(2, 9, 1)
+        with pytest.raises(ValueError, match="the input itself or lie apart"):
+            fresh_conv_backward(x, np.zeros((1, 1, 3)), 2, np.zeros((2, 4, 1)), grad_x=shifted)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -227,30 +253,34 @@ class TestConvBackward:
         stride=st.integers(1, 4),
         m=st.integers(1, 9),
         tail=st.integers(0, 3),
+        block=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(batch=2, channels=3, kernels=2, rf=2, stride=3, m=4, tail=1, seed=0)  # Rf < stride
-    @example(batch=2, channels=2, kernels=3, rf=3, stride=3, m=5, tail=0, seed=1)  # Rf == stride
-    @example(batch=3, channels=2, kernels=2, rf=5, stride=2, m=1, tail=1, seed=2)  # m == 1
-    @example(batch=1, channels=1, kernels=1, rf=3, stride=2, m=6, tail=0, seed=3)  # L % stride != 0
+    # Rf < stride
+    @example(batch=2, channels=3, kernels=2, rf=2, stride=3, m=4, tail=1, block=1, seed=0)
+    # Rf == stride
+    @example(batch=2, channels=2, kernels=3, rf=3, stride=3, m=5, tail=0, block=2, seed=1)
+    # m == 1
+    @example(batch=3, channels=2, kernels=2, rf=5, stride=2, m=1, tail=1, block=2, seed=2)
+    # L % stride != 0
+    @example(batch=1, channels=1, kernels=1, rf=3, stride=2, m=6, tail=0, block=1, seed=3)
     def test_input_gradient_matches_loop_col2im(
-        self, batch, channels, kernels, rf, stride, m, tail, seed
+        self, batch, channels, kernels, rf, stride, m, tail, block, seed
     ):
-        """The padded-gradient GEMM against the tap-by-tap col2im, within
-        1e-12 of the largest gradient entry; ``tail`` input samples past the
-        last window get zero gradient. Every buffer starts as nan."""
+        """The padded-gradient GEMM, in blocks of ``block`` samples, against
+        the tap-by-tap col2im, within 1e-12 of the largest gradient entry;
+        ``tail`` input samples past the last window get zero gradient. Every
+        buffer starts as nan."""
         tail = min(tail, stride - 1)
         length = (m - 1) * stride + rf + tail
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((batch, length, channels))
         w = rng.standard_normal((kernels, channels, rf))
         g = rng.standard_normal((batch, m, kernels))
-        rows, taps = layers.input_gradient_blocks(length, rf, stride)
+        per_sample = layers.input_gradient_scratch(length, rf, stride, kernels)
         grad_x = np.full_like(x, np.nan)
         result, _, _ = layers.conv1d_backward(
-            x, w, stride, g, grad_x=grad_x,
-            grad_pad=np.full((batch, rows + taps - 1, kernels), np.nan),
-            grad_patches=np.full((batch, rows, taps * kernels), np.nan),
+            x, w, stride, g, grad_x=grad_x, scratch=np.full(block * per_sample, np.nan)
         )
         expected = _channel_last(
             conv1d_input_gradient_loops(g.transpose(0, 2, 1), w, stride, length)
@@ -258,6 +288,36 @@ class TestConvBackward:
         assert result is grad_x
         assert np.max(np.abs(grad_x - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert not grad_x[:, (m - 1) * stride + rf :].any()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 11, 32, 33])
+@pytest.mark.parametrize("layer", [1, 2])
+def test_input_gradient_in_place_and_in_blocks(layer, batch):
+    """M5's conv2 or conv3 backward with grad_x the input itself and a
+    scratch the size of the layer's batch-norm scratch, as a training step
+    runs it (blocks of 2 to 10 samples, of 1 at batch 1, the last block
+    partial), is bitwise the out-of-place backward with the whole batch in
+    one block. The input gradient of the first and the last sample is within
+    1e-12 of direct loops, relative to its largest entry."""
+    conv = model_config("M5", 3).conv_layers[layer]
+    rng = np.random.default_rng(10 * layer + batch)
+    x = rng.standard_normal((batch, conv.input_length, conv.in_channels))
+    w = rng.standard_normal((conv.kernels, conv.in_channels, conv.receptive_field))
+    g = rng.standard_normal((batch, conv.output_length, conv.kernels))
+    whole = fresh_conv_backward(x, w, conv.stride, g, grad_x=np.full_like(x, np.nan))
+    per_sample = layers.input_gradient_scratch(
+        conv.input_length, conv.receptive_field, conv.stride, conv.kernels
+    )
+    scratch = np.full(max(batch * conv.output_length * conv.kernels, per_sample), np.nan)
+    assert scratch.size // per_sample < batch or batch == 1
+    x_first = x.transpose(0, 2, 1)[[0, -1]]
+    ref_gx, _ = conv1d_gradients_loops(x_first, w, conv.stride, g.transpose(0, 2, 1)[[0, -1]])
+    blocked = layers.conv1d_backward(x, w, conv.stride, g, grad_x=x, scratch=scratch)
+    assert blocked[0] is x
+    for a, b in zip(blocked, whole):
+        assert np.array_equal(a, b)
+    ref_gx = _channel_last(ref_gx)
+    assert np.max(np.abs(x[[0, -1]] - ref_gx)) <= 1e-12 * np.max(np.abs(ref_gx))
 
 
 # Every receptive field 1-6 and stride 1-4: stride >= Rf is one tap, stride 1
@@ -458,7 +518,7 @@ class TestConvBatchNorm:
         centred = fresh_cols(x, w.shape[2], stride) - cache.patch_mean
         assert np.max(np.abs(cols - centred)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
         g = grad_out.copy()
-        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, g, out=g)
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, g, x_hat > 0.0, out=g)
         assert np.array_equal(g, grad_out * (x_hat > 0.0))
         return x_hat, mean, var, gw, gb, cache.patch_mean
 
@@ -536,7 +596,7 @@ class TestConvBatchNorm:
             x, w, b, 2, cols=cols, out=np.empty((3, 9, 3))
         )
         assert np.min(np.abs(y)) > 1e-3  # clear of the kink at the probe step
-        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r, np.empty_like(r))
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r, y > 0.0, np.empty_like(r))
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert np.max(np.abs(gb)) <= 1e-12  # batch norm cancels the bias
         assert np.max(np.abs(central_difference(loss, b))) <= 1e-8
@@ -560,7 +620,10 @@ class TestDense:
         def loss():
             return float((layers.dense_forward(x, w, b) * r).sum())
 
-        gx, gw, gb = layers.dense_backward(x, w, r)
+        out_w, out_b = np.full_like(w, np.nan), np.full_like(b, np.nan)
+        gx, gw, gb = layers.dense_backward(x, w, r, out_w, out_b)
+        assert gw is out_w and gb is out_b
+        assert np.array_equal(gw, x.T @ r) and np.array_equal(gb, r.sum(axis=0))
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(loss, b)) < 1e-6

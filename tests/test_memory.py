@@ -32,7 +32,7 @@ AUGMENT_ALLOWANCE = 64 * 1024
 # Probabilities, vote records and per-pass temporaries beside the workspace.
 INFER_ALLOWANCE = 512 * 1024
 # A training step's temporaries beside its workspace: at M5 batch 32 it
-# peaks 333 KB above its arrays on CPython 3.11, in conv2's backward, whose
+# peaks 330 KB above its arrays on CPython 3.11, in conv2's backward, whose
 # per-tap weight-gradient products are up to (32, 16, 48) values (196 KB),
 # beside the trace's smaller arrays. A conv3 patch matrix is 504 KB.
 STEP_ALLOWANCE = 448 * 1024
@@ -117,8 +117,8 @@ def _pass_bytes(cfg, batch):
 def test_inference_peak_is_one_pass():
     """classify on 1,000 M5 windows peaks below the pass arrays of one
     32-window pass plus INFER_ALLOWANCE: every pass reuses the same ones,
-    conv1's tap products go past its output in the same block, and the
-    workspace's training arrays (about 2.7 MB here) are never allocated."""
+    conv1 unfolds its input past its output in the same block, and the
+    workspace's training arrays (673 KB here) are never allocated."""
     cfg = model_config("M5", 3)
     params = init_parameters(cfg, seed=0)
     windows = np.random.default_rng(1).standard_normal((200, 5, 512))
@@ -131,28 +131,30 @@ def test_training_step_keeps_no_conv2_or_conv3_patches():
     layer shapes give them, plus STEP_ALLOWANCE. The workspace is built in
     the traced call, and its training arrays are allocated before the step
     runs, as every step after a training loop's first finds them. The
-    arrays are the pass arrays (2.12 MB), the gathered windows, the
-    gradient at each layer's ReLU output, the backward scratch sized by
-    conv2's zero-padded output gradient and its patches, and the gradient
-    vector (2.72 MB together). conv2 and conv3 read their inputs in place,
-    so a patch matrix of either, (32, 84, 72) or (32, 41, 48) values (1.55
-    MB or 504 KB), kept or made in either pass, would cross the bound."""
+    arrays are the pass arrays (2.12 MB), the gathered windows, conv1's
+    ReLU mask (one byte a value), the backward scratch sized by conv2's
+    batch-norm scratch, in which the padded output gradients are made a
+    block of samples at a time, and the gradient vector (673 KB together).
+    Each activation gradient is written over the activation it replaces,
+    so none has an array of its own. conv2 and conv3 read their inputs in
+    place, so a patch matrix of either, (32, 84, 72) or (32, 41, 48) values
+    (1.55 MB or 504 KB), kept or made in either pass, would cross the
+    bound, as would the per-layer activation gradients (1.47 MB)."""
     cfg = model_config("M5", 3)
     batch = 32
     params = init_parameters(cfg, seed=0)
     rng = np.random.default_rng(2)
     windows, labels = rng.standard_normal((batch, 512)), rng.integers(0, 3, size=batch)
-    _, conv2, _ = cfg.conv_layers
-    rows, taps = -(-conv2.input_length // conv2.stride), -(-conv2.receptive_field // conv2.stride)
-    scratch = (rows + taps - 1) * conv2.kernels + rows * taps * conv2.kernels
-    outputs = sum(c.output_length * c.kernels for c in cfg.conv_layers)
-    buffers = 8 * (batch * (cfg.input_length + outputs + scratch) + len(params.flat))
-    assert buffers + _pass_bytes(cfg, batch) == 4_837_848
+    conv1, conv2, _ = cfg.conv_layers
+    scratch = conv2.output_length * conv2.kernels
+    mask_bytes = batch * conv1.output_length * conv1.kernels
+    buffers = 8 * (batch * (cfg.input_length + scratch) + len(params.flat)) + mask_bytes
+    assert buffers + _pass_bytes(cfg, batch) == 2_791_384
     assert len(params.flat) == count_parameters(cfg) + 2 * sum(cfg.kernel_counts)
 
     def step():
         ws = Workspace(cfg, batch)
-        ws.grad_act, ws.scratch, ws.grads  # allocated as a training loop's first step leaves them
+        ws.relu_mask, ws.scratch, ws.grads  # allocated as a training loop's first step leaves them
         ws.windows[...] = windows
         _, trace = forward(params, ws.windows, ws, training=True,
                            dropout_rng=np.random.default_rng(3))

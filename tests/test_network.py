@@ -399,8 +399,7 @@ def _pass_arrays(ws):
 
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
-    singles = [ws.windows, ws.scratch, ws.grads.learnable]
-    return _pass_arrays(ws) + ws.grad_act + singles
+    return _pass_arrays(ws) + [ws.windows, ws.relu_mask, ws.scratch, ws.grads.learnable]
 
 
 class TestChannelLastLayout:
@@ -489,7 +488,7 @@ class TestChannelLastLayout:
         """Two passes through one workspace give what fresh buffers give, also
         when every buffer, the backward scratch that holds the padded
         gradients' zero borders and the gradient vector included, holds nan
-        from the pass before."""
+        (the ReLU mask True) from the pass before."""
         cfg = tiny_config
         rng = np.random.default_rng(1)
         x1, x2 = rng.standard_normal((2, 4, 64))
@@ -510,17 +509,21 @@ class TestChannelLastLayout:
         for (p_ws, g_ws), (p_fresh, g_fresh) in zip(*results):
             assert np.array_equal(p_ws, p_fresh)
             assert np.array_equal(g_ws, g_fresh)
-        # conv2 reads 20 positions at stride 2 and conv3 9 (the odd tail row)
-        assert [[b.shape for b in ws.grad_buffers(i)] for i in (1, 2)] == [
-            [(4, 11, 3), (4, 10, 6)], [(4, 6, 2), (4, 5, 4)]
+        # conv2 reads 20 positions at stride 2 and conv3 9 (the odd tail row):
+        # per sample, padded gradients of (11, 3) and (6, 2) values and patches
+        # of (10, 6) and (5, 4), 93 and 32 values. The scratch is conv2's
+        # batch-norm scratch, (4, 9, 3) values, so conv2's input gradient is
+        # made one sample at a time and conv3's in blocks of 3 and 1.
+        assert ws.scratch.size == 4 * 9 * 3 == 108
+        assert [(c.kernels, c.output_length) for c in tiny_config.conv_layers[1:]] == [
+            (3, 9), (2, 4)
         ]
 
     def test_workspace_buffers_do_not_overlap(self, tiny_config):
         """No buffer aliases another, the training-only ones and the gradient
         vector included, and the probabilities a step returns are not
-        workspace memory; the gradients are the workspace's own. Within the
-        backward scratch, a layer's padded gradient and its patches are
-        disjoint; the batch-norm scratch is dead before either is written."""
+        workspace memory; the gradients are the workspace's own. The
+        batch-norm scratch leads the backward scratch."""
         params = init_parameters(tiny_config, seed=3)
         x = np.random.default_rng(3).standard_normal((4, 64))
         probs, trace = forward(params, x, Workspace(tiny_config, 4), training=True)
@@ -528,26 +531,24 @@ class TestChannelLastLayout:
         grads = backward(params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 6 + 3 + 3
+        assert len(buffers) == 6 + 4
         assert grads is ws.grads
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, probs)
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b)
+        assert ws.relu_mask.shape == ws.normalized[0].shape and ws.relu_mask.dtype == bool
         for i in (1, 2):
-            pad, patches = ws.grad_buffers(i)
             scratch = ws.bn_scratch(i)
             assert scratch.shape == ws.normalized[i].shape
-            for view in (pad, patches, scratch):
-                assert view.flags.c_contiguous and view.base is ws.scratch
-            assert not np.shares_memory(pad, patches)
+            assert scratch.flags.c_contiguous and scratch.base is ws.scratch
 
     def test_tap_scratch_overlaps_only_arrays_written_later(self, tiny_config):
         """A layer's tap products lie in the pass block past its output,
         clear of its input, its output and everything a training pass keeps
-        from before it; conv1's (inference only) may cover its patches, which
-        inference never writes."""
+        from before it; conv1's unfolded input (inference only) may cover
+        its patches, which inference never writes."""
         ws = Workspace(tiny_config, 4).head(3)
         block = ws.flat.base
         kept = (
@@ -557,7 +558,7 @@ class TestChannelLastLayout:
         )
         for i, arrays in enumerate(kept):
             tap = ws.tap_scratch(i)
-            assert tap.shape == ws.normalized[i].shape
+            assert tap.shape == (ws.patches if i == 0 else ws.normalized[i]).shape
             assert tap.flags.c_contiguous and tap.base is block
             assert not any(np.shares_memory(tap, a) for a in arrays)
         assert np.shares_memory(ws.tap_scratch(1), ws.act)
@@ -605,16 +606,17 @@ class TestChannelLastLayout:
         pass_bytes = sum(a.nbytes for a in _pass_arrays(base))
         assert pass_bytes <= block.nbytes < pass_bytes + 6 * 64
 
-    def test_block_holds_conv1_tap_products(self):
-        """A conv1 output larger than every later pass array together still
-        leaves room for its second tap's products past it, and inference
-        through that workspace matches the reference within 1e-12."""
+    def test_conv1_inference_needs_no_room_past_its_output(self):
+        """A conv1 output larger than every later pass array together needs
+        no longer block: conv1 at inference unfolds its input past its
+        output, where the patches end the block, and inference through that
+        workspace matches the reference within 1e-12."""
         cfg = ModelConfig(kernel_counts=(40, 2, 2), num_classes=2)
         ws = Workspace(cfg, 3)
         output = ws.normalized[0]
         assert sum(a.nbytes for a in _pass_arrays(ws)[1:]) < output.nbytes
-        assert ws.tap_scratch(0).shape == output.shape
-        assert ws.flat.base.nbytes >= 2 * output.nbytes
+        assert ws.flat.base.nbytes < sum(a.nbytes for a in _pass_arrays(ws)) + 6 * 64
+        assert ws.tap_scratch(0).shape == ws.patches.shape
         params = _perturbed(cfg, seed=13)
         x = np.random.default_rng(13).standard_normal((3, 512))
         probs, _ = forward(params, x, ws)
@@ -646,6 +648,23 @@ class TestChannelLastLayout:
         assert not np.array_equal(second.flat, kept)
         assert np.array_equal(second.flat, from_other)
         assert np.array_equal(independent.flat, from_other)
+
+    def test_a_trace_serves_one_backward(self, tiny_config):
+        """backward writes its activation gradients over the trace's
+        activations, so a second backward on the same trace raises one
+        line; a fresh forward pass gives a trace that serves again."""
+        params = init_parameters(tiny_config, seed=8)
+        x = np.random.default_rng(8).standard_normal((4, 64))
+        ws = Workspace(tiny_config, 4)
+        _, trace = forward(params, x, ws, training=True)
+        _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, np.array([0, 1, 1, 0]))
+        first = backward(params, trace, grad_logits).flat.copy()
+        assert trace.spent
+        with pytest.raises(ValueError, match="served a backward pass already") as error:
+            backward(params, trace, grad_logits)
+        assert "\n" not in str(error.value)
+        _, trace = forward(params, x, ws, training=True)
+        assert np.array_equal(backward(params, trace, grad_logits).flat, first)
 
     def test_workspace_must_fit_the_batch(self, tiny_config):
         """A workspace for 4 windows, or for 3 windows of a network that
