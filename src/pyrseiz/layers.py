@@ -18,13 +18,25 @@ never allocate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+
+
+class ConvLayer(NamedTuple):
+    """One conv layer's geometry: in_channels x input_length -> kernels x output_length."""
+
+    in_channels: int
+    kernels: int
+    receptive_field: int
+    stride: int
+    input_length: int
+    output_length: int
 
 
 def count_windows(signal_length: int, window: int, stride: int) -> int:
@@ -65,15 +77,20 @@ def _channel_sums(rows: np.ndarray) -> np.ndarray:
 def im2col(x: np.ndarray, receptive_field: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Sliding patches of a channel-last batch: (B, L, C) -> (B, m, Rf*C).
 
-    Row j of sample b is x[b, j*stride : j*stride + Rf, :] flattened, so on a
-    C-contiguous input every patch is one contiguous Rf*C block and the unfold
-    is a single copy of a strided view. ``out`` must be C-contiguous.
+    Row j of sample b is x[b, j*stride : j*stride + Rf, :] flattened: on the
+    C-contiguous input ``x`` every patch is one contiguous Rf*C block and the
+    unfold is a single copy of a strided view. ``out`` must be C-contiguous.
     """
+    if not x.flags.c_contiguous:
+        raise ValueError("im2col inputs must be C-contiguous")
     batch, length, channels = x.shape
     m = count_windows(length, receptive_field, stride)
-    sb, sl, sc = x.strides
-    patches = as_strided(
-        x, (batch, m, receptive_field, channels), (sb, stride * sl, sl, sc), writeable=False
+    row = channels * x.itemsize
+    # the ndarray constructor, as in tap_views: views made by as_strided
+    # raised a long training loop's peak memory by 0.8 MB
+    patches = np.ndarray(
+        (batch, m, receptive_field, channels), x.dtype, x, 0,
+        (length * row, stride * row, row, x.itemsize),
     )
     np.copyto(_view(out, patches.shape), patches)
     return out
@@ -176,6 +193,32 @@ def input_gradient_scratch(length: int, receptive_field: int, stride: int, kerne
     return (rows + taps - 1) * kernels + rows * taps * kernels
 
 
+def conv_backward_scratch(batch: int, layer: ConvLayer) -> int:
+    """Scratch values conv1d_backward needs through ``layer`` at ``batch``:
+    the larger of a tap's weight-gradient products, (B, K, n*C) for the
+    widest tap n = min(stride, Rf), and one sample's padded output gradient
+    (``input_gradient_scratch``). More makes the input gradient in blocks
+    of more samples."""
+    products = batch * layer.kernels * min(layer.stride, layer.receptive_field) * layer.in_channels
+    padded = input_gradient_scratch(
+        layer.input_length, layer.receptive_field, layer.stride, layer.kernels
+    )
+    return max(products, padded)
+
+
+def backward_scratch(batch: int, convs: Iterable[ConvLayer], dense_inputs: Iterable[int]) -> int:
+    """Values of the one scratch a training step's backward pass shares: the
+    largest of its uses, since each ends before the next begins. They are,
+    for each conv layer of ``convs`` (those batchnorm_backward and
+    conv1d_backward run through), its batch-norm x_hat term, (B, m, K), and
+    ``conv_backward_scratch``; for each dense layer of ``dense_inputs``
+    input features, its (B, F_in) input gradient (``dense_backward``)."""
+    sizes = [batch * features for features in dense_inputs]
+    for layer in convs:
+        sizes += [batch * layer.output_length * layer.kernels, conv_backward_scratch(batch, layer)]
+    return max(sizes)
+
+
 def _input_gradient_kernel(weights: np.ndarray, stride: int, taps: int) -> np.ndarray:
     """(K, C, Rf) kernels re-blocked as the (taps*K, stride*C) matrix of the
     input-gradient correlation: row (e, k), column (r, c) holds
@@ -194,16 +237,21 @@ def conv1d_backward(
     grad_out: np.ndarray,
     grad_x: np.ndarray,
     scratch: np.ndarray,
+    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
     ``x`` is the (B, L, C) input the forward pass convolved and grad_out is
     (B, m, K); returns (grad_x, grad_weights, grad_bias). The weight gradient
     of each tap is grad_out^T times that tap's view of ``x`` (``tap_views``),
-    one batched GEMM summed over the batch, so no patches of ``x`` are kept
-    or made. The input gradient is written into ``grad_x``, shaped like x,
-    after the weight gradient has read x: grad_x may be ``x`` itself, which
-    is then overwritten, but must not otherwise overlap it.
+    one batched GEMM summed over the batch, whose (B, K, n*C) products are
+    written into ``scratch``, so no patches of ``x`` are kept or made. The
+    input gradient is written into ``grad_x``, shaped like x, after the
+    weight gradient has read x: grad_x may be ``x`` itself, which is then
+    overwritten, but must not otherwise overlap it. When x is a ReLU's
+    output, ``mask``, the (B, L, C) bool ReLU mask, makes grad_x the
+    gradient at the ReLU's input: it is applied to each block of grad_x as
+    soon as the block is written.
 
     Input position q*stride + r receives grad_out[q - d] through kernel tap
     d*stride + r, so grad_x, read as rows of stride*C values, is a stride-1
@@ -211,7 +259,8 @@ def conv1d_backward(
     gradient and a GEMM with the re-blocked kernels, written straight into
     grad_x. They are made a block of samples at a time in the C-contiguous
     ``scratch``, as many samples as it holds (``input_gradient_scratch``
-    values each); every block is one GEMM of the same arithmetic per row.
+    values each); every sample is one GEMM of the same arithmetic per row.
+    ``scratch`` holds at least ``conv_backward_scratch`` values.
     """
     k, c, rf = weights.shape
     _check_conv_input(x, weights)
@@ -226,25 +275,26 @@ def conv1d_backward(
         raise ValueError(f"grad_x shape {grad_x.shape} does not match the input {x.shape}")
     if grad_x is not x and np.may_share_memory(grad_x, x):
         raise ValueError("grad_x must be the input itself or lie apart from it")
+    if mask is not None and mask.shape != x.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match the input {x.shape}")
     length = x.shape[1]
-    rows, n_taps = _input_gradient_blocks(length, rf, stride)
-    per_sample = input_gradient_scratch(length, rf, stride, k)
-    block = min(batch, scratch.size // per_sample)
-    if block < 1:
+    needed = conv_backward_scratch(batch, ConvLayer(c, k, rf, stride, length, m))
+    if scratch.size < needed:
         raise ValueError(
-            f"scratch of {scratch.size} values holds no sample's padded gradient "
-            f"({per_sample} values)"
+            f"scratch of {scratch.size} values is too small: conv1d_backward needs {needed}, "
+            "for a tap's weight-gradient products or one sample's padded gradient"
         )
+    rows, n_taps = _input_gradient_blocks(length, rf, stride)
+    block = min(batch, scratch.size // input_gradient_scratch(length, rf, stride, k))
     grad_bias = _channel_sums(grad_out.reshape(batch * m, k))
     grad_weights = np.empty((k, c, rf))
     g_t = grad_out.transpose(0, 2, 1)
     for start, tap in zip(range(0, rf, stride), taps):
         n = tap.shape[2] // c
-        products = np.matmul(g_t, tap).reshape(batch, k * n * c)  # (B, K, n*C) per sample
+        products = np.matmul(g_t, tap, out=_leading(scratch, (batch, k, n * c)))
         grad_weights[:, :, start : start + n] = (
-            _channel_sums(products).reshape(k, n, c).transpose(0, 2, 1)
+            _channel_sums(products.reshape(batch, k * n * c)).reshape(k, n, c).transpose(0, 2, 1)
         )
-        del products  # the next tap's products take its place
     kernel = _input_gradient_kernel(weights, stride, n_taps)
     for first in range(0, batch, block):  # x is not read past here: grad_x may be x
         last = min(first + block, batch)
@@ -254,11 +304,13 @@ def conv1d_backward(
         grad_pad[:, n_taps - 1 : n_taps - 1 + m] = grad_out[first:last]
         grad_pad[:, n_taps - 1 + m :] = 0.0
         patches = _leading(scratch.reshape(-1)[grad_pad.size :], (n, rows, n_taps * k))
-        patches = im2col(grad_pad, n_taps, 1, out=patches).reshape(n * rows, n_taps * k)
+        patches = im2col(grad_pad, n_taps, 1, out=patches)
         if rows * stride == length:
-            np.matmul(patches, kernel, out=_view(grad_x[first:last], (n * rows, stride * c)))
+            np.matmul(patches, kernel, out=_view(grad_x[first:last], (n, rows, stride * c)))
         else:  # the last row runs past the input's end: keep what lies inside
             grad_x[first:last] = (patches @ kernel).reshape(n, rows * stride, c)[:, :length]
+        if mask is not None:
+            np.multiply(grad_x[first:last], mask[first:last], out=grad_x[first:last])
     return grad_x, grad_weights, grad_bias
 
 
@@ -317,33 +369,25 @@ def batchnorm_infer(
 
 
 def batchnorm_backward(
-    cache: BatchNormCache,
-    grad_out: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-    relu: bool = False,
+    cache: BatchNormCache, grad: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Backprop through the standardization, including the stats' dependence on x.
 
-    With ``relu`` the gradient arrives at relu(y) instead of y, and the ReLU
-    mask (y > 0) is applied here: the fused BN+ReLU backward. ``out`` may be
-    ``grad_out`` itself; ``scratch``, shaped like it, takes the x_hat term.
+    In place: ``grad``, the C-contiguous gradient at the batch-norm output,
+    is overwritten with the gradient at its input and returned. A ReLU after
+    the batch norm is backpropagated by whoever writes ``grad``, with the
+    ReLU mask. ``scratch``, shaped like grad, takes the x_hat term.
     """
     channels = cache.x_hat.shape[-1]
     x_hat = cache.x_hat.reshape(-1, channels)
-    g = grad_out.reshape(-1, channels)
-    res = _view(out, g.shape)
-    if relu:
-        np.multiply(g, x_hat > 0.0, out=res)
-    else:
-        np.copyto(res, g)
+    res = _view(grad, x_hat.shape)
     n = cache.count
     mean_g = _channel_sums(res) / n
     mean_gx = np.einsum("ij,ij->j", res, x_hat) / n
     res -= mean_g
     res -= np.multiply(x_hat, mean_gx, out=_view(scratch, res.shape))
     res *= cache.inv_std
-    return out
+    return grad
 
 
 @dataclass
@@ -390,7 +434,8 @@ def conv_batchnorm_train(
     # S is positive semi-definite; round-off must not make a variance negative
     var = np.maximum(np.einsum("kj,kj->k", w @ scatter, w) / count, 0.0)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    np.matmul(centered, (w * inv_std[:, None]).T, out=_view(out, (count, k)))
+    scaled = np.ascontiguousarray((w * inv_std[:, None]).T)  # GEMM-ready (Rf*C, K)
+    np.matmul(centered, scaled, out=_view(out, (count, k)))
     cache = ConvBatchNormCache(
         x_hat=out, inv_std=inv_std, count=count, patch_mean=patch_mean, scatter=scatter
     )
@@ -402,35 +447,30 @@ def conv_batchnorm_backward(
     cols: np.ndarray,
     weights: np.ndarray,
     grad_out: np.ndarray,
-    mask: np.ndarray,
-    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_weights, grad_bias) through relu(conv_batchnorm_train(...)).
+    """(grad_weights, grad_bias) through conv_batchnorm_train(...).
 
     ``cols`` are the centred patches conv_batchnorm_train left behind and
-    grad_out (B, m, K) the gradient at the ReLU output; ``mask`` is the ReLU
-    mask, x_hat > 0, which the caller keeps, so x_hat itself is not read and
-    may have been overwritten. The mask is applied into ``out`` (which may
-    be grad_out). With g
-    the masked gradient, s1 and s2 the per-channel sums of g and g*x_hat,
-    the gradient dz at the convolution output is
-    (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W / sigma)^T, s2 is
-    the row-wise dot of g^T P_c with W / sigma, x_hat^T P_c = (W / sigma) S
-    and so dz^T P_c = (g^T P_c - (s1/n) (1^T P_c) - (s2/n) (W / sigma) S)
-    / sigma: past the mask, the only pass over the (n, K) gradient is the
+    grad_out (B, m, K) the gradient at its output x_hat, which is not read
+    and may have been overwritten: a ReLU after it is backpropagated by
+    whoever writes grad_out. With g that gradient and s1 and s2 the
+    per-channel sums of g and g*x_hat, the gradient dz at the convolution
+    output is (g - s1/n - x_hat s2/n) / sigma. Since x_hat = P_c (W /
+    sigma)^T, s2 is the row-wise dot of g^T P_c with W / sigma, x_hat^T P_c
+    = (W / sigma) S and so dz^T P_c = (g^T P_c - (s1/n) (1^T P_c) - (s2/n)
+    (W / sigma) S) / sigma: the only pass over the (n, K) gradient is the
     GEMM g^T P_c. grad_bias = 1^T dz and grad_weights = dz^T P_c +
     grad_bias mu^T. 1^T P_c is zero up to round-off; it is kept as computed.
     """
     k, c, rf = weights.shape
     count = cache.count
-    if grad_out.shape != cache.x_hat.shape or mask.shape != cache.x_hat.shape:
+    if grad_out.shape != cache.x_hat.shape:
         raise ValueError(
-            f"grad_out shape {grad_out.shape} or mask shape {mask.shape} does not "
-            f"match the layer output {cache.x_hat.shape}"
+            f"grad_out shape {grad_out.shape} does not match the layer output "
+            f"{cache.x_hat.shape}"
         )
     centered = cols.reshape(count, rf * c)
-    g = _view(out, (count, k))
-    np.multiply(grad_out.reshape(count, k), mask.reshape(count, k), out=g)
+    g = grad_out.reshape(count, k)
     sum_g = _channel_sums(g)
     mean_g = sum_g / count
     scaled = _kernel_matrix(weights) * cache.inv_std[:, None]
@@ -470,13 +510,22 @@ def dense_backward(
     grad_out: np.ndarray,
     grad_weights: np.ndarray,
     grad_bias: np.ndarray,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients through dense_forward: (grad_x, grad_weights, grad_bias).
     The weight and bias gradients are written into ``grad_weights`` and
-    ``grad_bias``, C-contiguous and shaped like the weights and the bias."""
+    ``grad_bias``, C-contiguous and shaped like the weights and the bias,
+    and grad_x, shaped like x, into the leading values of the C-contiguous
+    ``scratch``."""
+    if scratch.size < x.size:
+        raise ValueError(
+            f"scratch of {scratch.size} values is too small: dense_backward needs "
+            f"{x.size} for its {x.shape[0]} x {x.shape[1]} input gradient"
+        )
     np.matmul(x.T, grad_out, out=grad_weights)
     np.sum(grad_out, axis=0, out=grad_bias)
-    return grad_out @ weights.T, grad_weights, grad_bias
+    grad_x = np.matmul(grad_out, weights.T, out=_leading(scratch, x.shape))
+    return grad_x, grad_weights, grad_bias
 
 
 def dropout_forward(

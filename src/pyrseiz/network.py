@@ -9,26 +9,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import layers
 from .dataset import WINDOW_SIZE
+from .layers import ConvLayer
 
 PYRAMID_KERNELS = (24, 16, 8)
 TRADITIONAL_KERNELS = (8, 16, 24)
-
-
-class ConvLayer(NamedTuple):
-    """One conv layer's geometry: in_channels x input_length -> kernels x output_length."""
-
-    in_channels: int
-    kernels: int
-    receptive_field: int
-    stride: int
-    input_length: int
-    output_length: int
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,7 @@ class Workspace:
     inputs of conv2 and conv3, is ``[normalized[0], act]``. They are carved
     from one block, which the C heap reuses where separate arrays would be
     given back to the system and faulted in again on every ``classify``
-    call. The arrays only training needs (``windows``, ``relu_mask``,
+    call. The arrays only training needs (``windows``, ``relu_masks``,
     ``scratch``, ``grads``) are allocated on first use, each on its own:
     carved from a second block, they fragmented the heap of a ``cv``
     process, which peaked 1.5 MB higher and ran its calls about 5% slower.
@@ -226,13 +215,13 @@ class Workspace:
     these arrays; it allocates nothing of its own.
 
     ``backward`` keeps no gradient arrays of its own: it writes each
-    gradient over the activation of that shape it has finished with. The
-    gradient at conv3's ReLU output goes into ``flat`` once FC1's weight
-    gradient has read it, conv2's into ``act`` and conv1's into
-    ``normalized[0]`` once the next layer's weight gradient has read them.
-    conv1's batch norm then reads its ReLU mask from ``relu_mask``, which
-    the forward pass keeps. A training trace therefore serves one
-    ``backward``.
+    gradient over the activation of that shape it has finished with, and
+    its temporaries into ``scratch``. The gradient at conv3's ReLU input
+    goes into ``flat`` once FC1's weight gradient has read it, conv2's into
+    ``act`` and conv1's into ``normalized[0]`` once the next layer's weight
+    gradient has read them. Each is masked as it is written, by the ReLU
+    mask in ``relu_masks`` that the forward pass keeps. A training trace
+    therefore serves one ``backward``.
     """
 
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
@@ -282,30 +271,28 @@ class Workspace:
         return np.empty((self.batch, self.config.input_length))
 
     @cached_property
-    def relu_mask(self) -> np.ndarray:
-        """conv1's ReLU mask, x_hat > 0, kept by a training pass for its
-        batch norm's backward, which runs after x_hat is overwritten."""
+    def relu_masks(self) -> list[np.ndarray]:
+        """Each conv layer's ReLU mask, x_hat > 0, one byte a value, kept by
+        a training pass: its backward masks the gradient at each ReLU where
+        it writes that gradient, after conv1's x_hat is overwritten."""
         if self._base:
-            return self._base.relu_mask[: self.batch]
-        return np.empty(self.normalized[0].shape, dtype=bool)
+            return [mask[: self.batch] for mask in self._base.relu_masks]
+        return [np.empty(a.shape, dtype=bool) for a in self.normalized]
 
     @cached_property
     def scratch(self) -> np.ndarray:
-        """Backward-pass scratch of conv2 and conv3: ``bn_scratch``, then
-        ``conv1d_backward``'s padded output gradients, made in blocks of as
-        many samples as it holds. Each use ends before the next begins
-        (layer by layer, batch norm before convolution), so they share one
-        vector, sized by the batch-norm scratch but holding at least one
-        sample's padded gradient; a head uses its base's."""
+        """Backward-pass scratch: ``bn_scratch``, ``conv1d_backward``'s tap
+        products and padded output gradients, made in blocks of as many
+        samples as it holds, and the dense layers' input gradients. Each
+        use ends before the next begins, so they share one vector of
+        ``layers.backward_scratch`` values; a head uses its base's."""
         if self._base:
             return self._base.scratch
-        convs = self.config.conv_layers[1:]
-        sizes = [self.batch * c.output_length * c.kernels for c in convs]
-        sizes += [
-            layers.input_gradient_scratch(c.input_length, c.receptive_field, c.stride, c.kernels)
-            for c in convs
-        ]
-        return np.empty(max(sizes))
+        config = self.config
+        size = layers.backward_scratch(
+            self.batch, config.conv_layers[1:], (config.flatten_width, config.fc1_width)
+        )
+        return np.empty(size)
 
     @cached_property
     def grads(self) -> NetworkParameters:
@@ -323,7 +310,7 @@ class ForwardTrace:
     """Intermediates cached by a training-mode forward pass for backprop.
 
     The conv stack's inputs (conv1's centred patches, then ``rectified``),
-    its flattened output and conv1's ReLU mask stay in the workspace.
+    its flattened output and its ReLU masks stay in the workspace.
     ``backward`` writes its gradients over those activations, so a trace
     serves one backward: it is then ``spent``, and a second raises.
     """
@@ -354,12 +341,12 @@ def forward(
     the running statistics in place in ``params``; its loss computes the
     probabilities from ``trace.logits`` (``layers.softmax_cross_entropy``).
     Inference folds the running statistics into each layer's conv weights
-    and bias (``layers.batchnorm_infer``) and applies no dropout. conv1's
+    and bias (``layers.batchnorm_infer``) and applies no dropout. Training
+    keeps each conv layer's ReLU mask in ``workspace.relu_masks``. conv1's
     ReLU rectifies its output in place, since its backward needs only the
-    mask, which training keeps in ``workspace.relu_mask``; conv2's writes
-    ``workspace.act``, since its batch-norm backward reads the whole x_hat;
-    conv3's is applied by the flatten. The returned probabilities are
-    always a fresh array.
+    mask; conv2's writes ``workspace.act``, since its batch-norm backward
+    reads the whole x_hat; conv3's is applied by the flatten. The returned
+    probabilities are always a fresh array.
     """
     config = params.config
     x = np.ascontiguousarray(windows, dtype=np.float64)
@@ -389,7 +376,6 @@ def forward(
                 z, cache, mean, var = layers.conv_batchnorm_train(
                     h, weights[i], biases[i], stride, cols=workspace.patches, out=normalized
                 )
-                np.greater(z, 0.0, out=workspace.relu_mask)
             else:  # batch norm cancels the conv bias; it reaches only the running mean
                 z = layers.conv1d_forward(
                     h, weights[i], None, stride, out=normalized,
@@ -400,6 +386,7 @@ def forward(
             running_mean[i][...] = layers.update_running_stat(running_mean[i], mean)
             running_var[i][...] = layers.update_running_stat(running_var[i], var)
             bn_caches.append(cache)
+            np.greater(z, 0.0, out=workspace.relu_masks[i])
             h = z  # the batch-norm output x_hat
         if i < 2:
             h = np.maximum(h, 0.0, out=workspace.rectified[i])
@@ -448,26 +435,30 @@ def backward(
     ws = trace.workspace
     grads = ws.grads
     d, _, _ = layers.dense_backward(
-        trace.fc2_input, params.fc2_weight, grad_logits, grads.fc2_weight, grads.fc2_bias
+        trace.fc2_input, params.fc2_weight, grad_logits, grads.fc2_weight, grads.fc2_bias,
+        ws.scratch,
     )
     d = layers.dropout_backward(trace.dropout_mask, config.dropout_rate, d)
     d = layers.relu_backward(trace.fc1_pre, d)
     d, _, _ = layers.dense_backward(
-        ws.flat, params.fc1_weight, d, grads.fc1_weight, grads.fc1_bias
+        ws.flat, params.fc1_weight, d, grads.fc1_weight, grads.fc1_bias, ws.scratch
     )
     batch, positions, kernels = ws.normalized[2].shape
     g = ws.flat.reshape(batch, positions, kernels)  # flat is read: the gradient takes its place
+    masks = ws.relu_masks
+    # copied, then masked in place: one multiply that also transposed made
+    # numpy buffer twice as much (127 KB) and ran slower
     np.copyto(g, d.reshape(batch, kernels, positions).transpose(0, 2, 1))
+    np.multiply(g, masks[2], out=g)
     for i in (2, 1):
-        g = layers.batchnorm_backward(
-            trace.bn_caches[i], g, relu=True, out=g, scratch=ws.bn_scratch(i)
-        )
+        g = layers.batchnorm_backward(trace.bn_caches[i], g, scratch=ws.bn_scratch(i))
         x = ws.rectified[i - 1]  # read for the weight gradient, then overwritten
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
-            x, params.conv_weights[i], config.strides[i], g, grad_x=x, scratch=ws.scratch
+            x, params.conv_weights[i], config.strides[i], g, grad_x=x, scratch=ws.scratch,
+            mask=masks[i - 1],
         )
     grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
-        trace.bn_caches[0], ws.patches, params.conv_weights[0], g, ws.relu_mask, out=g
+        trace.bn_caches[0], ws.patches, params.conv_weights[0], g
     )
     return grads
 

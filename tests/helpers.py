@@ -58,10 +58,11 @@ def fresh_conv(x, weights, bias, stride):
 
 def fresh_conv_backward(x, weights, stride, grad_out, grad_x):
     """``layers.conv1d_backward`` of the input ``x`` into ``grad_x``, with
-    a fresh scratch that holds the whole batch's padded gradient."""
-    batch, length, _ = x.shape
+    a fresh scratch that holds what ``layers.conv_backward_scratch`` asks
+    and the whole batch's padded gradient."""
+    batch, length, c = x.shape
     k, _, rf = weights.shape
+    layer = layers.ConvLayer(c, k, rf, stride, length, grad_out.shape[1])
     per_sample = layers.input_gradient_scratch(length, rf, stride, k)
-    return layers.conv1d_backward(
-        x, weights, stride, grad_out, grad_x, np.empty(batch * per_sample)
-    )
+    size = max(layers.conv_backward_scratch(batch, layer), batch * per_sample)
+    return layers.conv1d_backward(x, weights, stride, grad_out, grad_x, np.empty(size))

@@ -10,6 +10,7 @@ import math
 from collections import Counter
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # Adam's constants come from the package; the update formulas are written out below
 from pyrseiz.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -217,6 +218,17 @@ def save_checkpoint_v1(params, config, path):
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def im2col_as_strided(x, rf, stride):
+    """Sliding patches of a channel-last batch through numpy's ``as_strided``:
+    (B, L, C) -> a fresh (B, m, Rf*C) array, row j of sample b the Rf
+    positions from j*stride flattened."""
+    batch, length, channels = x.shape
+    m = (length - rf) // stride + 1
+    sb, sl, sc = x.strides
+    view = as_strided(x, (batch, m, rf, channels), (sb, stride * sl, sl, sc), writeable=False)
+    return view.reshape(batch, m, rf * channels)
 
 
 def _unfold_channels_first(x, rf, stride):

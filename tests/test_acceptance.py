@@ -174,7 +174,7 @@ def test_criterion_3_gradient_correctness():
             y, _, _, _ = layers.batchnorm_train(xb, np.empty_like(xb))
             return float((y * rb).sum())
         assert max_relative_error(
-            layers.batchnorm_backward(cache, rb, np.empty_like(rb), np.empty_like(rb)),
+            layers.batchnorm_backward(cache, rb.copy(), np.empty_like(rb)),
             central_difference(bn_loss, xb)
         ) < 1e-6
 
@@ -183,7 +183,10 @@ def test_criterion_3_gradient_correctness():
         bd = rng.standard_normal(3)
         rd = rng.standard_normal((5, 3))
         dense_loss = lambda: float((layers.dense_forward(xd, wd, bd) * rd).sum())
-        gxd, gwd, gbd = layers.dense_backward(xd, wd, rd, np.empty_like(wd), np.empty_like(bd))
+        scratch = np.empty(layers.backward_scratch(len(xd), (), (xd.shape[1],)))
+        gxd, gwd, gbd = layers.dense_backward(
+            xd, wd, rd, np.empty_like(wd), np.empty_like(bd), scratch
+        )
         assert max_relative_error(gwd, central_difference(dense_loss, wd)) < 1e-6
         assert max_relative_error(gbd, central_difference(dense_loss, bd)) < 1e-6
 

@@ -9,6 +9,7 @@ from oracles import (
     conv1d_gradients_loops,
     conv1d_input_gradient_loops,
     conv1d_loops,
+    im2col_as_strided,
     max_relative_error,
 )
 from pyrseiz import layers
@@ -71,6 +72,24 @@ class TestConvForward:
         for b in range(2):
             for j in range(3):
                 assert np.array_equal(cols[b, j], x[b, 3 * j : 3 * j + 4].ravel())
+
+    @pytest.mark.parametrize("rf, stride, channels", [(5, 3, 1), (3, 2, 4), (2, 1, 3), (4, 5, 2)])
+    def test_columns_match_as_strided(self, rf, stride, channels):
+        """The patches equal those of an ``as_strided`` view, bitwise, also
+        on an input that is a C-contiguous view into a larger array."""
+        rng = np.random.default_rng(rf * 10 + stride)
+        x = rng.standard_normal((4, 19, channels))[1:3]
+        assert x.flags.c_contiguous and x.base is not None
+        assert np.array_equal(fresh_cols(x, rf, stride), im2col_as_strided(x, rf, stride))
+
+    def test_im2col_refuses_a_non_contiguous_input(self):
+        """im2col reads its input through fixed strides, so it refuses an
+        input whose positions or channels are not C-contiguous."""
+        x = np.zeros((2, 3, 11)).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="im2col inputs must be C-contiguous"):
+            fresh_cols(x, 4, 3)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fresh_cols(np.zeros((2, 22, 3))[:, ::2], 4, 3)
 
     def test_writes_into_given_buffers(self):
         """The output is the given buffer; a two-tap layer (Rf 5, stride 3)
@@ -228,9 +247,10 @@ class TestConvBackward:
 
     def test_padded_gradient_buffer_shape_checked(self):
         """One sample's padded gradient, (5 + 2 - 1, 1), and its patches,
-        (5, 2), take 16 values: a scratch of 15 holds no block."""
+        (5, 2), take 16 values, more than a tap's two weight-gradient
+        products: a scratch of 15 holds no block."""
         assert layers.input_gradient_scratch(9, 3, 2, 1) == 16
-        with pytest.raises(ValueError, match="holds no sample's padded gradient"):
+        with pytest.raises(ValueError, match="conv1d_backward needs 16,"):
             layers.conv1d_backward(
                 np.zeros((1, 9, 1)), np.zeros((1, 1, 3)), 2, np.zeros((1, 4, 1)),
                 grad_x=np.zeros((1, 9, 1)), scratch=np.zeros(15),
@@ -267,7 +287,8 @@ class TestConvBackward:
     def test_input_gradient_matches_loop_col2im(
         self, batch, channels, kernels, rf, stride, m, tail, block, seed
     ):
-        """The padded-gradient GEMM, in blocks of ``block`` samples, against
+        """The padded-gradient GEMM, in blocks of at least ``block`` samples
+        (more where a tap's weight-gradient products need a larger scratch), against
         the tap-by-tap col2im, within 1e-12 of the largest gradient entry;
         ``tail`` input samples past the last window get zero gradient. Every
         buffer starts as nan."""
@@ -278,9 +299,11 @@ class TestConvBackward:
         w = rng.standard_normal((kernels, channels, rf))
         g = rng.standard_normal((batch, m, kernels))
         per_sample = layers.input_gradient_scratch(length, rf, stride, kernels)
+        layer = layers.ConvLayer(channels, kernels, rf, stride, length, m)
+        size = max(layers.conv_backward_scratch(batch, layer), block * per_sample)
         grad_x = np.full_like(x, np.nan)
         result, _, _ = layers.conv1d_backward(
-            x, w, stride, g, grad_x=grad_x, scratch=np.full(block * per_sample, np.nan)
+            x, w, stride, g, grad_x=grad_x, scratch=np.full(size, np.nan)
         )
         expected = _channel_last(
             conv1d_input_gradient_loops(g.transpose(0, 2, 1), w, stride, length)
@@ -293,30 +316,33 @@ class TestConvBackward:
 @pytest.mark.parametrize("batch", [1, 7, 11, 32, 33])
 @pytest.mark.parametrize("layer", [1, 2])
 def test_input_gradient_in_place_and_in_blocks(layer, batch):
-    """M5's conv2 or conv3 backward with grad_x the input itself and a
-    scratch the size of the layer's batch-norm scratch, as a training step
-    runs it (blocks of 2 to 10 samples, of 1 at batch 1, the last block
-    partial), is bitwise the out-of-place backward with the whole batch in
-    one block. The input gradient of the first and the last sample is within
+    """M5's conv2 or conv3 backward with grad_x the input itself, a ReLU
+    mask and the scratch ``layers.backward_scratch`` gives the layer, as a
+    training step runs it (blocks of 2 to 10 samples, of 1 at batch 1, the
+    last block partial), is bitwise the out-of-place backward with the
+    whole batch in one block, its input gradient then multiplied by the
+    mask. The input gradient of the first and the last sample is within
     1e-12 of direct loops, relative to its largest entry."""
     conv = model_config("M5", 3).conv_layers[layer]
     rng = np.random.default_rng(10 * layer + batch)
     x = rng.standard_normal((batch, conv.input_length, conv.in_channels))
     w = rng.standard_normal((conv.kernels, conv.in_channels, conv.receptive_field))
     g = rng.standard_normal((batch, conv.output_length, conv.kernels))
+    mask = rng.standard_normal(x.shape) > 0.0
     whole = fresh_conv_backward(x, w, conv.stride, g, grad_x=np.full_like(x, np.nan))
     per_sample = layers.input_gradient_scratch(
         conv.input_length, conv.receptive_field, conv.stride, conv.kernels
     )
-    scratch = np.full(max(batch * conv.output_length * conv.kernels, per_sample), np.nan)
+    scratch = np.full(layers.backward_scratch(batch, [conv], ()), np.nan)
     assert scratch.size // per_sample < batch or batch == 1
     x_first = x.transpose(0, 2, 1)[[0, -1]]
     ref_gx, _ = conv1d_gradients_loops(x_first, w, conv.stride, g.transpose(0, 2, 1)[[0, -1]])
-    blocked = layers.conv1d_backward(x, w, conv.stride, g, grad_x=x, scratch=scratch)
+    blocked = layers.conv1d_backward(x, w, conv.stride, g, grad_x=x, scratch=scratch, mask=mask)
     assert blocked[0] is x
-    for a, b in zip(blocked, whole):
+    assert np.array_equal(x, whole[0] * mask)
+    for a, b in zip(blocked[1:], whole[1:]):
         assert np.array_equal(a, b)
-    ref_gx = _channel_last(ref_gx)
+    ref_gx = _channel_last(ref_gx) * mask[[0, -1]]
     assert np.max(np.abs(x[[0, -1]] - ref_gx)) <= 1e-12 * np.max(np.abs(ref_gx))
 
 
@@ -400,11 +426,13 @@ class TestBatchNorm:
             return float((y * r).sum())
 
         _, cache, _, _ = layers.batchnorm_train(x, np.empty_like(x))
-        gx = layers.batchnorm_backward(cache, r, np.empty_like(r), np.empty_like(r))
+        gx = layers.batchnorm_backward(cache, r.copy(), np.empty_like(r))
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
 
     def test_fused_relu_backward_finite_difference(self):
-        """relu(batchnorm(x)) on batch 4, length 7, channels 3, also written in place."""
+        """relu(batchnorm(x)) on batch 4, length 7, channels 3: the gradient
+        at the ReLU output is masked by x_hat > 0, as its writer masks it,
+        and the batch-norm backward overwrites it in place."""
         rng = np.random.default_rng(14)
         x = rng.standard_normal((4, 7, 3))
         r = rng.standard_normal((4, 7, 3))
@@ -415,17 +443,14 @@ class TestBatchNorm:
 
         _, cache, _, _ = layers.batchnorm_train(x, np.empty_like(x))
         assert np.min(np.abs(cache.x_hat)) > 1e-3  # clear of the kink at the probe step
-        gx = layers.batchnorm_backward(cache, r, np.empty_like(r), np.empty_like(r), relu=True)
+        masked = np.multiply(r, cache.x_hat > 0.0)
+        gx = layers.batchnorm_backward(cache, masked, scratch=np.empty_like(r))
+        assert gx is masked
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
-        masked = layers.relu_backward(cache.x_hat, r)
-        unfused = layers.batchnorm_backward(cache, masked, masked, np.empty_like(r))
-        assert np.allclose(gx, unfused, rtol=0.0, atol=1e-14)
-        in_place = r.copy()
-        result = layers.batchnorm_backward(
-            cache, in_place, out=in_place, scratch=np.empty_like(r), relu=True
+        unfused = layers.batchnorm_backward(
+            cache, layers.relu_backward(cache.x_hat, r), np.empty_like(r)
         )
-        assert result is in_place
-        assert np.array_equal(in_place, gx)
+        assert np.array_equal(gx, unfused)
 
     @staticmethod
     def _folded_conv(x, running_mean, running_var):
@@ -480,13 +505,12 @@ class TestBatchNorm:
 
 
 def _unfused_first_layer(x, w, b, stride, grad_out):
-    """conv1d_forward -> batchnorm_train -> relu, then batchnorm_backward(relu=True)
-    -> conv1d_backward: what conv_batchnorm_train/_backward fold together."""
+    """conv1d_forward -> batchnorm_train -> relu, then the ReLU mask,
+    batchnorm_backward and conv1d_backward: what conv_batchnorm_train and
+    conv_batchnorm_backward fold together."""
     z = fresh_conv(x, w, b, stride)
     x_hat, cache, mean, var = layers.batchnorm_train(z, np.empty_like(z))
-    dz = layers.batchnorm_backward(
-        cache, grad_out, np.empty_like(grad_out), np.empty_like(grad_out), relu=True
-    )
+    dz = layers.batchnorm_backward(cache, grad_out * (x_hat > 0.0), np.empty_like(grad_out))
     _, gw, gb = fresh_conv_backward(x, w, stride, dz, grad_x=np.empty_like(x))
     return x_hat, mean, var, gw, gb
 
@@ -517,9 +541,9 @@ class TestConvBatchNorm:
         assert x_hat is cache.x_hat
         centred = fresh_cols(x, w.shape[2], stride) - cache.patch_mean
         assert np.max(np.abs(cols - centred)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
-        g = grad_out.copy()
-        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, g, x_hat > 0.0, out=g)
-        assert np.array_equal(g, grad_out * (x_hat > 0.0))
+        g = grad_out * (x_hat > 0.0)
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, g)
+        assert np.array_equal(g, grad_out * (x_hat > 0.0))  # read, not written
         return x_hat, mean, var, gw, gb, cache.patch_mean
 
     @staticmethod
@@ -596,7 +620,7 @@ class TestConvBatchNorm:
             x, w, b, 2, cols=cols, out=np.empty((3, 9, 3))
         )
         assert np.min(np.abs(y)) > 1e-3  # clear of the kink at the probe step
-        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r, y > 0.0, np.empty_like(r))
+        gw, gb = layers.conv_batchnorm_backward(cache, cols, w, r * (y > 0.0))
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert np.max(np.abs(gb)) <= 1e-12  # batch norm cancels the bias
         assert np.max(np.abs(central_difference(loss, b))) <= 1e-8
@@ -621,12 +645,24 @@ class TestDense:
             return float((layers.dense_forward(x, w, b) * r).sum())
 
         out_w, out_b = np.full_like(w, np.nan), np.full_like(b, np.nan)
-        gx, gw, gb = layers.dense_backward(x, w, r, out_w, out_b)
+        scratch = np.full(x.size + 3, np.nan)
+        gx, gw, gb = layers.dense_backward(x, w, r, out_w, out_b, scratch)
         assert gw is out_w and gb is out_b
         assert np.array_equal(gw, x.T @ r) and np.array_equal(gb, r.sum(axis=0))
+        assert gx.shape == x.shape and np.shares_memory(gx, scratch)
+        assert np.array_equal(gx, r @ w.T) and np.isnan(scratch[x.size :]).all()
         assert max_relative_error(gx, central_difference(loss, x)) < 1e-6
         assert max_relative_error(gw, central_difference(loss, w)) < 1e-6
         assert max_relative_error(gb, central_difference(loss, b)) < 1e-6
+
+
+    def test_small_scratch_rejected(self):
+        """A scratch that cannot hold the (5, 4) input gradient is refused,
+        in one line naming the 20 values it needs."""
+        x, w, r = np.zeros((5, 4)), np.zeros((4, 3)), np.zeros((5, 3))
+        with pytest.raises(ValueError, match="dense_backward needs 20 ") as caught:
+            layers.dense_backward(x, w, r, np.empty((4, 3)), np.empty(3), np.empty(19))
+        assert "\n" not in str(caught.value)
 
 
 class TestReluDropout:

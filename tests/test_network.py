@@ -399,7 +399,7 @@ def _pass_arrays(ws):
 
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
-    return _pass_arrays(ws) + [ws.windows, ws.relu_mask, ws.scratch, ws.grads.learnable]
+    return _pass_arrays(ws) + [ws.windows, *ws.relu_masks, ws.scratch, ws.grads.learnable]
 
 
 class TestChannelLastLayout:
@@ -440,6 +440,49 @@ class TestChannelLastLayout:
                 assert err <= 1e-12, key
             else:
                 assert err <= 1e-12 * np.max(np.abs(ref)), key
+
+    def test_scratch_holds_tap_products_larger_than_the_batch_norm_scratch(self):
+        """A config whose conv2 tap products, (B, K2, 2*K1) = 3 x 40 x 48
+        values, outgrow its batch-norm scratch (3 x 9 x 40) and one sample's
+        padded gradient (1,240): the workspace's scratch is sized by the
+        products, a training step through it matches the channels-first
+        reference, and conv2's backward handed only the batch-norm scratch
+        refuses it in one line naming the values it needs."""
+        cfg = ModelConfig(
+            kernel_counts=(24, 40, 2), fc1_width=3, dropout_rate=0.0, num_classes=2,
+            input_length=64,
+        )
+        batch = 3
+        conv2 = cfg.conv_layers[1]
+        bn_values = batch * conv2.output_length * conv2.kernels
+        products = batch * conv2.kernels * conv2.stride * conv2.in_channels
+        assert (bn_values, products) == (1080, 5760)
+        assert layers.input_gradient_scratch(20, 3, 2, 40) == 1240
+        ws = Workspace(cfg, batch)
+        assert ws.scratch.size == products
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((batch, 64)), np.array([0, 1, 1])
+        params = _perturbed(cfg, seed=8)
+        reference = params.copy()
+        _, trace = forward(params, x, ws, training=True)
+        _, ref_trace = forward_reference(cfg, reference, x, training=True)
+        _, _, grad_logits = layers.softmax_cross_entropy(trace.logits, y)
+        grads = backward(params, trace, grad_logits)
+        _, _, ref_grad_logits = layers.softmax_cross_entropy(ref_trace["logits"], y)
+        ref_grads = backward_reference(cfg, reference, ref_trace, ref_grad_logits)
+        for key, ref in ref_grads.items():
+            err = np.max(np.abs(grads.tensors[key] - ref))
+            if key.startswith("conv") and key.endswith(".bias"):
+                assert err <= 1e-12, key
+            else:
+                assert err <= 1e-12 * np.max(np.abs(ref)), key
+        h = rng.standard_normal((batch, conv2.input_length, conv2.in_channels))
+        g = rng.standard_normal((batch, conv2.output_length, conv2.kernels))
+        with pytest.raises(ValueError, match="conv1d_backward needs 5760,") as caught:
+            layers.conv1d_backward(
+                h, params.conv_weights[1], conv2.stride, g, grad_x=h, scratch=np.empty(bn_values)
+            )
+        assert "\n" not in str(caught.value)
 
     def test_trace_activations_are_channel_last_and_contiguous(self, tiny_config):
         cfg = tiny_config
@@ -531,14 +574,15 @@ class TestChannelLastLayout:
         grads = backward(params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 6 + 4
+        assert len(buffers) == 6 + 6
         assert grads is ws.grads
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, probs)
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b)
-        assert ws.relu_mask.shape == ws.normalized[0].shape and ws.relu_mask.dtype == bool
+        for mask, normalized in zip(ws.relu_masks, ws.normalized):
+            assert mask.shape == normalized.shape and mask.dtype == bool
         for i in (1, 2):
             scratch = ws.bn_scratch(i)
             assert scratch.shape == ws.normalized[i].shape
