@@ -73,11 +73,12 @@ def compute_metrics(cm: np.ndarray) -> dict[str, float | None]:
     """Accuracy, sensitivity, specificity, precision, F-measure, G-mean,
     keyed ``acc`` and the rate keys of ``METRIC_KEYS``, in that order.
 
-    Binary matrices read TP/TN/FP/FN against the last class, the seizure
-    side of every benchmark case. Three or more classes are scored
-    one-vs-rest per class and macro-averaged; accuracy is always trace/total.
-    Zero denominators leave a metric undefined (None) rather than coerced
-    to 0.
+    Binary matrices read TP/TN/FP/FN against the last class, the case's
+    last group. In every binary benchmark case but AB-CD that group holds
+    set E, the seizure records; in AB-CD it is CD, which is interictal.
+    Three or more classes are scored one-vs-rest per class and
+    macro-averaged; accuracy is always trace/total. Zero denominators leave
+    a metric undefined (None) rather than coerced to 0.
     """
     cm = np.asarray(cm)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] < 2:

@@ -124,11 +124,13 @@ def tap_views(x: np.ndarray, receptive_field: int, stride: int) -> list[np.ndarr
     return taps
 
 
-def _check_conv_input(x: np.ndarray, weights: np.ndarray) -> None:
+def _check_conv_input(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> None:
     if x.ndim != 3 or x.shape[2] != weights.shape[1]:
         raise ValueError(
             f"input shape {x.shape} does not match kernel channels {weights.shape[1]}"
         )
+    if bias is not None and bias.shape != weights.shape[:1]:
+        raise ValueError(f"bias shape {bias.shape} does not match {weights.shape[0]} kernels")
 
 
 def conv1d_forward(
@@ -154,9 +156,7 @@ def conv1d_forward(
     channel with Rf <= stride has one tap and leaves it alone.
     """
     k, c, rf = weights.shape
-    _check_conv_input(x, weights)
-    if bias is not None and bias.shape != (k,):
-        raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
+    _check_conv_input(x, weights, bias)
     batch, length, _ = x.shape
     m = count_windows(length, rf, stride)
     kernel = weights.transpose(2, 1, 0).reshape(rf * c, k)  # row (e, c), column k
@@ -237,7 +237,7 @@ def conv1d_backward(
     grad_out: np.ndarray,
     grad_x: np.ndarray,
     scratch: np.ndarray,
-    mask: np.ndarray | None = None,
+    relu: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through conv1d_forward.
 
@@ -248,10 +248,10 @@ def conv1d_backward(
     written into ``scratch``, so no patches of ``x`` are kept or made. The
     input gradient is written into ``grad_x``, shaped like x, after the
     weight gradient has read x: grad_x may be ``x`` itself, which is then
-    overwritten, but must not otherwise overlap it. When x is a ReLU's
-    output, ``mask``, the (B, L, C) bool ReLU mask, makes grad_x the
-    gradient at the ReLU's input: it is applied to each block of grad_x as
-    soon as the block is written.
+    overwritten, but must not otherwise overlap it. ``relu`` says x is a
+    ReLU's output and makes grad_x the gradient at the ReLU's input: each
+    block of grad_x is multiplied by its ReLU mask, x > 0, read from the
+    block of x just before the block is written.
 
     Input position q*stride + r receives grad_out[q - d] through kernel tap
     d*stride + r, so grad_x, read as rows of stride*C values, is a stride-1
@@ -275,8 +275,6 @@ def conv1d_backward(
         raise ValueError(f"grad_x shape {grad_x.shape} does not match the input {x.shape}")
     if grad_x is not x and np.may_share_memory(grad_x, x):
         raise ValueError("grad_x must be the input itself or lie apart from it")
-    if mask is not None and mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match the input {x.shape}")
     length = x.shape[1]
     needed = conv_backward_scratch(batch, ConvLayer(c, k, rf, stride, length, m))
     if scratch.size < needed:
@@ -296,9 +294,10 @@ def conv1d_backward(
             _channel_sums(products.reshape(batch, k * n * c)).reshape(k, n, c).transpose(0, 2, 1)
         )
     kernel = _input_gradient_kernel(weights, stride, n_taps)
-    for first in range(0, batch, block):  # x is not read past here: grad_x may be x
+    for first in range(0, batch, block):  # x is read past here only block by block
         last = min(first + block, batch)
         n = last - first
+        positive = x[first:last] > 0.0 if relu else None  # before grad_x, maybe x, is written
         grad_pad = _leading(scratch, (n, rows + n_taps - 1, k))
         grad_pad[:, : n_taps - 1] = 0.0
         grad_pad[:, n_taps - 1 : n_taps - 1 + m] = grad_out[first:last]
@@ -309,8 +308,8 @@ def conv1d_backward(
             np.matmul(patches, kernel, out=_view(grad_x[first:last], (n, rows, stride * c)))
         else:  # the last row runs past the input's end: keep what lies inside
             grad_x[first:last] = (patches @ kernel).reshape(n, rows * stride, c)[:, :length]
-        if mask is not None:
-            np.multiply(grad_x[first:last], mask[first:last], out=grad_x[first:last])
+        if relu:
+            np.multiply(grad_x[first:last], positive, out=grad_x[first:last])
     return grad_x, grad_weights, grad_bias
 
 
@@ -418,10 +417,7 @@ def conv_batchnorm_train(
     batchnorm_train does; ``cols`` is left holding the centred patches.
     """
     k, c, rf = weights.shape
-    if x.ndim != 3 or x.shape[2] != c:
-        raise ValueError(f"input shape {x.shape} does not match kernel channels {c}")
-    if bias.shape != (k,):
-        raise ValueError(f"bias shape {bias.shape} does not match {k} kernels")
+    _check_conv_input(x, weights, bias)
     cols = im2col(x, rf, stride, out=cols)
     batch, m, width = cols.shape
     count = batch * m

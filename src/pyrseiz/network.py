@@ -207,10 +207,10 @@ class Workspace:
     inputs of conv2 and conv3, is ``[normalized[0], act]``. They are carved
     from one block, which the C heap reuses where separate arrays would be
     given back to the system and faulted in again on every ``classify``
-    call. The arrays only training needs (``windows``, ``relu_masks``,
-    ``scratch``, ``grads``) are allocated on first use, each on its own:
-    carved from a second block, they fragmented the heap of a ``cv``
-    process, which peaked 1.5 MB higher and ran its calls about 5% slower.
+    call. The arrays only training needs (``windows``, ``scratch``,
+    ``grads``) are allocated on first use, each on its own: carved from a
+    second block, they fragmented the heap of a ``cv`` process, which
+    peaked 1.5 MB higher and ran its calls about 5% slower.
     ``head(b)`` is a workspace for a smaller batch on the leading rows of
     these arrays; it allocates nothing of its own.
 
@@ -219,9 +219,11 @@ class Workspace:
     its temporaries into ``scratch``. The gradient at conv3's ReLU input
     goes into ``flat`` once FC1's weight gradient has read it, conv2's into
     ``act`` and conv1's into ``normalized[0]`` once the next layer's weight
-    gradient has read them. Each is masked as it is written, by the ReLU
-    mask in ``relu_masks`` that the forward pass keeps. A training trace
-    therefore serves one ``backward``.
+    gradient has read them. Each is masked as it is written, by its ReLU's
+    mask read from an activation the pass keeps anyway: conv3's from its
+    x_hat, ``normalized[2]``, and conv1's and conv2's from their rectified
+    outputs, each block just before its gradient overwrites it. A training
+    trace therefore serves one ``backward``.
     """
 
     def __init__(self, config: ModelConfig, batch: int, base: Workspace | None = None) -> None:
@@ -271,15 +273,6 @@ class Workspace:
         return np.empty((self.batch, self.config.input_length))
 
     @cached_property
-    def relu_masks(self) -> list[np.ndarray]:
-        """Each conv layer's ReLU mask, x_hat > 0, one byte a value, kept by
-        a training pass: its backward masks the gradient at each ReLU where
-        it writes that gradient, after conv1's x_hat is overwritten."""
-        if self._base:
-            return [mask[: self.batch] for mask in self._base.relu_masks]
-        return [np.empty(a.shape, dtype=bool) for a in self.normalized]
-
-    @cached_property
     def scratch(self) -> np.ndarray:
         """Backward-pass scratch: ``bn_scratch``, ``conv1d_backward``'s tap
         products and padded output gradients, made in blocks of as many
@@ -309,8 +302,8 @@ class Workspace:
 class ForwardTrace:
     """Intermediates cached by a training-mode forward pass for backprop.
 
-    The conv stack's inputs (conv1's centred patches, then ``rectified``),
-    its flattened output and its ReLU masks stay in the workspace.
+    The conv stack's inputs (conv1's centred patches, then ``rectified``)
+    and its flattened output stay in the workspace.
     ``backward`` writes its gradients over those activations, so a trace
     serves one backward: it is then ``spent``, and a second raises.
     """
@@ -341,12 +334,12 @@ def forward(
     the running statistics in place in ``params``; its loss computes the
     probabilities from ``trace.logits`` (``layers.softmax_cross_entropy``).
     Inference folds the running statistics into each layer's conv weights
-    and bias (``layers.batchnorm_infer``) and applies no dropout. Training
-    keeps each conv layer's ReLU mask in ``workspace.relu_masks``. conv1's
+    and bias (``layers.batchnorm_infer``) and applies no dropout. conv1's
     ReLU rectifies its output in place, since its backward needs only the
-    mask; conv2's writes ``workspace.act``, since its batch-norm backward
-    reads the whole x_hat; conv3's is applied by the flatten. The returned
-    probabilities are always a fresh array.
+    mask, which the rectified output holds; conv2's writes
+    ``workspace.act``, since its batch-norm backward reads the whole x_hat;
+    conv3's is applied by the flatten. The returned probabilities are
+    always a fresh array.
     """
     config = params.config
     x = np.ascontiguousarray(windows, dtype=np.float64)
@@ -386,7 +379,6 @@ def forward(
             running_mean[i][...] = layers.update_running_stat(running_mean[i], mean)
             running_var[i][...] = layers.update_running_stat(running_var[i], var)
             bn_caches.append(cache)
-            np.greater(z, 0.0, out=workspace.relu_masks[i])
             h = z  # the batch-norm output x_hat
         if i < 2:
             h = np.maximum(h, 0.0, out=workspace.rectified[i])
@@ -445,17 +437,17 @@ def backward(
     )
     batch, positions, kernels = ws.normalized[2].shape
     g = ws.flat.reshape(batch, positions, kernels)  # flat is read: the gradient takes its place
-    masks = ws.relu_masks
     # copied, then masked in place: one multiply that also transposed made
-    # numpy buffer twice as much (127 KB) and ran slower
+    # numpy buffer twice as much (127 KB) and ran slower. The mask is read
+    # from conv3's x_hat, which its batch-norm backward reads too.
     np.copyto(g, d.reshape(batch, kernels, positions).transpose(0, 2, 1))
-    np.multiply(g, masks[2], out=g)
+    np.multiply(g, ws.normalized[2] > 0.0, out=g)
     for i in (2, 1):
         g = layers.batchnorm_backward(trace.bn_caches[i], g, scratch=ws.bn_scratch(i))
         x = ws.rectified[i - 1]  # read for the weight gradient, then overwritten
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
             x, params.conv_weights[i], config.strides[i], g, grad_x=x, scratch=ws.scratch,
-            mask=masks[i - 1],
+            relu=True,
         )
     grads.conv_weights[0][...], grads.conv_biases[0][...] = layers.conv_batchnorm_backward(
         trace.bn_caches[0], ws.patches, params.conv_weights[0], g

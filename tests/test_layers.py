@@ -316,19 +316,21 @@ class TestConvBackward:
 @pytest.mark.parametrize("batch", [1, 7, 11, 32, 33])
 @pytest.mark.parametrize("layer", [1, 2])
 def test_input_gradient_in_place_and_in_blocks(layer, batch):
-    """M5's conv2 or conv3 backward with grad_x the input itself, a ReLU
-    mask and the scratch ``layers.backward_scratch`` gives the layer, as a
-    training step runs it (blocks of 2 to 10 samples, of 1 at batch 1, the
-    last block partial), is bitwise the out-of-place backward with the
-    whole batch in one block, its input gradient then multiplied by the
-    mask. The input gradient of the first and the last sample is within
-    1e-12 of direct loops, relative to its largest entry."""
+    """M5's conv2 or conv3 backward on a ReLU output x with exact zeros,
+    with grad_x the input itself, ``relu`` set and the scratch
+    ``layers.backward_scratch`` gives the layer, as a training step runs it
+    (blocks of 2 to 10 samples, of 1 at batch 1, the last block partial),
+    is bitwise the out-of-place backward with the whole batch in one block,
+    its input gradient then multiplied by x > 0. The input gradient of the
+    first and the last sample is within 1e-12 of direct loops, relative to
+    its largest entry."""
     conv = model_config("M5", 3).conv_layers[layer]
     rng = np.random.default_rng(10 * layer + batch)
-    x = rng.standard_normal((batch, conv.input_length, conv.in_channels))
+    x = np.maximum(rng.standard_normal((batch, conv.input_length, conv.in_channels)), 0.0)
     w = rng.standard_normal((conv.kernels, conv.in_channels, conv.receptive_field))
     g = rng.standard_normal((batch, conv.output_length, conv.kernels))
-    mask = rng.standard_normal(x.shape) > 0.0
+    mask = x > 0.0
+    assert 0 < mask.sum() < mask.size
     whole = fresh_conv_backward(x, w, conv.stride, g, grad_x=np.full_like(x, np.nan))
     per_sample = layers.input_gradient_scratch(
         conv.input_length, conv.receptive_field, conv.stride, conv.kernels
@@ -337,7 +339,7 @@ def test_input_gradient_in_place_and_in_blocks(layer, batch):
     assert scratch.size // per_sample < batch or batch == 1
     x_first = x.transpose(0, 2, 1)[[0, -1]]
     ref_gx, _ = conv1d_gradients_loops(x_first, w, conv.stride, g.transpose(0, 2, 1)[[0, -1]])
-    blocked = layers.conv1d_backward(x, w, conv.stride, g, grad_x=x, scratch=scratch, mask=mask)
+    blocked = layers.conv1d_backward(x, w, conv.stride, g, grad_x=x, scratch=scratch, relu=True)
     assert blocked[0] is x
     assert np.array_equal(x, whole[0] * mask)
     for a, b in zip(blocked[1:], whole[1:]):

@@ -32,12 +32,14 @@ AUGMENT_ALLOWANCE = 64 * 1024
 # Probabilities, vote records and per-pass temporaries beside the workspace.
 INFER_ALLOWANCE = 512 * 1024
 # A training step's temporaries beside its workspace: at batch 32 it peaks
-# 122 KB (M5) and 134 KB (M4) above its arrays on CPython 3.11 and numpy
-# 2.4, in conv2's backward: the 64 KB buffer numpy casts the bool ReLU mask
-# through, the re-blocked kernels and the bias gradient's ones beside the
-# trace's smaller arrays. The tap products and FC1's input gradient go into
-# the workspace's scratch; made as temporaries they peaked 330 KB (M5) and
-# 510 KB (M4) above the arrays. A conv3 patch matrix is 504 KB.
+# 162 KB (M5) and 152 KB (M4) above its arrays on CPython 3.11 and numpy
+# 2.4, in conv2's backward (M5) or conv3's (M4): the bool ReLU mask read
+# from a block of the layer's input (41 KB at M5), the 64 KB buffer numpy
+# casts it through, the re-blocked kernels and the bias gradient's ones
+# beside the trace's smaller arrays. The tap products and FC1's input
+# gradient go into the workspace's scratch; made as temporaries they peaked
+# 330 KB (M5) and 510 KB (M4) above the arrays. A conv3 patch matrix is
+# 504 KB.
 STEP_ALLOWANCE = 176 * 1024
 
 
@@ -135,32 +137,32 @@ def test_training_step_keeps_no_conv2_or_conv3_patches():
     workspace is built in the traced call, and its training arrays are
     allocated before the step runs, as every step after a training loop's
     first finds them. The arrays are the pass arrays (2.12 MB at M5), the
-    gathered windows, the three conv layers' ReLU masks (one byte a value),
-    the backward scratch sized by conv2's batch-norm scratch, in which the
-    tap products, the padded output gradients (a block of samples at a
-    time) and FC1's input gradient are made, and the gradient vector. Each
-    activation gradient is written over the activation it replaces, so none
-    has an array of its own. conv2 and conv3 read their inputs in place, so
-    a patch matrix of either, (32, 84, 72) or (32, 41, 48) values at M5
-    (1.55 MB or 504 KB), kept or made in either pass, would cross the
-    bound, as would the per-layer activation gradients (1.47 MB) or the tap
-    products and FC1's input gradient as temporaries."""
+    gathered windows, the backward scratch sized by conv2's batch-norm
+    scratch, in which the tap products, the padded output gradients (a
+    block of samples at a time) and FC1's input gradient are made, and the
+    gradient vector. No ReLU mask is kept: backward reads each from an
+    activation. Each activation gradient is written over the activation it
+    replaces, so none has an array of its own. conv2 and conv3 read their
+    inputs in place, so a patch matrix of either, (32, 84, 72) or (32, 41,
+    48) values at M5 (1.55 MB or 504 KB), kept or made in either pass,
+    would cross the bound, as would the per-layer activation gradients
+    (1.47 MB), the tap products and FC1's input gradient as temporaries,
+    or the three ReLU masks kept as arrays (184 KB)."""
     batch = 32
-    for name, total in (("M5", 2_844_888), ("M4", 2_680_792)):
+    for name, total in (("M5", 2_660_824), ("M4", 2_562_776)):
         cfg = model_config(name, 3)
         params = init_parameters(cfg, seed=0)
         rng = np.random.default_rng(2)
         windows, labels = rng.standard_normal((batch, 512)), rng.integers(0, 3, size=batch)
         conv2 = cfg.conv_layers[1]
         scratch = conv2.output_length * conv2.kernels
-        mask_bytes = batch * sum(c.output_length * c.kernels for c in cfg.conv_layers)
-        buffers = 8 * (batch * (cfg.input_length + scratch) + len(params.flat)) + mask_bytes
+        buffers = 8 * (batch * (cfg.input_length + scratch) + len(params.flat))
         assert buffers + _pass_bytes(cfg, batch) == total, name
         assert len(params.flat) == count_parameters(cfg) + 2 * sum(cfg.kernel_counts)
 
         def step():
             ws = Workspace(cfg, batch)
-            ws.relu_masks, ws.scratch, ws.grads  # as a training loop's first step leaves them
+            ws.scratch, ws.grads  # as a training loop's first step leaves them
             ws.windows[...] = windows
             _, trace = forward(params, ws.windows, ws, training=True,
                                dropout_rng=np.random.default_rng(3))

@@ -1,4 +1,5 @@
 import inspect
+import math
 import pickle
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -91,20 +92,27 @@ class TestModelGrid:
             assert MODEL_GRID[name].kernel_counts == (24, 16, 8)
 
     def test_readme_table_matches_the_grid(self):
-        """README's model table is the one copy of the grid written by hand."""
+        """README's model table is the one copy of the grid written by hand,
+        its 3-class count split between conv1-3, FC1 and FC2."""
         rows = [
             [cell.strip() for cell in line.strip("|").split("|")]
             for line in README.read_text().splitlines()
             if line.startswith("| M")
         ]
         assert [row[0] for row in rows] == list(MODEL_NAMES)
-        for name, family, kernels, fc1, dropout, params2, params3 in rows:
+        for name, family, kernels, fc1, dropout, params2, params3, *split in rows:
             two, three = model_config(name, 2), model_config(name, 3)
             assert family == two.family
             assert tuple(int(k) for k in kernels.split(",")) == two.kernel_counts
             assert int(fc1) == two.fc1_width
             assert float(dropout) == two.dropout_rate
             assert (int(params2), int(params3)) == (count_parameters(two), count_parameters(three))
+            shapes = parameter_shapes(three)
+            assert [int(n) for n in split] == [
+                sum(math.prod(s) for t, s in shapes.items() if t.startswith(group))
+                for group in ("conv", "fc1", "fc2")
+            ]
+            assert sum(int(n) for n in split) == int(params3)
 
 
 # Worked by hand from the paper's geometry on 512-sample windows: receptive
@@ -399,7 +407,7 @@ def _pass_arrays(ws):
 
 def _workspace_buffers(ws):
     """Every array a training step writes into, in no particular order."""
-    return _pass_arrays(ws) + [ws.windows, *ws.relu_masks, ws.scratch, ws.grads.learnable]
+    return _pass_arrays(ws) + [ws.windows, ws.scratch, ws.grads.learnable]
 
 
 class TestChannelLastLayout:
@@ -574,15 +582,13 @@ class TestChannelLastLayout:
         grads = backward(params, trace, grad_logits)
         ws = trace.workspace
         buffers = _workspace_buffers(ws)
-        assert len(buffers) == 6 + 6
+        assert len(buffers) == 6 + 3
         assert grads is ws.grads
         for i, a in enumerate(buffers):
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, probs)
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b)
-        for mask, normalized in zip(ws.relu_masks, ws.normalized):
-            assert mask.shape == normalized.shape and mask.dtype == bool
         for i in (1, 2):
             scratch = ws.bn_scratch(i)
             assert scratch.shape == ws.normalized[i].shape
