@@ -152,8 +152,9 @@ def conv1d_forward(
     taps are a few values deep, too shallow for a GEMM per sample and tap to
     pay, so it is unfolded into ``scratch`` (``im2col``) and convolved by one
     GEMM. ``scratch`` is C-contiguous and holds at least out's values, or a
-    one-channel input's B*m*Rf patch values; a layer of more than one
-    channel with Rf <= stride has one tap and leaves it alone.
+    one-channel input's B*m*Rf patch values; its leading values are
+    overwritten, so it may be any array the caller writes next. A layer of
+    more than one channel with Rf <= stride has one tap and leaves it alone.
     """
     k, c, rf = weights.shape
     _check_conv_input(x, weights, bias)
@@ -375,7 +376,8 @@ def batchnorm_backward(
     In place: ``grad``, the C-contiguous gradient at the batch-norm output,
     is overwritten with the gradient at its input and returned. A ReLU after
     the batch norm is backpropagated by whoever writes ``grad``, with the
-    ReLU mask. ``scratch``, shaped like grad, takes the x_hat term.
+    ReLU mask. The x_hat term goes into the leading values of the
+    C-contiguous ``scratch``, which holds at least grad's.
     """
     channels = cache.x_hat.shape[-1]
     x_hat = cache.x_hat.reshape(-1, channels)
@@ -384,7 +386,7 @@ def batchnorm_backward(
     mean_g = _channel_sums(res) / n
     mean_gx = np.einsum("ij,ij->j", res, x_hat) / n
     res -= mean_g
-    res -= np.multiply(x_hat, mean_gx, out=_view(scratch, res.shape))
+    res -= np.multiply(x_hat, mean_gx, out=_leading(scratch, res.shape))
     res *= cache.inv_std
     return grad
 

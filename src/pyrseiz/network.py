@@ -179,18 +179,17 @@ class NetworkParameters:
         return NetworkParameters, (self.config, self.flat)
 
 
-def _carve(shapes: list[tuple[int, ...]]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _carve(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """C-contiguous float64 arrays of ``shapes``, one after the other in one
-    new block, and the block's tail from the start of each. Each array
-    starts a multiple of 8 values (64 bytes) into the block, so it is as
-    aligned as the block, as a separately allocated array would be."""
+    new block. Each array starts a multiple of 8 values (64 bytes) into the
+    block, so it is as aligned as the block, as a separately allocated array
+    would be."""
     sizes = [math.prod(shape) for shape in shapes]
     starts = [0]
     for size in sizes:
         starts.append(starts[-1] + -(-size // 8) * 8)
     block = np.empty(starts[-1])
-    arrays = [block[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
-    return arrays, [block[a:] for a in starts[:-1]]
+    return [block[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
 
 
 class Workspace:
@@ -202,21 +201,27 @@ class Workspace:
     pass through the workspace. The pass arrays are each layer's output
     ``normalized[i]`` (its batch-norm output in training), conv2's rectified
     output ``act`` (conv3's input), the flattened rectified conv3 output
-    ``flat``, and ``patches``, conv1's centred patches, which only training
-    writes. conv1's output is rectified in place, so ``rectified``, the
-    inputs of conv2 and conv3, is ``[normalized[0], act]``. They are carved
-    from one block, which the C heap reuses where separate arrays would be
-    given back to the system and faulted in again on every ``classify``
-    call. The arrays only training needs (``windows``, ``scratch``,
-    ``grads``) are allocated on first use, each on its own: carved from a
-    second block, they fragmented the heap of a ``cv`` process, which
-    peaked 1.5 MB higher and ran its calls about 5% slower.
+    ``flat``, and ``patches``, conv1's unfolded input (centred in training).
+    conv1's output is rectified in place, so ``rectified``, the inputs of
+    conv2 and conv3, is ``[normalized[0], act]``. Each conv layer's
+    ``conv1d_forward`` scratch, ``tap_scratch[i]``, is a pass array of the
+    size it needs: conv1 unfolds its input into ``patches`` at inference
+    (so inference faults its pages in too, about 0.1 MB of a ``cv``
+    process's peak RSS; README has the figures), and conv2's and conv3's
+    later taps put their products in ``act`` and ``flat``, which the pass
+    writes right after that layer. The pass arrays are carved from one
+    block, which the C heap reuses where separate arrays would be given
+    back to the system and faulted in again on every ``classify`` call. The arrays only training needs
+    (``windows``, ``scratch``, ``grads``) are allocated on first use, each
+    on its own: carved from a second block, they fragmented the heap of a
+    ``cv`` process, which peaked 1.5 MB higher and ran its calls about 5%
+    slower.
     ``head(b)`` is a workspace for a smaller batch on the leading rows of
     these arrays; it allocates nothing of its own.
 
     ``backward`` keeps no gradient arrays of its own: it writes each
     gradient over the activation of that shape it has finished with, and
-    its temporaries into ``scratch``. The gradient at conv3's ReLU input
+    every temporary into ``scratch``. The gradient at conv3's ReLU input
     goes into ``flat`` once FC1's weight gradient has read it, conv2's into
     ``act`` and conv1's into ``normalized[0]`` once the next layer's weight
     gradient has read them. Each is masked as it is written, by its ReLU's
@@ -232,38 +237,23 @@ class Workspace:
         self._base = base
         if base:
             arrays = [a[:batch] for a in base._pass]
-            self._tails = base._tails
         else:
             conv1 = config.conv_layers[0]
             outputs = [(batch, c.output_length, c.kernels) for c in config.conv_layers]
             patches = (batch, conv1.output_length, conv1.receptive_field * conv1.in_channels)
-            # in pass order, patches last: what lies past a layer's output is
-            # written only after that layer, so its tap products go there
-            shapes = [outputs[0], outputs[1], outputs[1], outputs[2],
-                      (batch, config.flatten_width), patches]
-            arrays, tails = _carve(shapes)
-            self._tails = [tails[i] for i in (1, 2, 4)]  # from just past each layer's output
+            arrays = _carve([outputs[0], outputs[1], outputs[1], outputs[2],
+                             (batch, config.flatten_width), patches])
         self._pass = arrays
         self.normalized = [arrays[0], arrays[1], arrays[3]]
         self.act, self.flat, self.patches = arrays[2], arrays[4], arrays[5]
         self.rectified = [self.normalized[0], self.act]
+        self.tap_scratch = [self.patches, self.act, self.flat]
 
     def head(self, batch: int) -> Workspace:
         """This workspace for the first ``batch`` rows: itself at full size."""
         if not 1 <= batch <= self.batch:
             raise ValueError(f"a workspace for {self.batch} windows has no head of {batch}")
         return self if batch == self.batch else Workspace(self.config, batch, base=self)
-
-    def tap_scratch(self, i: int) -> np.ndarray:
-        """The scratch of conv layer i's ``conv1d_forward``: the pass block
-        just past the layer's output, which a pass writes only after the
-        layer. conv2's and conv3's later taps put their products there, in
-        ``act`` and ``flat``. conv1, which only inference convolves, unfolds
-        its one-channel input there; the block past its output ends with
-        ``patches``, so it holds them, and inference, which leaves
-        ``patches`` unwritten, never faults its pages in."""
-        shape = self.patches.shape if i == 0 else self.normalized[i].shape
-        return self._tails[i][: math.prod(shape)].reshape(shape)
 
     @cached_property
     def windows(self) -> np.ndarray:
@@ -274,11 +264,12 @@ class Workspace:
 
     @cached_property
     def scratch(self) -> np.ndarray:
-        """Backward-pass scratch: ``bn_scratch``, ``conv1d_backward``'s tap
-        products and padded output gradients, made in blocks of as many
-        samples as it holds, and the dense layers' input gradients. Each
-        use ends before the next begins, so they share one vector of
-        ``layers.backward_scratch`` values; a head uses its base's."""
+        """Backward-pass scratch: batch-norm backward's x_hat term,
+        ``conv1d_backward``'s tap products and padded output gradients,
+        made in blocks of as many samples as it holds, and the dense
+        layers' input gradients. Each use ends before the next begins, so
+        they share one vector of ``layers.backward_scratch`` values; a head
+        uses its base's."""
         if self._base:
             return self._base.scratch
         config = self.config
@@ -291,11 +282,6 @@ class Workspace:
     def grads(self) -> NetworkParameters:
         """The gradients ``backward`` writes and returns, batch-norm slots zero."""
         return self._base.grads if self._base else NetworkParameters(self.config)
-
-    def bn_scratch(self, i: int) -> np.ndarray:
-        """Where conv layer i's batch-norm backward puts its x_hat term."""
-        shape = self.normalized[i].shape
-        return self.scratch[: math.prod(shape)].reshape(shape)
 
 
 @dataclass
@@ -362,7 +348,7 @@ def forward(
         if not training:  # batch norm folded into the conv weights and bias
             w, b = layers.batchnorm_infer(weights[i], biases[i], running_mean[i], running_var[i])
             h = layers.conv1d_forward(
-                h, w, b, stride, out=normalized, scratch=workspace.tap_scratch(i)
+                h, w, b, stride, out=normalized, scratch=workspace.tap_scratch[i]
             )
         else:
             if i == 0:  # data input, Rf-wide patches: statistics from the patches
@@ -372,7 +358,7 @@ def forward(
             else:  # batch norm cancels the conv bias; it reaches only the running mean
                 z = layers.conv1d_forward(
                     h, weights[i], None, stride, out=normalized,
-                    scratch=workspace.tap_scratch(i),
+                    scratch=workspace.tap_scratch[i],
                 )
                 z, cache, mean, var = layers.batchnorm_train(z, out=z)
                 mean += biases[i]
@@ -443,7 +429,7 @@ def backward(
     np.copyto(g, d.reshape(batch, kernels, positions).transpose(0, 2, 1))
     np.multiply(g, ws.normalized[2] > 0.0, out=g)
     for i in (2, 1):
-        g = layers.batchnorm_backward(trace.bn_caches[i], g, scratch=ws.bn_scratch(i))
+        g = layers.batchnorm_backward(trace.bn_caches[i], g, scratch=ws.scratch)
         x = ws.rectified[i - 1]  # read for the weight gradient, then overwritten
         g, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
             x, params.conv_weights[i], config.strides[i], g, grad_x=x, scratch=ws.scratch,

@@ -454,6 +454,20 @@ class TestBatchNorm:
         )
         assert np.array_equal(gx, unfused)
 
+    def test_backward_takes_a_longer_flat_scratch(self):
+        """A flat scratch longer than the gradient, as a workspace's one
+        backward scratch is, gives bitwise the result of an exact-size
+        scratch; the x_hat term takes only its leading values."""
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((4, 7, 3))
+        r = rng.standard_normal((4, 7, 3))
+        _, cache, _, _ = layers.batchnorm_train(x, np.empty_like(x))
+        exact = layers.batchnorm_backward(cache, r.copy(), np.empty_like(r))
+        scratch = np.full(r.size + 11, np.nan)
+        longer = layers.batchnorm_backward(cache, r.copy(), scratch)
+        assert np.array_equal(longer, exact)
+        assert np.isnan(scratch[r.size :]).all()
+
     @staticmethod
     def _folded_conv(x, running_mean, running_var):
         """Batch norm of channel-last x by running statistics, as inference

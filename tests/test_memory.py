@@ -32,7 +32,7 @@ AUGMENT_ALLOWANCE = 64 * 1024
 # Probabilities, vote records and per-pass temporaries beside the workspace.
 INFER_ALLOWANCE = 512 * 1024
 # A training step's temporaries beside its workspace: at batch 32 it peaks
-# 162 KB (M5) and 152 KB (M4) above its arrays on CPython 3.11 and numpy
+# 162 KB (M5) and 151 KB (M4) above its arrays on CPython 3.11 and numpy
 # 2.4, in conv2's backward (M5) or conv3's (M4): the bool ReLU mask read
 # from a block of the layer's input (41 KB at M5), the 64 KB buffer numpy
 # casts it through, the re-blocked kernels and the bias gradient's ones
@@ -122,8 +122,8 @@ def _pass_bytes(cfg, batch):
 def test_inference_peak_is_one_pass():
     """classify on 1,000 M5 windows peaks below the pass arrays of one
     32-window pass plus INFER_ALLOWANCE: every pass reuses the same ones,
-    conv1 unfolds its input past its output in the same block, and the
-    workspace's training arrays (673 KB here) are never allocated."""
+    conv1 unfolds its input into the patches array of the same block, and
+    the workspace's training arrays (673 KB here) are never allocated."""
     cfg = model_config("M5", 3)
     params = init_parameters(cfg, seed=0)
     windows = np.random.default_rng(1).standard_normal((200, 5, 512))
@@ -138,16 +138,17 @@ def test_training_step_keeps_no_conv2_or_conv3_patches():
     allocated before the step runs, as every step after a training loop's
     first finds them. The arrays are the pass arrays (2.12 MB at M5), the
     gathered windows, the backward scratch sized by conv2's batch-norm
-    scratch, in which the tap products, the padded output gradients (a
-    block of samples at a time) and FC1's input gradient are made, and the
-    gradient vector. No ReLU mask is kept: backward reads each from an
-    activation. Each activation gradient is written over the activation it
-    replaces, so none has an array of its own. conv2 and conv3 read their
-    inputs in place, so a patch matrix of either, (32, 84, 72) or (32, 41,
-    48) values at M5 (1.55 MB or 504 KB), kept or made in either pass,
-    would cross the bound, as would the per-layer activation gradients
-    (1.47 MB), the tap products and FC1's input gradient as temporaries,
-    or the three ReLU masks kept as arrays (184 KB)."""
+    x_hat term, in which that term, the tap products, the padded output
+    gradients (a block of samples at a time) and FC1's input gradient are
+    made, and the gradient vector. No ReLU mask is kept: backward reads
+    each from an activation. Each activation gradient is written over the
+    activation it replaces, so none has an array of its own. conv2 and
+    conv3 read their inputs in place, so a patch matrix of either, (32,
+    84, 72) or (32, 41, 48) values at M5 (1.55 MB or 504 KB), kept or made
+    in either pass, would cross the bound, as would the per-layer
+    activation gradients (1.47 MB), the tap products and FC1's input
+    gradient as temporaries, or the three ReLU masks kept as arrays (184
+    KB)."""
     batch = 32
     for name, total in (("M5", 2_660_824), ("M4", 2_562_776)):
         cfg = model_config(name, 3)

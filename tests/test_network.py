@@ -562,9 +562,9 @@ class TestChannelLastLayout:
             assert np.array_equal(g_ws, g_fresh)
         # conv2 reads 20 positions at stride 2 and conv3 9 (the odd tail row):
         # per sample, padded gradients of (11, 3) and (6, 2) values and patches
-        # of (10, 6) and (5, 4), 93 and 32 values. The scratch is conv2's
-        # batch-norm scratch, (4, 9, 3) values, so conv2's input gradient is
-        # made one sample at a time and conv3's in blocks of 3 and 1.
+        # of (10, 6) and (5, 4), 93 and 32 values. The scratch is sized by
+        # conv2's batch-norm x_hat term, (4, 9, 3) values, so conv2's input
+        # gradient is made one sample at a time and conv3's in blocks of 3 and 1.
         assert ws.scratch.size == 4 * 9 * 3 == 108
         assert [(c.kernels, c.output_length) for c in tiny_config.conv_layers[1:]] == [
             (3, 9), (2, 4)
@@ -573,8 +573,8 @@ class TestChannelLastLayout:
     def test_workspace_buffers_do_not_overlap(self, tiny_config):
         """No buffer aliases another, the training-only ones and the gradient
         vector included, and the probabilities a step returns are not
-        workspace memory; the gradients are the workspace's own. The
-        batch-norm scratch leads the backward scratch."""
+        workspace memory; the gradients are the workspace's own. The one
+        flat backward scratch holds each batch-norm x_hat term."""
         params = init_parameters(tiny_config, seed=3)
         x = np.random.default_rng(3).standard_normal((4, 64))
         probs, trace = forward(params, x, Workspace(tiny_config, 4), training=True)
@@ -589,30 +589,30 @@ class TestChannelLastLayout:
             assert not np.shares_memory(a, probs)
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b)
+        assert ws.scratch.ndim == 1
         for i in (1, 2):
-            scratch = ws.bn_scratch(i)
-            assert scratch.shape == ws.normalized[i].shape
-            assert scratch.flags.c_contiguous and scratch.base is ws.scratch
+            assert ws.scratch.size >= ws.normalized[i].size
 
     def test_tap_scratch_overlaps_only_arrays_written_later(self, tiny_config):
-        """A layer's tap products lie in the pass block past its output,
-        clear of its input, its output and everything a training pass keeps
-        from before it; conv1's unfolded input (inference only) may cover
-        its patches, which inference never writes."""
+        """Each conv layer's scratch is the pass array written after it:
+        conv1 unfolds its input into ``patches``, conv2's and conv3's tap
+        products go into ``act`` and ``flat``. Each holds that layer's
+        values, and none overlaps its layer's input, its output or anything
+        a training pass keeps from before it."""
         ws = Workspace(tiny_config, 4).head(3)
-        block = ws.flat.base
+        assert len(ws.tap_scratch) == 3
+        assert all(a is b for a, b in zip(ws.tap_scratch, (ws.patches, ws.act, ws.flat)))
         kept = (
-            [ws.normalized[0]],
+            [ws.windows, ws.normalized[0]],
             [ws.patches, ws.normalized[0], ws.normalized[1]],
             [ws.patches, *ws.normalized, ws.act],
         )
         for i, arrays in enumerate(kept):
-            tap = ws.tap_scratch(i)
-            assert tap.shape == (ws.patches if i == 0 else ws.normalized[i]).shape
-            assert tap.flags.c_contiguous and tap.base is block
+            tap, conv = ws.tap_scratch[i], tiny_config.conv_layers[i]
+            values = conv.receptive_field if i == 0 else conv.kernels  # per output position
+            assert tap.size == 3 * conv.output_length * values
+            assert tap.flags.c_contiguous and tap.base is ws.flat.base
             assert not any(np.shares_memory(tap, a) for a in arrays)
-        assert np.shares_memory(ws.tap_scratch(1), ws.act)
-        assert np.shares_memory(ws.tap_scratch(2), ws.flat)
 
     def test_head_runs_a_smaller_batch_on_leading_rows(self, tiny_config):
         """Training and inference passes of 3 windows through the head of a
@@ -658,18 +658,22 @@ class TestChannelLastLayout:
 
     def test_conv1_inference_needs_no_room_past_its_output(self):
         """A conv1 output larger than every later pass array together needs
-        no longer block: conv1 at inference unfolds its input past its
-        output, where the patches end the block, and inference through that
-        workspace matches the reference within 1e-12."""
+        no longer block: conv1 at inference unfolds its input into
+        ``patches``, and inference through that workspace matches the
+        reference within 1e-12."""
         cfg = ModelConfig(kernel_counts=(40, 2, 2), num_classes=2)
         ws = Workspace(cfg, 3)
         output = ws.normalized[0]
         assert sum(a.nbytes for a in _pass_arrays(ws)[1:]) < output.nbytes
         assert ws.flat.base.nbytes < sum(a.nbytes for a in _pass_arrays(ws)) + 6 * 64
-        assert ws.tap_scratch(0).shape == ws.patches.shape
         params = _perturbed(cfg, seed=13)
         x = np.random.default_rng(13).standard_normal((3, 512))
+        ws.patches.fill(np.nan)
         probs, _ = forward(params, x, ws)
+        conv1 = cfg.conv_layers[0]
+        starts = np.arange(conv1.output_length) * conv1.stride
+        unfolded = x[:, starts[:, None] + np.arange(conv1.receptive_field)]
+        assert np.array_equal(ws.patches, unfolded)
         ref_probs, _ = forward_reference(cfg, params.copy(), x)
         assert np.max(np.abs(probs - ref_probs)) <= 1e-12
 
